@@ -3,10 +3,14 @@
 Exit codes follow a scriptable convention:
 
 * 0 -- success;
+* 1 -- a check failed: ``whatif --remove-edge`` found unequal endpoint
+  deltas, or a hard ``axioms`` check (efficiency, symmetry, null-player,
+  fairness) did not pass;
 * 2 -- an expected vector was present and the computed allocation mismatched
   (regression mode);
 * 64 -- usage error (bad flags, method incompatible with the scenario's
-  model, game too large for exact enumeration);
+  model, game too large for exact enumeration, approx game on a graph with
+  more than 63 edges);
 * 65 -- the input failed to load or a what-if target does not exist.
 
 Output is byte-deterministic for a given (input file, flags, seed); wall-time
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -91,21 +94,18 @@ def _allocate(
     *,
     samples: int,
     seed: int,
-    threads: int,
     limit: int | None,
     game: EdgeGame | None = None,
 ) -> Allocation:
     eg = game if game is not None else scenario.edge_game()
     if method == "edge_shapley":
-        return edge_shapley(eg, limit=limit, threads=threads)
+        return edge_shapley(eg, limit=limit)
     if method == "edge_shapley_pruned":
-        return edge_shapley_pruned(eg, limit=limit, threads=threads)
+        return edge_shapley_pruned(eg, limit=limit)
     if method == "myerson":
-        return myerson(GraphGame(eg.graph, lift(eg)), limit=limit, threads=threads)
+        return myerson(GraphGame(eg.graph, lift(eg)), limit=limit)
     if method == "shapley":
-        return shapley_exact(lift(eg), limit=limit, threads=threads).with_labels(
-            eg.graph.nodes
-        )
+        return shapley_exact(lift(eg), limit=limit).with_labels(eg.graph.nodes)
     if method == "sampled":
         return shapley_sampled(lift(eg), samples, seed).with_labels(eg.graph.nodes)
     if method == "closed_form":
@@ -217,7 +217,6 @@ def _build_report(scenario, method, args) -> RunReport:
         method,
         samples=args.samples,
         seed=args.seed,
-        threads=args.threads,
         limit=args.limit,
     )
     elapsed = (time.perf_counter() - started) * 1000.0
@@ -301,7 +300,6 @@ def _whatif_doc(args, scenario: Scenario):
             args.method,
             samples=args.samples,
             seed=args.seed,
-            threads=args.threads,
             limit=args.limit,
             game=deleted,
         )
@@ -392,14 +390,14 @@ def cmd_axioms(args) -> int:
     scenario = load_scenario(args.input)
     eg = scenario.edge_game()
     v = lift(eg)
-    alloc = edge_shapley(eg, limit=args.limit, threads=args.threads)
+    alloc = edge_shapley(eg, limit=args.limit)
     report = axiom_check(v, alloc, "all", limit=args.limit)
     checks = list(report.checks)
 
     fair_ok = True
     witness = ""
     for edge in eg.graph.edges:
-        d_src, d_dst = fairness_delta(eg, edge, limit=args.limit, threads=args.threads)
+        d_src, d_dst = fairness_delta(eg, edge, limit=args.limit)
         if not values_close(d_src, d_dst, alloc.exact, 1e-9):
             fair_ok = False
             witness = f"; unequal deltas on ({edge.src}, {edge.dst}): {d_src} vs {d_dst}"
@@ -408,7 +406,7 @@ def cmd_axioms(args) -> int:
         CheckResult("fairness", fair_ok, f"{len(eg.graph.edges)} edge deletion(s){witness}")
     )
 
-    comp = component_efficiency_check(eg, limit=args.limit, threads=args.threads)
+    comp = component_efficiency_check(eg, limit=args.limit)
     for entry in comp.components:
         checks.append(
             CheckResult(
@@ -458,8 +456,8 @@ def _add_common(p: argparse.ArgumentParser, *, formats=("table", "json", "csv"))
     p.add_argument("--input", required=True, help="scenario file (JSON)")
     p.add_argument("--format", choices=formats, default="table")
     p.add_argument("--output", help="write the report here instead of stdout")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for subset evaluation (output is identical for any value)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--limit", type=int, default=None,
                    help="override the exact-enumeration player limit (default 24)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,

@@ -9,7 +9,7 @@ is worth w(all edges), and a player with no incident edges is a null player.
 
 Neighborhood pruning: a player's marginal against a coalition that misses its
 entire neighborhood is zero (adding the player completes no edge), so the
-pruned engine skips those coalitions outright. A stronger restriction --
+pruned engine leaves those marginals out of its sums. A stronger restriction --
 summing only over subsets OF the neighborhood while keeping global weights --
 does not agree with the full value and is kept solely as a diagnostic
 (:func:`restricted_sum_report`).
@@ -134,7 +134,7 @@ def edge_shapley(
     stats: EngineStats | None = None,
 ) -> Allocation:
     """Shapley value of the lifted node game."""
-    alloc = shapley_exact(lift(eg), limit=limit, threads=threads, stats=stats)
+    alloc = shapley_exact(lift(eg), limit=limit, stats=stats)
     return alloc.with_labels(eg.graph.nodes)
 
 
@@ -148,14 +148,13 @@ def edge_shapley_pruned(
     """Same value as :func:`edge_shapley`, skipping provably-zero marginals.
 
     A coalition disjoint from a player's neighborhood cannot gain an edge
-    when the player joins, so only coalitions meeting the neighborhood are
-    enumerated; isolated nodes are allocated 0 with no evaluations at all.
+    when the player joins, so only coalitions meeting the neighborhood enter
+    the player's sum; isolated nodes sum no terms and get 0. The coalition
+    table is still full, so this saves marginal terms, not evaluations.
     """
     g = eg.graph
     member_masks = [g.adjacency_mask(i) for i in range(g.n)]
-    alloc = shapley_restricted(
-        lift(eg), member_masks, limit=limit, threads=threads, stats=stats
-    )
+    alloc = shapley_restricted(lift(eg), member_masks, limit=limit, stats=stats)
     return alloc.with_labels(g.nodes)
 
 
@@ -270,16 +269,13 @@ def delete_edge(eg: EdgeGame, e: Edge | tuple[NodeId, NodeId]) -> EdgeGame:
     new_graph = g.without_edge(edge.src, edge.dst)
     low = (1 << j) - 1
 
-    def embed(new_mask: int) -> int:
-        # new edge indices >= j map to old index + 1
+    def embed(new_mask):
+        # new edge indices >= j map to old index + 1; works on ints and int64 arrays
         return (new_mask & low) | ((new_mask & ~low) << 1)
 
     fn_many = None
     if w.has_vector_path:
-        low64 = np.int64(low)
-
-        def fn_many(masks: np.ndarray) -> np.ndarray:
-            return w.evaluate_many((masks & low64) | ((masks & ~low64) << 1))
+        fn_many = lambda masks: w.evaluate_many(embed(masks))
 
     new_w = EdgeCharacteristic(
         new_graph.edges, lambda m: w(embed(m)), exact=w.exact, fn_many=fn_many
@@ -301,8 +297,8 @@ def fairness_delta(
     """
     j = _resolve_edge(eg.graph, e)
     edge = eg.graph.edges[j]
-    before = edge_shapley(eg, limit=limit, threads=threads)
-    after = edge_shapley(delete_edge(eg, e), limit=limit, threads=threads)
+    before = edge_shapley(eg, limit=limit)
+    after = edge_shapley(delete_edge(eg, e), limit=limit)
     return (
         before[edge.src] - after[edge.src],
         before[edge.dst] - after[edge.dst],
@@ -397,7 +393,7 @@ def component_efficiency_check(
     """
     g = eg.graph
     v = lift(eg)
-    alloc = edge_shapley(eg, limit=limit, threads=threads)
+    alloc = edge_shapley(eg, limit=limit)
     entries = []
     for comp in g.component_masks():
         labels = g.labels_of(comp)

@@ -7,20 +7,22 @@ exactly one value domain:
 * exact -- arbitrary-precision rationals (`fractions.Fraction`, plain ints);
 * approx -- binary64 floats.
 
-The two domains never mix inside one computation. Exact games run through
-pure-Python enumeration; approx games run through a vectorized numpy path
-when the characteristic supports batch evaluation.
+The two domains never mix inside one computation. Every full-enumeration
+value (plain, pruned, Myerson) comes from one engine: :func:`_table` fills the
+worth of all 2^n coalitions, and :func:`_reduce` turns that table into
+marginal sums. Exact tables hold the characteristic's own ints and Fractions;
+approx tables are float64 arrays filled by the batch path when the
+characteristic has one.
 
-Determinism contract: subsets are enumerated in ascending mask order, float
-reductions always happen over arrays assembled in that order, and chunked
-evaluation uses a fixed chunk size, so results are bit-identical for any
-thread count.
+Determinism contract: the table is built in ascending mask order in one
+pass, and every float sum runs over a contiguous array in that order, so
+identical inputs give bit-identical results. There is no thread count for
+the result to depend on: ``threads=`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -40,10 +42,6 @@ MAX_PLAYERS = 63
 #: Full 2^n enumeration is refused above this many players unless the caller
 #: explicitly raises the limit.
 DEFAULT_ENUMERATION_LIMIT = 24
-
-# Fixed evaluation chunk; must not depend on the thread count or results
-# would not be bit-identical across worker configurations.
-_CHUNK = 1 << 14
 
 
 class NodeCharacteristic:
@@ -172,7 +170,9 @@ class Allocation:
 
 @dataclass
 class EngineStats:
-    """Work counters an engine fills in when handed to it."""
+    """Work counters an engine fills in when handed to it: coalition worths
+    evaluated (2^n per enumeration, as the table is always full) and marginal
+    terms summed."""
 
     marginals: int = 0
     evaluations: int = 0
@@ -202,67 +202,54 @@ def _check_grounded(v: NodeCharacteristic):
         )
 
 
-def _chunk_ranges(size: int) -> list[range]:
-    return [range(lo, min(lo + _CHUNK, size)) for lo in range(0, size, _CHUNK)]
-
-
-def _exact_table(v: NodeCharacteristic, threads: int) -> list[Value]:
+def _table(v: NodeCharacteristic) -> np.ndarray:
+    """Worth of every coalition, in ascending mask order: an object array of
+    the characteristic's own values (exact) or a float64 array (approx)."""
     size = 1 << v.n
-    if threads > 1 and size > _CHUNK:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda r: [v(m) for m in r], _chunk_ranges(size)))
-        return [x for part in parts for x in part]
-    return [v(m) for m in range(size)]
+    if v.exact:
+        return np.fromiter(map(v, range(size)), dtype=object, count=size)
+    return v.evaluate_many(all_masks(v.n))
 
 
-def _approx_table(v: NodeCharacteristic, threads: int) -> np.ndarray:
-    size = 1 << v.n
-    masks = all_masks(v.n)
-    if threads > 1 and size > _CHUNK:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(
-                ex.map(lambda r: v.evaluate_many(masks[r.start : r.stop]), _chunk_ranges(size))
-            )
-        return np.concatenate(parts)
-    return v.evaluate_many(masks)
+def _reduce(
+    table: np.ndarray,
+    n: int,
+    member_masks: Sequence[int] | None,
+    stats: EngineStats | None,
+) -> tuple[Value, ...]:
+    """Shapley value of player i = sum over coalitions S avoiding i of
+    ``weight(|S|) * (table[S + i] - table[S])``.
 
-
-def _exact_allocation(table: list[Value], n: int) -> list[Fraction]:
+    Reshaped to (2^(n-1-i), 2, 2^i), the table's ``[:, 0, :]`` rows are the
+    coalitions avoiding i and its ``[:, 1, :]`` rows the same coalitions with
+    i added, both in ascending mask order. ``member_masks[i]``, when given,
+    keeps only the coalitions that meet it. Exact marginals are summed per
+    coalition size and weighted by rationals; float marginals are weighted
+    one by one and summed as one contiguous array.
+    """
     weights = shapley_weights(n)
-    out = []
-    for i in range(n):
-        bit = 1 << i
-        by_size = [0] * n
-        for m in range(1 << n):
-            if m & bit:
-                continue
-            by_size[m.bit_count()] += table[m | bit] - table[m]
-        out.append(sum((w * s for w, s in zip(weights, by_size)), Fraction(0)))
-    return out
-
-
-def _approx_allocation(
-    table: np.ndarray, n: int, member_masks: Sequence[int] | None, stats: EngineStats | None
-) -> list[float]:
-    weights = np.array([float(w) for w in shapley_weights(n)])
+    exact = table.dtype == object
+    if not exact:
+        weights = np.array([float(w) for w in weights])
     masks = all_masks(n)
     sizes = popcount_array(masks)
-    out = []
+    out: list[Value] = []
     for i in range(n):
-        bit = np.int64(1 << i)
-        sel = (masks & bit) == 0
+        shape = (-1, 2, 1 << i)
+        rows = table.reshape(shape)
+        diff = (rows[:, 1, :] - rows[:, 0, :]).ravel()
+        size = sizes.reshape(shape)[:, 0, :].ravel()
         if member_masks is not None:
-            required = np.int64(member_masks[i])
-            sel &= (masks & required) != 0
-        m = masks[sel]
+            keep = (masks.reshape(shape)[:, 0, :].ravel() & member_masks[i]) != 0
+            diff, size = diff[keep], size[keep]
         if stats is not None:
-            stats.marginals += int(m.size)
-        if m.size == 0:
-            out.append(0.0)
-            continue
-        contrib = weights[sizes[sel]] * (table[m | bit] - table[m])
-        out.append(float(contrib.sum()))
-    return out
+            stats.marginals += int(diff.size)
+        if exact:
+            by_size = (w * diff[size == s].sum() for s, w in enumerate(weights))
+            out.append(sum(by_size, Fraction(0)))
+        else:
+            out.append(float((weights[size] * diff).sum()))
+    return tuple(out)
 
 
 def shapley_exact(
@@ -278,19 +265,13 @@ def shapley_exact(
     ``weight(|S|) * (v(S + {i}) - v(S))``, with size weights formed as exact
     rationals. Exact games return `Fraction` values whose total equals v(N)
     exactly; approx games return floats with the weights converted to binary64
-    only after the rational is formed.
+    only after the rational is formed. ``threads`` has no effect.
     """
     _check_capacity(v, limit)
     _check_grounded(v)
-    n = v.n
     if stats is not None:
-        stats.evaluations += 1 << n
-        stats.marginals += n << (n - 1)
-    if v.exact:
-        table = _exact_table(v, threads)
-        return Allocation(tuple(_exact_allocation(table, n)), True)
-    table = _approx_table(v, threads)
-    return Allocation(tuple(_approx_allocation(table, n, None, None)), False)
+        stats.evaluations += 1 << v.n
+    return Allocation(_reduce(_table(v), v.n, None, stats), v.exact)
 
 
 def shapley_restricted(
@@ -301,61 +282,22 @@ def shapley_restricted(
     threads: int = 1,
     stats: EngineStats | None = None,
 ) -> Allocation:
-    """Shapley value skipping coalitions known to yield zero marginals.
+    """Shapley value summing only marginals not known to be zero.
 
     ``member_masks[i]`` is a player mask; coalitions disjoint from it are
-    skipped for player i (their marginal must provably be zero, which is the
-    caller's responsibility -- see the neighborhood pruning in
-    :mod:`edgeshapley.edgegame`). A player with an empty mask is allocated 0
-    without a single evaluation.
+    left out of player i's sum (their marginal must provably be zero, which
+    is the caller's responsibility -- see the neighborhood pruning in
+    :mod:`edgeshapley.edgegame`). A player with an empty mask is allocated 0.
+    The table itself is always full: pruning saves marginal terms, not
+    evaluations. ``threads`` has no effect.
     """
     _check_capacity(v, limit)
     _check_grounded(v)
-    n = v.n
-    if len(member_masks) != n:
+    if len(member_masks) != v.n:
         raise ValueError("need one member mask per player")
-    if not v.exact:
-        if stats is not None:
-            stats.evaluations += 1 << n
-        table = _approx_table(v, threads)
-        return Allocation(tuple(_approx_allocation(table, n, member_masks, stats)), False)
-
-    # Lazy memoized evaluation: only coalitions taking part in a surviving
-    # marginal are ever evaluated.
-    memo: dict[int, Value] = {0: 0}
-    misses = 0
-
-    def val(m: int) -> Value:
-        nonlocal misses
-        try:
-            return memo[m]
-        except KeyError:
-            x = v(m)
-            memo[m] = x
-            misses += 1
-            return x
-
-    weights = shapley_weights(n)
-    out = []
-    for i in range(n):
-        bit = 1 << i
-        required = member_masks[i]
-        if required == 0:
-            out.append(Fraction(0))
-            continue
-        by_size = [0] * n
-        count = 0
-        for m in range(1 << n):
-            if m & bit or not (m & required):
-                continue
-            by_size[m.bit_count()] += val(m | bit) - val(m)
-            count += 1
-        if stats is not None:
-            stats.marginals += count
-        out.append(sum((w * s for w, s in zip(weights, by_size)), Fraction(0)))
     if stats is not None:
-        stats.evaluations += misses
-    return Allocation(tuple(out), True)
+        stats.evaluations += 1 << v.n
+    return Allocation(_reduce(_table(v), v.n, member_masks, stats), v.exact)
 
 
 _SAMPLE_BLOCK = 4096
@@ -430,7 +372,7 @@ def myerson(
     threads: int = 1,
 ) -> Allocation:
     """Myerson value: Shapley value of the component-decomposed game."""
-    alloc = shapley_exact(component_value_characteristic(gg), limit=limit, threads=threads)
+    alloc = shapley_exact(component_value_characteristic(gg), limit=limit)
     return alloc.with_labels(gg.graph.nodes)
 
 

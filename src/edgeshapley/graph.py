@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    CapacityError,
     DegenerateRouteError,
     GraphConstructionError,
     UnknownEdgeError,
@@ -27,6 +28,9 @@ from .masks import indices_of
 NodeId = str
 
 MAX_NODES = 63
+
+#: Edge subsets fit an int64 array only up to this many edges.
+MAX_EDGE_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,16 @@ class Graph:
         return m
 
     def induced_edge_masks(self, node_masks: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`induced_edge_mask` over an int64 array of coalitions."""
+        """Vectorized :meth:`induced_edge_mask` over an int64 array of coalitions.
+
+        The result is int64 too, so graphs with more than ``MAX_EDGE_BITS``
+        edges raise :class:`CapacityError`.
+        """
+        if len(self._edges) > MAX_EDGE_BITS:
+            raise CapacityError(
+                f"{len(self._edges)} edges exceed the {MAX_EDGE_BITS}-edge limit "
+                "of the int64 edge-mask path"
+            )
         out = np.zeros(node_masks.shape, dtype=np.int64)
         for j, pair in enumerate(self._edge_pair_masks):
             out |= np.where((node_masks & pair) == pair, np.int64(1 << j), np.int64(0))

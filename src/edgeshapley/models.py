@@ -77,28 +77,21 @@ def _route_characteristic(
     *,
     exact: bool,
 ) -> EdgeCharacteristic:
-    if semantics == CONTAINMENT:
-        def fn(edge_mask: int):
-            return sum(val for em, val in entries if em & edge_mask == em)
-    else:
-        def fn(edge_mask: int):
-            return sum(val for em, val in entries if em == edge_mask)
+    # One match predicate for both semantics: a route counts in edge set F
+    # when F & care == em. Containment cares only about the route's own edges;
+    # strict equality cares about every edge (-1 has all bits set).
+    rows = [(em if semantics == CONTAINMENT else -1, em, val) for em, val in entries]
+
+    def fn(edge_mask: int):
+        return sum(val for care, em, val in rows if edge_mask & care == em)
 
     fn_many = None
     if not exact:
-        masks_vals = [(np.int64(em), float(val)) for em, val in entries]
-        if semantics == CONTAINMENT:
-            def fn_many(edge_masks: np.ndarray) -> np.ndarray:
-                out = np.zeros(edge_masks.shape, dtype=np.float64)
-                for em, val in masks_vals:
-                    out += np.where((edge_masks & em) == em, val, 0.0)
-                return out
-        else:
-            def fn_many(edge_masks: np.ndarray) -> np.ndarray:
-                out = np.zeros(edge_masks.shape, dtype=np.float64)
-                for em, val in masks_vals:
-                    out += np.where(edge_masks == em, val, 0.0)
-                return out
+        def fn_many(edge_masks: np.ndarray) -> np.ndarray:
+            out = np.zeros(edge_masks.shape, dtype=np.float64)
+            for care, em, val in rows:
+                out += np.where((edge_masks & care) == em, val, 0.0)
+            return out
 
     return EdgeCharacteristic(g.edges, fn, exact=exact, fn_many=fn_many)
 

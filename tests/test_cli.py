@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import edgeshapley
 from edgeshapley.cli import main
+from edgeshapley.models import CostDecayParams, route_closed_form
+from edgeshapley.scenarios import load_scenario
 
 def fixture_path(name: str) -> str:
     return str(resources.files("edgeshapley") / "fixtures" / f"{name}.json")
@@ -191,11 +196,51 @@ def test_oversize_exact_exits_64(capsys):
     capsys.readouterr()
 
 
+def _complete_supply_scenario(tmp_path) -> str:
+    """Supply scenario on K12: 66 edges in lexicographic order, so the route
+    on v09, v10, v11 uses only edges 63, 64 and 65."""
+    nodes = [f"v{i:02d}" for i in range(12)]
+    doc = {
+        "nodes": nodes,
+        "edges": [{"from": a, "to": b, "cost": 1.0}
+                  for i, a in enumerate(nodes) for b in nodes[i + 1:]],
+        "model": {"type": "supply_cost_decay", "alpha": 0.1, "semantics": "containment"},
+        "routes": [{"nodes": nodes[:2], "quantity": 3},
+                   {"nodes": nodes[-3:], "quantity": 5}],
+        "domain": "approx",
+    }
+    path = tmp_path / "k12.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_approx_game_over_63_edges_exits_64(tmp_path, capsys):
+    path = _complete_supply_scenario(tmp_path)
+    assert main(["compute", "--input", path, "--method", "edge_shapley"]) == 64
+    assert main(["compute", "--input", path, "--method", "sampled", "--samples", "10"]) == 64
+    assert "63-edge limit" in capsys.readouterr().err
+
+
+def test_closed_form_with_routes_beyond_edge_63(tmp_path, capsys):
+    path = _complete_supply_scenario(tmp_path)
+    code, out = run(capsys, "compute", "--input", path, "--method", "closed_form",
+                    "--format", "json")
+    assert code == 0
+    s = load_scenario(path)
+    expected = route_closed_form(s.graph, s.routes, CostDecayParams(0.1))
+    assert [row["decimal"] for row in json.loads(out)["allocations"]] == list(expected.values)
+
+
 def test_usage_error_exits_64():
+    # the child must import the same package this test imported
+    src = str(Path(edgeshapley.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     assert subprocess.run(
         [sys.executable, "-m", "edgeshapley", "compute", "--input", H,
          "--method", "bogus"],
         capture_output=True,
+        env=env,
     ).returncode == 64
 
 

@@ -34,6 +34,7 @@ from conftest import (
     H_ALLOCATION,
     random_connected_graph,
     random_graph,
+    random_route_game,
     random_table_edge_game,
     random_zero_normalized_game,
 )
@@ -136,18 +137,40 @@ def test_pruned_equals_full_random_tables():
         assert edge_shapley_pruned(eg).values == edge_shapley(eg).values
 
 
-def test_pruned_skips_marginals_and_isolated_nodes():
-    g = build_graph(["A", "B", "C"], [("A", "B")])
-    eg = EdgeGame(g, EdgeCharacteristic.from_table(g.edges, {0b1: 6}))
-    full_stats = EngineStats()
-    pruned_stats = EngineStats()
+def _engine_counters(eg):
+    """Run the full and pruned engines and check their work counters: the
+    table is always full, and the pruned sum for player i drops exactly the
+    2^(n-1-deg i) coalitions built from non-neighbours only."""
+    g = eg.graph
+    half = 1 << (g.n - 1)
+    full_stats, pruned_stats = EngineStats(), EngineStats()
     full = edge_shapley(eg, stats=full_stats)
     pruned = edge_shapley_pruned(eg, stats=pruned_stats)
-    assert full.values == pruned.values == (3, 3, 0)
-    assert full_stats.marginals == 3 * 4
-    # A and B each see only {B}/{A} and {B,C}/{A,C}; C sees nothing at all
-    assert pruned_stats.marginals == 4
-    assert pruned_stats.marginals < full_stats.marginals
+    assert full_stats.evaluations == pruned_stats.evaluations == 1 << g.n
+    assert full_stats.marginals == g.n * half
+    assert pruned_stats.marginals == sum(
+        half - (half >> g.adjacency_mask(i).bit_count()) for i in range(g.n)
+    )
+    return full, pruned, pruned_stats
+
+
+def test_pruned_skips_marginals_and_isolated_nodes():
+    g = build_graph(["A", "B", "C"], [("A", "B")])
+    for exact in (True, False):
+        eg = EdgeGame(g, EdgeCharacteristic.from_table(g.edges, {0b1: 6}, exact=exact))
+        full, pruned, pruned_stats = _engine_counters(eg)
+        assert full.values == pruned.values == (3, 3, 0)
+        # A and B each see only {B}/{A} and {B,C}/{A,C}; C sees nothing at all
+        assert pruned_stats.marginals == 4
+
+    rng = np.random.default_rng(139)
+    for _ in range(10):
+        g = random_graph(rng, int(rng.integers(2, 9)))
+        full, pruned, _ = _engine_counters(random_table_edge_game(rng, g))
+        assert full.values == pruned.values
+        g, routes, decay = random_route_game(rng, int(rng.integers(2, 9)))
+        full, pruned, _ = _engine_counters(EdgeGame(g, supply_weight_fn(g, routes, decay)))
+        assert pruned.values == pytest.approx(full.values, rel=1e-9, abs=1e-9)
 
 
 def test_isolated_node_gets_zero():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgeshapley import (
+    CapacityError,
     DegenerateRouteError,
     Edge,
     Graph,
@@ -195,6 +196,17 @@ def test_induced_edge_masks_vectorized_matches_scalar():
     vec = g.induced_edge_masks(masks)
     for m in range(0, 1 << g.n, 37):
         assert int(vec[m]) == g.induced_edge_mask(m)
+
+
+def test_induced_edge_masks_limited_to_63_edges():
+    labels = [f"v{i:02d}" for i in range(12)]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    k12 = build_graph(labels, pairs)  # 66 edges
+    with pytest.raises(CapacityError):
+        k12.induced_edge_masks(np.array([k12.full_node_mask], dtype=np.int64))
+    g63 = build_graph(labels, pairs[:63])
+    full = np.array([g63.full_node_mask], dtype=np.int64)
+    assert int(g63.induced_edge_masks(full)[0]) == g63.full_edge_mask == (1 << 63) - 1
 
 
 def test_edge_component_masks(h_graph):
