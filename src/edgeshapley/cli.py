@@ -31,11 +31,12 @@ from .edgegame import (
     delete_edge,
     edge_shapley,
     edge_shapley_pruned,
-    fairness_delta,
     lift,
 )
 from .errors import CapacityError, GameError, ScenarioError, UnknownEdgeError, UnknownNodeError
 from .games import (
+    DEFAULT_ENUMERATION_LIMIT,
+    MAX_PLAYERS,
     Allocation,
     CheckResult,
     GraphGame,
@@ -82,6 +83,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _fmt6(x: float) -> str:
@@ -397,7 +405,9 @@ def cmd_axioms(args) -> int:
     fair_ok = True
     witness = ""
     for edge in eg.graph.edges:
-        d_src, d_dst = fairness_delta(eg, edge, limit=args.limit)
+        after = edge_shapley(delete_edge(eg, edge), limit=args.limit)
+        d_src = alloc[edge.src] - after[edge.src]
+        d_dst = alloc[edge.dst] - after[edge.dst]
         if not values_close(d_src, d_dst, alloc.exact, 1e-9):
             fair_ok = False
             witness = f"; unequal deltas on ({edge.src}, {edge.dst}): {d_src} vs {d_dst}"
@@ -458,9 +468,11 @@ def _add_common(p: argparse.ArgumentParser, *, formats=("table", "json", "csv"))
     p.add_argument("--output", help="write the report here instead of stdout")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
-    p.add_argument("--limit", type=int, default=None,
-                   help="override the exact-enumeration player limit (default 24)")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT,
+                   help="largest player count the enumerating methods and the axiom "
+                        f"checks accept (default {DEFAULT_ENUMERATION_LIMIT}, at most "
+                        f"{MAX_PLAYERS}); closed_form and sampled ignore it")
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
                    help="permutation samples for --method sampled")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="RNG seed for --method sampled")

@@ -10,7 +10,8 @@ exactly one value domain:
 The two domains never mix inside one computation. Every full-enumeration
 value (plain, pruned, Myerson) comes from one engine: :func:`_table` fills the
 worth of all 2^n coalitions, and :func:`_reduce` turns that table into
-marginal sums. Exact tables hold the characteristic's own ints and Fractions;
+marginal sums; symmetry and null-player detection are views of the same
+table. Exact tables hold the characteristic's own ints and Fractions;
 approx tables are float64 arrays filled by the batch path when the
 characteristic has one.
 
@@ -399,53 +400,30 @@ class AxiomReport:
         return iter(self.checks)
 
 
-#: Pair detection scans every coalition up to this player count, and falls
-#: back to a seeded random spot check above it.
-EXHAUSTIVE_DETECTION_LIMIT = 12
-_SPOT_CHECKS = 4096
-_SPOT_SEED = 20210
+def interchangeable_pairs(table: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """Player pairs i < j with v(S + i) = v(S + j) for every coalition S
+    avoiding both.
 
-
-def _detection_masks(n: int, excluded: int) -> Iterable[int]:
-    """Coalitions to test against, avoiding the ``excluded`` players.
-
-    The sampled fallback always includes the empty set, the full complement,
-    and every one-short complement: players whose influence only shows in
-    near-full coalitions (a route spanning all nodes, say) are invisible to
-    uniform random draws.
-    """
-    full = (1 << n) - 1
-    if n <= EXHAUSTIVE_DETECTION_LIMIT:
-        return (m for m in range(1 << n) if not (m & excluded))
-    rng = np.random.default_rng(_SPOT_SEED)
-    complement = full & ~excluded
-    structured = [0, complement] + [
-        complement & ~(1 << i) for i in range(n) if (complement >> i) & 1
-    ]
-    draws = rng.integers(0, 1 << n, size=_SPOT_CHECKS, dtype=np.uint64)
-    return (m for m in structured + [int(d) & complement for d in draws])
-
-
-def interchangeable_pairs(v: NodeCharacteristic) -> list[tuple[int, int]]:
-    """Player pairs with equal marginals against every tested coalition.
-
-    Exhaustive for small games, seeded spot check for large ones.
+    Reshaped to (2^(n-1-j), 2, 2^(j-i-1), 2, 2^i), the table's
+    ``[:, 1, :, 0, :]`` slice holds the coalitions S + j and its
+    ``[:, 0, :, 1, :]`` slice the same coalitions S + i, in ascending order.
     """
     pairs = []
-    for i in range(v.n):
-        for j in range(i + 1, v.n):
-            excluded = (1 << i) | (1 << j)
-            if all(v(m | (1 << i)) == v(m | (1 << j)) for m in _detection_masks(v.n, excluded)):
+    for i in range(n):
+        for j in range(i + 1, n):
+            view = table.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+            if np.array_equal(view[:, 0, :, 1, :], view[:, 1, :, 0, :]):
                 pairs.append((i, j))
     return pairs
 
 
-def null_players(v: NodeCharacteristic) -> list[int]:
-    """Players whose tested marginal contributions are all zero."""
+def null_players(table: np.ndarray, n: int) -> list[int]:
+    """Players i with v(S + i) = v(S) for every coalition S avoiding i: the
+    ``[:, 1, :]`` and ``[:, 0, :]`` rows of the (2^(n-1-i), 2, 2^i) view."""
     out = []
-    for i in range(v.n):
-        bit = 1 << i
-        if all(v(m | bit) == v(m) for m in _detection_masks(v.n, bit)):
+    for i in range(n):
+        rows = table.reshape(-1, 2, 1 << i)
+        if np.array_equal(rows[:, 1, :], rows[:, 0, :]):
             out.append(i)
     return out
 
@@ -471,10 +449,14 @@ def axiom_check(
     """Report-only verification of the classic allocation axioms.
 
     * efficiency: the allocation sums to v(N);
-    * symmetry: every detected interchangeable pair gets equal values;
-    * null-player: every detected null player gets 0;
+    * symmetry: every interchangeable pair gets equal values;
+    * null-player: every null player gets 0;
     * additivity: for each supplied game pair (a, b), the rule applied to
       a + b equals the sum of the separate allocations.
+
+    Symmetry and null-player detection are exhaustive: both read every
+    coalition of one 2^n table, so they are refused (`CapacityError`) above
+    ``limit`` players, like the engines.
     """
     if len(allocation) != v.n:
         raise ValueError("allocation length does not match the player count")
@@ -488,6 +470,9 @@ def axiom_check(
     unknown = set(selected) - set(names)
     if unknown:
         raise ValueError(f"unknown axiom check(s): {sorted(unknown)}")
+    if {"symmetry", "null-player"} & set(selected):
+        _check_capacity(v, limit)
+        table = _table(v)
 
     checks: list[CheckResult] = []
     for name in selected:
@@ -499,7 +484,7 @@ def axiom_check(
                 CheckResult("efficiency", ok, f"sum {total} vs v(N) {grand}")
             )
         elif name == "symmetry":
-            pairs = interchangeable_pairs(v)
+            pairs = interchangeable_pairs(table, v.n)
             bad = [
                 (i, j)
                 for i, j in pairs
@@ -511,7 +496,7 @@ def axiom_check(
                 detail += f"; mismatch at ({i}, {j}): {allocation[i]} vs {allocation[j]}"
             checks.append(CheckResult("symmetry", not bad, detail))
         elif name == "null-player":
-            nulls = null_players(v)
+            nulls = null_players(table, v.n)
             bad = [i for i in nulls if allocation[i] != 0]
             detail = f"null players {nulls}"
             if bad:

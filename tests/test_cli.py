@@ -196,6 +196,34 @@ def test_oversize_exact_exits_64(capsys):
     capsys.readouterr()
 
 
+def test_default_limit_refuses_25_players(tmp_path, capsys):
+    nodes = [f"v{i:02d}" for i in range(25)]
+    doc = {
+        "nodes": nodes,
+        "edges": [{"from": a, "to": b, "cost": 1.0} for a, b in zip(nodes, nodes[1:])],
+        "model": {"type": "supply_cost_decay", "alpha": 0.1, "semantics": "containment"},
+        "routes": [{"nodes": nodes[:3], "quantity": 3},
+                   {"nodes": nodes[10:14], "quantity": 5}],
+        "domain": "approx",
+    }
+    path = tmp_path / "path25.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["compute", "--method", "edge_shapley"], ["axioms"]):
+        assert main(argv + ["--input", str(path)]) == 64
+        assert "enumeration limit 24" in capsys.readouterr().err
+    for argv in (["--method", "closed_form"], ["--method", "sampled", "--samples", "10"]):
+        assert main(["compute", "--input", str(path)] + argv) == 0
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_nonpositive_samples_exits_64(samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--input", H, "--method", "sampled", "--samples", samples])
+    assert exc.value.code == 64
+    assert "--samples: must be a positive integer" in capsys.readouterr().err
+
+
 def _complete_supply_scenario(tmp_path) -> str:
     """Supply scenario on K12: 66 edges in lexicographic order, so the route
     on v09, v10, v11 uses only edges 63, 64 and 65."""

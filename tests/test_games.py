@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from edgeshapley import games
 from edgeshapley import (
     Allocation,
     CapacityError,
@@ -85,6 +87,55 @@ def test_efficiency_approx_domain():
     assert abs(alloc.total() - grand) <= 1e-9 * max(1.0, abs(grand))
 
 
+def scalar_pairs(v):
+    """Pairs i < j with v(S + i) = v(S + j) for every S avoiding both."""
+    return [
+        (i, j)
+        for i in range(v.n)
+        for j in range(i + 1, v.n)
+        if all(
+            v(m | 1 << i) == v(m | 1 << j)
+            for m in range(1 << v.n)
+            if not m & (1 << i | 1 << j)
+        )
+    ]
+
+
+def scalar_nulls(v):
+    """Players i with v(S + i) = v(S) for every S avoiding i."""
+    return [
+        i
+        for i in range(v.n)
+        if all(v(m | 1 << i) == v(m) for m in range(1 << v.n) if not m >> i & 1)
+    ]
+
+
+def planted_game(seed, n, exact):
+    """Random game on n players of three random types. Worth depends only on
+    how many players of types 0 and 1 a coalition holds, so same-type players
+    are interchangeable and type-2 players are null -- unless one random
+    coalition's worth is replaced, which breaks some of those relations."""
+    rng = np.random.default_rng([seed, n])
+    types = rng.integers(0, 3, size=n)
+    counts = [
+        (sum(1 for i in range(n) if m >> i & 1 and types[i] == 0),
+         sum(1 for i in range(n) if m >> i & 1 and types[i] == 1))
+        for m in range(1 << n)
+    ]
+    draw = (lambda: int(rng.integers(-5, 10))) if exact else (lambda: float(rng.uniform(-3, 9)))
+    worth_of = {c: draw() for c in sorted(set(counts)) if c != (0, 0)}
+    table = {m: worth_of.get(c, 0) for m, c in enumerate(counts)}
+    if rng.random() < 0.5:
+        table[int(rng.integers(1, 1 << n))] = draw()
+    return NodeCharacteristic.from_table(n, table, exact=exact)
+
+
+def pairs_beside_0_and_2(n):
+    """(0, 2) plus every pair of the other players."""
+    rest = [i for i in range(n) if i not in (0, 2)]
+    return sorted([(0, 2)] + list(combinations(rest, 2)))
+
+
 def test_symmetry_and_null_player():
     # players 0 and 1 interchangeable; player 3 is null
     n = 4
@@ -96,6 +147,37 @@ def test_symmetry_and_null_player():
     assert alloc[3] == 0
     report = axiom_check(v, alloc)
     assert report.all_passed
+
+
+@pytest.mark.parametrize(
+    "v, pairs, nulls",
+    [
+        # players 0 and 1 interchangeable; player 3 is null
+        (NodeCharacteristic(4, lambda m: (m & 0b0011 and 1) + 3 * ((m & 0b0100) >> 2)),
+         [(0, 1)], [3]),
+        # only the coalition {0, 2} is worth anything: nobody is null
+        (NodeCharacteristic.from_table(13, {0b101: 1}), pairs_beside_0_and_2(13), []),
+        (NodeCharacteristic.from_table(16, {0b101: 1}), pairs_beside_0_and_2(16), []),
+    ]
+    + [
+        # relations found by the scalar definitions
+        (planted_game(7, n, exact), None, None)
+        for n in range(2, 10)
+        for exact in (True, False)
+    ],
+)
+def test_symmetry_and_null_player_detection(v, pairs, nulls):
+    if pairs is None:
+        pairs, nulls = scalar_pairs(v), scalar_nulls(v)
+    table = games._table(v)
+    assert games.interchangeable_pairs(table, v.n) == pairs
+    assert games.null_players(table, v.n) == nulls
+    alloc = shapley_exact(v)
+    report = axiom_check(v, alloc)
+    assert report.all_passed
+    details = {c.name: c.detail for c in report}
+    assert details["symmetry"] == f"{len(pairs)} interchangeable pair(s)"
+    assert details["null-player"] == f"null players {nulls}"
 
 
 def test_additivity():
@@ -126,6 +208,19 @@ def test_capacity_guard():
     assert shapley_exact(v, limit=13).values == tuple([Fraction(0)] * 13)
     with pytest.raises(CapacityError):
         NodeCharacteristic(64, lambda m: 0)
+
+
+def test_axiom_detection_refused_above_limit(monkeypatch):
+    def no_table(v):
+        raise AssertionError("the coalition table must not be built")
+
+    monkeypatch.setattr(games, "_table", no_table)
+    v = NodeCharacteristic(30, lambda m: 0)
+    zeros = Allocation((0,) * 30, True)
+    for which in ("symmetry", "null-player"):
+        with pytest.raises(CapacityError):
+            axiom_check(v, zeros, which)
+    assert axiom_check(v, zeros, "efficiency").all_passed
 
 
 def test_threads_bit_identical():
