@@ -9,8 +9,8 @@ Exit codes follow a scriptable convention:
 * 2 -- an expected vector was present and the computed allocation mismatched
   (regression mode);
 * 64 -- usage error (bad flags, method incompatible with the scenario's
-  model, game too large for exact enumeration, approx game on a graph with
-  more than 63 edges);
+  model, game too large for exact enumeration or for physical memory, approx
+  game on a graph with more than 63 edges);
 * 65 -- the input failed to load or a what-if target does not exist.
 
 Output is byte-deterministic for a given (input file, flags, seed); wall-time
@@ -36,7 +36,7 @@ from .edgegame import (
 from .errors import CapacityError, GameError, ScenarioError, UnknownEdgeError, UnknownNodeError
 from .games import (
     DEFAULT_ENUMERATION_LIMIT,
-    MAX_PLAYERS,
+    MAX_ENUMERATION_PLAYERS,
     Allocation,
     CheckResult,
     GraphGame,
@@ -471,7 +471,8 @@ def _add_common(p: argparse.ArgumentParser, *, formats=("table", "json", "csv"))
     p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT,
                    help="largest player count the enumerating methods and the axiom "
                         f"checks accept (default {DEFAULT_ENUMERATION_LIMIT}, at most "
-                        f"{MAX_PLAYERS}); closed_form and sampled ignore it")
+                        f"{MAX_ENUMERATION_PLAYERS}, and never more than physical memory "
+                        "holds); closed_form and sampled ignore it")
     p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
                    help="permutation samples for --method sampled")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,

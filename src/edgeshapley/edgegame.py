@@ -36,7 +36,7 @@ from .games import (
     shapley_weights,
     values_close,
 )
-from .graph import Edge, Graph, NodeId
+from .graph import MAX_EDGE_BITS, Edge, Graph, NodeId
 from .masks import subsets_of
 
 
@@ -113,7 +113,16 @@ class EdgeGame:
 
 def lift(eg: EdgeGame) -> NodeCharacteristic:
     """Node game induced by an edge game: a coalition is worth the worth of
-    the edges both of whose endpoints it contains."""
+    the edges both of whose endpoints it contains.
+
+    Batch evaluation (what fills the engines' coalition table) takes the
+    induced edge masks of all coalitions at once. An approx worth with a
+    vector path evaluates them as one array. An exact worth is called once
+    per distinct induced edge set and the results are gathered back per
+    coalition, so the table holds the worth's own ints and Fractions; exact
+    games on more than ``MAX_EDGE_BITS`` edges are evaluated coalition by
+    coalition.
+    """
     g = eg.graph
     w = eg.characteristic
 
@@ -121,8 +130,14 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
         return w(g.induced_edge_mask(node_mask))
 
     fn_many = None
-    if not w.exact and w.has_vector_path:
+    if w.has_vector_path:
         fn_many = lambda masks: w.evaluate_many(g.induced_edge_masks(masks))
+    elif w.exact and len(g.edges) <= MAX_EDGE_BITS:
+        def fn_many(masks: np.ndarray) -> np.ndarray:
+            edge_sets, inverse = np.unique(g.induced_edge_masks(masks), return_inverse=True)
+            worths = np.fromiter(map(w, edge_sets.tolist()), dtype=object, count=edge_sets.size)
+            return worths[inverse]
+
     return NodeCharacteristic(g.n, fn, exact=w.exact, fn_many=fn_many)
 
 

@@ -11,9 +11,14 @@ The two domains never mix inside one computation. Every full-enumeration
 value (plain, pruned, Myerson) comes from one engine: :func:`_table` fills the
 worth of all 2^n coalitions, and :func:`_reduce` turns that table into
 marginal sums; symmetry and null-player detection are views of the same
-table. Exact tables hold the characteristic's own ints and Fractions;
-approx tables are float64 arrays filled by the batch path when the
-characteristic has one.
+table. Both domains fill the table through
+:meth:`NodeCharacteristic.evaluate_many`: exact tables are object arrays of
+the characteristic's own ints and Fractions, approx tables float64 arrays.
+A lifted exact edge game fills its table by the batch path, calling the edge
+worth once per distinct induced edge set (see :func:`edgeshapley.edgegame.lift`).
+The exact reduction brings the table to integers over one common
+denominator, sums them (int64 when a bound proves it safe, Python ints
+otherwise) and forms one `Fraction` per player at the end.
 
 Determinism contract: the table is built in ascending mask order in one
 pass, and every float sum runs over a contiguous array in that order, so
@@ -24,6 +29,8 @@ the result to depend on: ``threads=`` is accepted and ignored.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -40,17 +47,30 @@ Value = Union[Fraction, int, float]
 #: Hard bound imposed by the bit-mask coalition encoding.
 MAX_PLAYERS = 63
 
+#: The coalition table indexes 0 .. 2^n - 1 as int64, which caps it here.
+MAX_ENUMERATION_PLAYERS = 62
+
 #: Full 2^n enumeration is refused above this many players unless the caller
 #: explicitly raises the limit.
 DEFAULT_ENUMERATION_LIMIT = 24
+
+#: Peak bytes an enumeration holds per coalition: the table, the masks and
+#: the temporaries of the table build and the reduction. tracemalloc at
+#: n = 16-20 read about 61 for exact lifted games and 33 for approx ones.
+#: 2^n times this must fit in physical memory.
+_COALITION_BYTES = 64
 
 
 class NodeCharacteristic:
     """A total function from coalitions (bit masks) to worth.
 
-    ``fn`` must be deterministic and effect-free with ``fn(0) == 0``. Approx
-    characteristics may supply ``fn_many`` (int64 mask array -> float64 array)
-    to unlock the vectorized engine path.
+    ``fn`` must be deterministic and effect-free with ``fn(0) == 0``. Either
+    domain may supply ``fn_many``, which maps an int64 mask array to a worth
+    array: float64 for approx characteristics, an object array of ints and
+    Fractions for exact ones. The engines fill their coalition table through
+    :meth:`evaluate_many`, which falls back to calling ``fn`` once per mask;
+    :func:`edgeshapley.edgegame.lift` gives exact edge games a ``fn_many``
+    that calls the edge worth once per distinct induced edge set.
     """
 
     __slots__ = ("n", "exact", "_fn", "_fn_many")
@@ -70,7 +90,7 @@ class NodeCharacteristic:
         self.n = n
         self.exact = exact
         self._fn = fn
-        self._fn_many = fn_many if not exact else None
+        self._fn_many = fn_many
 
     def __call__(self, coalition: Coalition) -> Value:
         return self._fn(coalition)
@@ -82,6 +102,8 @@ class NodeCharacteristic:
     def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
         if self._fn_many is not None:
             return self._fn_many(masks)
+        if self.exact:
+            return np.fromiter(map(self._fn, masks.tolist()), dtype=object, count=masks.size)
         return np.array([self._fn(int(m)) for m in masks], dtype=np.float64)
 
     @classmethod
@@ -171,9 +193,11 @@ class Allocation:
 
 @dataclass
 class EngineStats:
-    """Work counters an engine fills in when handed to it: coalition worths
-    evaluated (2^n per enumeration, as the table is always full) and marginal
-    terms summed."""
+    """Work counters an engine fills in when handed to it: coalition table
+    entries filled (2^n per enumeration, as the table is always full) and
+    marginal terms summed. A lifted exact edge game fills its 2^n entries by
+    the batch path, which calls the edge worth only once per distinct induced
+    edge set."""
 
     marginals: int = 0
     evaluations: int = 0
@@ -185,13 +209,35 @@ def shapley_weights(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(fact[s] * fact[n - s - 1], fact[n]) for s in range(n))
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _check_capacity(v: NodeCharacteristic, limit: int | None):
+    """Refuse an enumeration above ``limit`` players, above the int64 mask
+    range, or whose estimated footprint exceeds physical memory."""
     n = v.n
-    bound = MAX_PLAYERS if limit is None else min(limit, MAX_PLAYERS)
+    if n > MAX_ENUMERATION_PLAYERS:
+        raise CapacityError(
+            f"{n} players exceeds the {MAX_ENUMERATION_PLAYERS}-player bound of "
+            "the int64 coalition table"
+        )
+    bound = MAX_ENUMERATION_PLAYERS if limit is None else limit
     if n > bound:
         raise CapacityError(
             f"{n} players exceeds the enumeration limit {bound}; "
             "pass a larger limit to override"
+        )
+    need = _COALITION_BYTES << n
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise CapacityError(
+            f"enumerating {n} players needs about {need / 2**30:.2f} GiB, "
+            f"more than the {memory / 2**30:.2f} GiB of physical memory"
         )
 
 
@@ -206,10 +252,42 @@ def _check_grounded(v: NodeCharacteristic):
 def _table(v: NodeCharacteristic) -> np.ndarray:
     """Worth of every coalition, in ascending mask order: an object array of
     the characteristic's own values (exact) or a float64 array (approx)."""
-    size = 1 << v.n
-    if v.exact:
-        return np.fromiter(map(v, range(size)), dtype=object, count=size)
     return v.evaluate_many(all_masks(v.n))
+
+
+def _integer_table(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """An exact table as (numerators, D) over the common denominator D, the
+    lcm of the entry denominators.
+
+    The numerators are int64 when max |numerator| * 2^(n+1) < 2^62, which
+    bounds every per-size marginal sum of an n-player table; otherwise they
+    are Python ints in an object array. An entry that is not a rational
+    breaks the exact contract.
+    """
+    kinds = set(map(type, table))
+    for kind in kinds:
+        if not issubclass(kind, numbers.Rational):
+            mask = next(m for m, x in enumerate(table) if type(x) is kind)
+            raise CharacteristicContractError(
+                f"exact characteristic returned {table[mask]!r} for coalition "
+                f"{mask:#b}, which is not an int or Fraction"
+            )
+    denom = 1
+    if not all(issubclass(kind, numbers.Integral) for kind in kinds):
+        denom = math.lcm(*{int(x.denominator) for x in table})
+        table = np.fromiter(
+            (int(x.numerator) * (denom // int(x.denominator)) for x in table),
+            dtype=object,
+            count=table.size,
+        )
+    bound = 1 << max(61 - n, 0)
+    try:
+        small = table.astype(np.int64)
+    except OverflowError:
+        small = None
+    if small is not None and -bound < int(small.min()) and int(small.max()) < bound:
+        return small, denom
+    return np.fromiter(map(int, table), dtype=object, count=table.size), denom
 
 
 def _reduce(
@@ -224,14 +302,20 @@ def _reduce(
     Reshaped to (2^(n-1-i), 2, 2^i), the table's ``[:, 0, :]`` rows are the
     coalitions avoiding i and its ``[:, 1, :]`` rows the same coalitions with
     i added, both in ascending mask order. ``member_masks[i]``, when given,
-    keeps only the coalitions that meet it. Exact marginals are summed per
-    coalition size and weighted by rationals; float marginals are weighted
-    one by one and summed as one contiguous array.
+    keeps only the coalitions that meet it. Exact tables are brought to
+    integers over one denominator D; their marginals are summed per coalition
+    size and player i gets the single rational
+    ``sum_s s!(n-s-1)! * S_s / (n! * D)``. Float marginals are weighted one by
+    one and summed as one contiguous array.
     """
-    weights = shapley_weights(n)
     exact = table.dtype == object
-    if not exact:
-        weights = np.array([float(w) for w in weights])
+    if exact:
+        table, denom = _integer_table(table, n)
+        fact = [math.factorial(k) for k in range(n + 1)]
+        coef = [fact[s] * fact[n - s - 1] for s in range(n)]
+        denom *= fact[n]
+    else:
+        weights = np.array([float(w) for w in shapley_weights(n)])
     masks = all_masks(n)
     sizes = popcount_array(masks)
     out: list[Value] = []
@@ -246,8 +330,9 @@ def _reduce(
         if stats is not None:
             stats.marginals += int(diff.size)
         if exact:
-            by_size = (w * diff[size == s].sum() for s, w in enumerate(weights))
-            out.append(sum(by_size, Fraction(0)))
+            by_size = np.zeros(n, dtype=table.dtype)
+            np.add.at(by_size, size, diff)
+            out.append(Fraction(sum(c * int(t) for c, t in zip(coef, by_size)), denom))
         else:
             out.append(float((weights[size] * diff).sum()))
     return tuple(out)
@@ -321,7 +406,7 @@ def shapley_sampled(
     n = v.n
     rng = np.random.default_rng(seed)
 
-    if v.has_vector_path:
+    if v.has_vector_path and not v.exact:
         acc = np.zeros(n, dtype=np.float64)
         remaining = samples
         base = np.tile(np.arange(n), (_SAMPLE_BLOCK, 1))

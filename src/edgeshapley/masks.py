@@ -11,6 +11,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import CapacityError
+
 
 def indices_of(mask: int) -> list[int]:
     """Set bit positions of ``mask``, ascending."""
@@ -39,5 +41,7 @@ def popcount_array(masks: np.ndarray) -> np.ndarray:
 
 
 def all_masks(n: int) -> np.ndarray:
-    """0 .. 2^n - 1 as an int64 array (requires n <= 62)."""
+    """0 .. 2^n - 1 as an int64 array; n above 62 raises `CapacityError`."""
+    if n > 62:
+        raise CapacityError(f"all 2^{n} masks do not fit an int64 array (n <= 62)")
     return np.arange(1 << n, dtype=np.int64)

@@ -216,6 +216,30 @@ def test_default_limit_refuses_25_players(tmp_path, capsys):
         capsys.readouterr()
 
 
+def _path_supply_scenario(tmp_path, n: int) -> str:
+    nodes = [f"v{i:02d}" for i in range(n)]
+    doc = {
+        "nodes": nodes,
+        "edges": [{"from": a, "to": b, "cost": 1.0} for a, b in zip(nodes, nodes[1:])],
+        "model": {"type": "supply_cost_decay", "alpha": 0.1, "semantics": "containment"},
+        "routes": [{"nodes": nodes[:3], "quantity": 3}],
+        "domain": "approx",
+    }
+    path = tmp_path / f"path{n}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_raised_limit_refused_before_allocating(tmp_path, capsys):
+    # 63 players do not fit the int64 coalition table; 40 players would need
+    # thousands of GiB. Both are refused before any 2^n array exists.
+    for n, message in ((63, "62-player bound"), (40, "GiB, more than the")):
+        path = _path_supply_scenario(tmp_path, n)
+        for argv in (["compute", "--method", "edge_shapley"], ["axioms"]):
+            assert main(argv + ["--input", path, "--limit", str(n)]) == 64
+            assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_nonpositive_samples_exits_64(samples, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -199,6 +199,10 @@ def test_contract_violation():
         shapley_exact(v)
     with pytest.raises(CharacteristicContractError):
         shapley_sampled(v, 10, 0)
+    floats = NodeCharacteristic(3, lambda m: 0.1 * bin(m).count("1") ** 2, exact=True)
+    with pytest.raises(CharacteristicContractError,
+                       match=r"returned 0\.0 for coalition 0b0, which is not an int or Fraction"):
+        shapley_exact(floats)
 
 
 def test_capacity_guard():
@@ -221,6 +225,49 @@ def test_axiom_detection_refused_above_limit(monkeypatch):
         with pytest.raises(CapacityError):
             axiom_check(v, zeros, which)
     assert axiom_check(v, zeros, "efficiency").all_passed
+
+
+def test_enumeration_refuses_63_players(monkeypatch):
+    def no_table(v):
+        raise AssertionError("the coalition table must not be built")
+
+    monkeypatch.setattr(games, "_table", no_table)
+    v = NodeCharacteristic(63, lambda m: 0)
+    for limit in (63, None):
+        with pytest.raises(CapacityError, match="62-player bound"):
+            shapley_exact(v, limit=limit)
+    with pytest.raises(CapacityError):
+        games.all_masks(63)
+
+
+def test_memory_estimate_refuses_before_allocating(monkeypatch):
+    def no_table(v):
+        raise AssertionError("the coalition table must not be built")
+
+    monkeypatch.setattr(games, "_table", no_table)
+    monkeypatch.setattr(games, "_physical_memory", lambda: 1 << 25)
+    v = NodeCharacteristic(20, lambda m: 0)
+    with pytest.raises(CapacityError, match=r"needs about 0\.06 GiB, more than the 0\.03 GiB"):
+        shapley_exact(v)
+    with pytest.raises(CapacityError, match="GiB"):
+        games.shapley_restricted(v, [1] * 20)
+    with pytest.raises(CapacityError, match="GiB"):
+        axiom_check(v, Allocation((0,) * 20, True), "symmetry")
+    monkeypatch.setattr(games, "_physical_memory", lambda: None)
+    with pytest.raises(AssertionError, match="must not be built"):
+        shapley_exact(v)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_exact_reduction_around_the_int64_bound(n):
+    # the int64 sums are taken while max |worth| * 2^(n+1) < 2^62; at the
+    # bound and far beyond it the sums run on Python ints
+    for big in ((1 << (61 - n)) - 1, 1 << (61 - n), (1 << 62) - 1, 1 << 90):
+        v = NodeCharacteristic(n, lambda m: big * (-1) ** m.bit_count() // (1 + (m & 1))
+                               if m else 0)
+        alloc = shapley_exact(v)
+        assert list(alloc.values) == permutation_shapley(v)
+        assert alloc.total() == v((1 << n) - 1)
 
 
 def test_threads_bit_identical():
