@@ -430,7 +430,7 @@ def cmd_axioms(args) -> int:
         CheckResult(
             "component-additivity-hypothesis",
             comp.additive_hypothesis,
-            "held on tested disjoint pairs"
+            f"held on all {1 << eg.graph.n} coalitions"
             if comp.additive_hypothesis
             else f"failed on {comp.hypothesis_witness}",
         )

@@ -31,13 +31,18 @@ from .games import (
     GraphGame,
     NodeCharacteristic,
     Value,
+    _check_capacity,
+    _component_table,
+    _integer_table,
+    _reduce,
+    _table,
     shapley_exact,
     shapley_restricted,
     shapley_weights,
     values_close,
 )
 from .graph import MAX_EDGE_BITS, Edge, Graph, NodeId
-from .masks import subsets_of
+from .masks import all_masks, subsets_of
 
 
 class EdgeCharacteristic:
@@ -343,56 +348,6 @@ class ComponentEfficiencyReport:
         return all(c.matches for c in self.components)
 
 
-#: Disjoint-pair additivity testing enumerates every pair up to this size and
-#: falls back to a seeded random sample above it.
-_EXHAUSTIVE_PAIR_LIMIT = 10
-_PAIR_SAMPLES = 2000
-_PAIR_SEED = 73911
-
-
-def _additive_hypothesis(v: NodeCharacteristic, g: Graph, tol: float):
-    """Check w(S u T) = w(S) + w(T) on separated coalition pairs.
-
-    Pairs must be disjoint AND joined by no edge: a connecting edge belongs
-    to neither side alone, so no worth function on edges can be expected to
-    split across it (even additive ones fail on adjacent singletons). Under
-    the separated reading the property is exactly component decomposability,
-    which is what per-component efficiency needs.
-    """
-    n = g.n
-    memo: dict[int, Value] = {}
-
-    def val(m: int) -> Value:
-        if m not in memo:
-            memo[m] = v(m)
-        return memo[m]
-
-    def pairs():
-        if n <= _EXHAUSTIVE_PAIR_LIMIT:
-            full = (1 << n) - 1
-            for s in range(1 << n):
-                rest = full & ~s
-                yield from ((s, t) for t in subsets_of(rest))
-        else:
-            rng = np.random.default_rng(_PAIR_SEED)
-            full = (1 << n) - 1
-            draws = rng.integers(0, 1 << n, size=(_PAIR_SAMPLES, 2), dtype=np.uint64)
-            for a, b in draws:
-                s = int(a) & full
-                t = int(b) & full & ~s
-                yield s, t
-
-    for s, t in pairs():
-        if not s or not t:
-            continue
-        es, et = g.induced_edge_mask(s), g.induced_edge_mask(t)
-        if g.induced_edge_mask(s | t) != es | et:
-            continue  # an edge crosses between s and t
-        if not values_close(val(s | t), val(s) + val(t), v.exact, tol):
-            return False, (g.labels_of(s), g.labels_of(t))
-    return True, None
-
-
 def component_efficiency_check(
     eg: EdgeGame,
     *,
@@ -403,12 +358,27 @@ def component_efficiency_check(
     """Per component: do the allocations inside it sum to its lifted worth?
 
     The property only has to hold when the lifted game is additive across
-    disjoint coalitions, so the report also states whether that hypothesis
-    survived testing (exhaustive on small graphs, sampled on large ones).
+    separated coalitions: disjoint AND joined by no edge. A connecting edge
+    belongs to neither side alone, so no worth function on edges can be
+    expected to split across it (even additive ones fail on adjacent
+    singletons). Under that reading additivity is exactly component
+    decomposability, v(S) = sum of v over the components of the subgraph S
+    induces, which is what per-component efficiency needs.
+
+    The hypothesis is checked exhaustively, as one comparison per coalition
+    of the lifted table: v(S) against v(C_S) + v(S - C_S), where C_S is the
+    component of S's lowest member (see :func:`games._component_table`). By
+    induction on the number of components this holds everywhere exactly when
+    every separated pair is additive. The witness is the pair
+    (C_S, S - C_S) of the lowest failing coalition S, which is separated and
+    breaks additivity. The allocation and the check share one coalition
+    table, refused (`CapacityError`) above ``limit`` players.
     """
     g = eg.graph
     v = lift(eg)
-    alloc = edge_shapley(eg, limit=limit)
+    _check_capacity(v, limit)
+    table = _table(v)
+    alloc = Allocation(_reduce(table, g.n, None, None), v.exact, g.nodes)
     entries = []
     for comp in g.component_masks():
         labels = g.labels_of(comp)
@@ -422,5 +392,20 @@ def component_efficiency_check(
                 matches=values_close(total, worth, alloc.exact, tol),
             )
         )
-    held, witness = _additive_hypothesis(v, g, tol)
-    return ComponentEfficiencyReport(tuple(entries), held, witness)
+    if v.exact:
+        table = _integer_table(table, g.n)[0]
+    lowest = _component_table(g)
+    split = table[lowest]
+    rest = np.bitwise_xor(lowest, all_masks(g.n), out=lowest)
+    split += table[rest]
+    if v.exact:
+        bad = table != split
+    else:
+        scale = np.maximum(np.maximum(np.abs(table), np.abs(split)), 1.0)
+        bad = ~(np.abs(table - split) <= tol * scale)
+    if not bad.any():
+        return ComponentEfficiencyReport(tuple(entries), True, None)
+    s = int(np.argmax(bad))
+    t = int(rest[s])
+    witness = (g.labels_of(s ^ t), g.labels_of(t))
+    return ComponentEfficiencyReport(tuple(entries), False, witness)

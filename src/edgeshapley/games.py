@@ -11,7 +11,11 @@ The two domains never mix inside one computation. Every full-enumeration
 value (plain, pruned, Myerson) comes from one engine: :func:`_table` fills the
 worth of all 2^n coalitions, and :func:`_reduce` turns that table into
 marginal sums; symmetry and null-player detection are views of the same
-table. Both domains fill the table through
+table. How coalitions split on a graph is one more table,
+:func:`_component_table`: the component of each coalition's lowest member.
+The Myerson value reduces the graph-restricted table folded from it, and
+:func:`edgeshapley.edgegame.component_efficiency_check` reads its additivity
+hypothesis from it. Both domains fill the table through
 :meth:`NodeCharacteristic.evaluate_many`: exact tables are object arrays of
 the characteristic's own ints and Fractions, approx tables float64 arrays.
 A lifted exact edge game fills its table by the batch path, calling the edge
@@ -56,8 +60,10 @@ DEFAULT_ENUMERATION_LIMIT = 24
 
 #: Peak bytes an enumeration holds per coalition: the table, the masks and
 #: the temporaries of the table build and the reduction. tracemalloc at
-#: n = 16-20 read about 61 for exact lifted games and 33 for approx ones.
-#: 2^n times this must fit in physical memory.
+#: n = 16-20 read about 61 for exact lifted games and 33 for approx ones;
+#: with the component table, myerson read 60 and 49 and
+#: component_efficiency_check 60 and 49. 2^n times this must fit in
+#: physical memory.
 _COALITION_BYTES = 64
 
 
@@ -439,16 +445,32 @@ def shapley_sampled(
     return Allocation(values, v.exact)
 
 
-def component_value_characteristic(gg: GraphGame) -> NodeCharacteristic:
-    """Lift v to the component-decomposed game: a coalition's worth is the sum
-    of v over the connected components of the subgraph it induces (isolated
-    members count as singletons)."""
-    g, v = gg.graph, gg.v
+def _component_table(g: Graph) -> np.ndarray:
+    """For every coalition S, in ascending mask order, the component of S's
+    lowest member inside the subgraph S induces, as an int64 mask (0 for the
+    empty coalition).
 
-    def fn(mask: Coalition) -> Value:
-        return sum((v(c) for c in g.component_masks(within=mask)), 0)
-
-    return NodeCharacteristic(g.n, fn, exact=v.exact)
+    ``reach[X] = X | N(X)`` is filled by doubling over the players; each
+    coalition then starts from its lowest member and grows by
+    ``comp = reach[comp] & S`` until no coalition changes, in place on two
+    swapped buffers (each pass reaches one edge further).
+    """
+    n = g.n
+    reach = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        low = 1 << i
+        np.bitwise_or(reach[:low], low | g.adjacency_mask(i), out=reach[low : 2 * low])
+    masks = all_masks(n)
+    comp = masks & -masks
+    grown = np.empty_like(comp)
+    while True:
+        # every index is a mask below 2^n; "clip" skips the buffered copy
+        # that the bounds-checking default mode makes
+        np.take(reach, comp, out=grown, mode="clip")
+        grown &= masks
+        if np.array_equal(grown, comp):
+            return comp
+        comp, grown = grown, comp
 
 
 def myerson(
@@ -457,9 +479,32 @@ def myerson(
     limit: int | None = DEFAULT_ENUMERATION_LIMIT,
     threads: int = 1,
 ) -> Allocation:
-    """Myerson value: Shapley value of the component-decomposed game."""
-    alloc = shapley_exact(component_value_characteristic(gg), limit=limit)
-    return alloc.with_labels(gg.graph.nodes)
+    """Myerson value: Shapley value of the graph-restricted game
+    v^G(S) = sum of v(C) over the connected components C of the subgraph S
+    induces (isolated members count as singletons).
+
+    The v^G table is folded from v's own coalition table and
+    :func:`_component_table`: each coalition adds the worth of the component
+    of its lowest remaining member and strips it, so the worths are summed
+    onto 0 in order of lowest member, the order of
+    :meth:`Graph.component_masks`. ``threads`` has no effect.
+    """
+    g, v = gg.graph, gg.v
+    _check_capacity(v, limit)
+    table = _table(v)
+    comp = _component_table(g)
+    restricted = np.zeros(table.size, dtype=table.dtype)
+    rest = all_masks(g.n)
+    part = np.empty_like(rest)
+    worth = np.empty_like(table)
+    while rest.any():
+        np.take(comp, rest, out=part, mode="clip")
+        np.take(table, part, out=worth, mode="clip")
+        np.add(restricted, worth, out=restricted, where=rest != 0)
+        rest ^= part
+    # free the fold's buffers before the reduction allocates its own
+    del table, comp, rest, part, worth
+    return Allocation(_reduce(restricted, g.n, None, None), v.exact, g.nodes)
 
 
 # ---------------------------------------------------------------------------

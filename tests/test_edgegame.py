@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from edgeshapley import edgegame, games
 from edgeshapley import (
+    CapacityError,
     CharacteristicContractError,
     CostDecayParams,
     EdgeCharacteristic,
@@ -338,6 +340,39 @@ def test_component_report_additive_worth_matches_everywhere():
         report = component_efficiency_check(eg)
         assert report.additive_hypothesis
         assert report.all_match
+
+
+def test_additivity_hypothesis_exhaustive_above_ten_players():
+    # 11 players: {v0, v1} and {v2, v3} are separated, each worth 0, while
+    # their union is worth 1; a seeded sample of coalition pairs misses it
+    labels = [f"v{i}" for i in range(11)]
+    edges = [("v0", "v1"), ("v2", "v3")] + [("v0", f"v{k}") for k in range(4, 11)]
+    g = build_graph(labels, edges)
+    eg = EdgeGame(g, EdgeCharacteristic.from_table(g.edges, {0b11: 1}))
+    report = component_efficiency_check(eg)
+    assert not report.additive_hypothesis
+    assert report.hypothesis_witness == (("v0", "v1"), ("v2", "v3"))
+
+
+def test_myerson_and_component_check_refused_before_allocating(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("no coalition table may be built")
+
+    for module in (games, edgegame):
+        monkeypatch.setattr(module, "_table", no_table)
+        monkeypatch.setattr(module, "_component_table", no_table)
+    labels = [f"v{i}" for i in range(30)]
+    g = build_graph(labels, list(zip(labels, labels[1:])))
+    eg = EdgeGame(g, power_weight_fn(g, 2))
+    with pytest.raises(CapacityError, match="enumeration limit 24"):
+        myerson(GraphGame(g, lift(eg)))
+    with pytest.raises(CapacityError, match="enumeration limit 24"):
+        component_efficiency_check(eg)
+    monkeypatch.setattr(games, "_physical_memory", lambda: 1 << 30)
+    with pytest.raises(CapacityError, match="GiB"):
+        myerson(GraphGame(g, lift(eg)), limit=None)
+    with pytest.raises(CapacityError, match="GiB"):
+        component_efficiency_check(eg, limit=None)
 
 
 def test_component_report_connected_graph_single_component():

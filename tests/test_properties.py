@@ -1,5 +1,6 @@
-"""Property tests: on random graphs with random edge tables, the engines
-agree with the permutation brute force and with each other."""
+"""Property tests: on random graphs with random edge and node tables, the
+engines agree with the permutation brute force, with scalar definitions
+written here, and with each other."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -11,13 +12,17 @@ from edgeshapley import (
     EdgeCharacteristic,
     EdgeGame,
     Graph,
+    GraphGame,
     NodeCharacteristic,
     Route,
+    component_efficiency_check,
     contract_weight_fn,
     edge_shapley,
     edge_shapley_pruned,
     fairness_delta,
     lift,
+    myerson,
+    myerson_bridge,
     route_closed_form,
 )
 from edgeshapley.games import _table
@@ -36,14 +41,21 @@ HUGE = st.builds(lambda sign, x: sign * x, st.sampled_from((-1, 1)),
 
 
 @st.composite
-def table_edge_games(draw, max_nodes=7, values=st.integers(-5, 9)):
-    """A random graph on at most ``max_nodes`` nodes and a sparse random
-    table of ``values`` over its edge subsets (missing subsets are worth 0)."""
-    n = draw(st.integers(1, max_nodes))
+def graphs(draw, min_nodes=1, max_edges=9):
+    """A random graph on ``min_nodes`` to 7 nodes and at most ``max_edges``
+    edges."""
+    n = draw(st.integers(min_nodes, 7))
     labels = [f"n{i}" for i in range(n)]
     pairs = list(combinations(range(n), 2))
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)) if pairs else []
-    g = Graph(labels, [Edge(labels[i], labels[j]) for i, j in sorted(chosen)])
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
+    return Graph(labels, [Edge(labels[i], labels[j]) for i, j in sorted(chosen)])
+
+
+@st.composite
+def table_edge_games(draw, values=st.integers(-5, 9)):
+    """A random graph and a sparse random table of ``values`` over its edge
+    subsets (missing subsets are worth 0)."""
+    g = draw(graphs())
     m = len(g.edges)
     table = {}
     if m:
@@ -119,3 +131,109 @@ def test_exact_contract_game_beyond_63_edges_equals_closed_form(routes):
     eg = EdgeGame(g, contract_weight_fn(g, routes))
     assert not lift(eg).has_vector_path  # more edges than the int64 batch path holds
     assert edge_shapley(eg).values == route_closed_form(g, routes).values
+
+
+@st.composite
+def node_games(draw, zero_normalized=False):
+    """A random graph and a sparse random integer table over its coalitions;
+    with ``zero_normalized`` every singleton is worth 0."""
+    g = draw(graphs())
+    smallest = 2 if zero_normalized else 1
+    coalitions = [m for m in range(1, 1 << g.n) if m.bit_count() >= smallest]
+    table = {}
+    if coalitions:
+        table = draw(st.dictionaries(st.sampled_from(coalitions), st.integers(-5, 9),
+                                     max_size=12))
+    return GraphGame(g, NodeCharacteristic.from_table(g.n, table))
+
+
+def component_sum(gg):
+    """The graph-restricted game written coalition by coalition: the sum of
+    v over the components of the subgraph the coalition induces."""
+    g, v = gg.graph, gg.v
+    return NodeCharacteristic(
+        g.n, lambda m: sum((v(c) for c in g.component_masks(within=m)), 0)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(node_games(), table_edge_games().map(lambda eg: GraphGame(eg.graph, lift(eg)))))
+def test_myerson_equals_permutation_oracle(gg):
+    alloc = myerson(gg)
+    assert alloc.exact and alloc.nodes == gg.graph.nodes
+    assert list(alloc.values) == permutation_shapley(component_sum(gg))
+
+
+@PROPERTY_SETTINGS
+@given(node_games())
+def test_myerson_approx_domain_matches_exact(gg):
+    v = gg.v
+    floats = GraphGame(gg.graph, NodeCharacteristic(v.n, lambda m: float(v(m)), exact=False))
+    approx = myerson(floats)
+    assert not approx.exact
+    for a, x in zip(approx.values, myerson(gg).values):
+        assert type(a) is float
+        assert abs(a - x) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(node_games(zero_normalized=True))
+def test_bridge_edge_shapley_equals_myerson(gg):
+    assert edge_shapley(myerson_bridge(gg)).values == myerson(gg).values
+
+
+def separated_pairs(g):
+    """Every pair of nonempty disjoint coalitions joined by no edge."""
+    full = g.full_node_mask
+    for s in range(1, 1 << g.n):
+        rest = full & ~s
+        t = rest
+        while t:
+            if g.induced_edge_mask(s | t) == g.induced_edge_mask(s) | g.induced_edge_mask(t):
+                yield s, t
+            t = (t - 1) & rest
+
+
+#: Additive lifted games: the bridge of a zero-normalized node game is worth
+#: the sum over its edge groups, so it splits across separated coalitions.
+BRIDGED = node_games(zero_normalized=True).map(myerson_bridge)
+
+
+@st.composite
+def split_games(draw, values=st.integers(1, 9)):
+    """A sparse graph on 5 to 7 nodes and 2 to 5 edges, whose coalitions
+    often split into several components, with a worth in ``values`` for
+    every nonempty edge subset: most such games break additivity somewhere."""
+    g = draw(graphs(min_nodes=5, max_edges=5).filter(lambda g: len(g.edges) >= 2))
+    count = (1 << len(g.edges)) - 1
+    worths = draw(st.lists(values, min_size=count, max_size=count))
+    return EdgeGame(g, EdgeCharacteristic.from_table(g.edges, dict(enumerate(worths, 1))))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(split_games(), split_games(FRACTIONS), split_games(HUGE), BRIDGED))
+def test_additivity_verdict_equals_separated_pair_oracle(eg):
+    g, v = eg.graph, lift(eg)
+    additive = all(v(s | t) == v(s) + v(t) for s, t in separated_pairs(g))
+    report = component_efficiency_check(eg)
+    assert report.additive_hypothesis == additive
+    if not additive:
+        s, t = (g.node_mask(side) for side in report.hypothesis_witness)
+        assert s and t and not s & t
+        assert g.induced_edge_mask(s | t) == g.induced_edge_mask(s) | g.induced_edge_mask(t)
+        assert v(s | t) != v(s) + v(t)
+    else:
+        assert report.hypothesis_witness is None
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(split_games(), BRIDGED))
+def test_additivity_verdict_approx_domain(eg):
+    # small integer worths are exact in binary64, so the float copy of the
+    # game must reach the same verdict and witness
+    g, w = eg.graph, eg.characteristic
+    floats = EdgeGame(g, EdgeCharacteristic(g.edges, lambda m: float(w(m)), exact=False))
+    exact = component_efficiency_check(eg)
+    approx = component_efficiency_check(floats)
+    assert approx.additive_hypothesis == exact.additive_hypothesis
+    assert approx.hypothesis_witness == exact.hypothesis_witness
