@@ -10,7 +10,8 @@ Exit codes follow a scriptable convention:
   (regression mode);
 * 64 -- usage error (bad flags, method incompatible with the scenario's
   model, game too large for exact enumeration or for physical memory, approx
-  game on a graph with more than 63 edges);
+  game on a graph with more than 63 edges whose worth declares no dividends,
+  such as a strict-equality supply game);
 * 65 -- the input failed to load or a what-if target does not exist.
 
 Output is byte-deterministic for a given (input file, flags, seed); wall-time

@@ -50,9 +50,16 @@ class EdgeCharacteristic:
 
     Edge subsets are bit masks over the universe's canonical edge order.
     ``fn(0)`` must be 0; evaluation must be deterministic and effect-free.
+
+    ``dividends``, when given, declares the worth's Harsanyi dividends as
+    ``(edge_mask, value)`` rows: w(F) is the sum of ``value`` over the rows
+    whose edge mask lies inside F, in row order. Rows may repeat a mask; they
+    are not merged, so a float sum keeps the order ``fn`` adds in. The
+    declaration must agree with ``fn``; :func:`lift` evaluates it on node
+    masks, without edge masks, and so on any number of edges.
     """
 
-    __slots__ = ("edges", "exact", "_fn", "_fn_many")
+    __slots__ = ("edges", "exact", "dividends", "_fn", "_fn_many")
 
     def __init__(
         self,
@@ -61,9 +68,11 @@ class EdgeCharacteristic:
         *,
         exact: bool = True,
         fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
+        dividends: tuple[tuple[int, Value], ...] | None = None,
     ):
         self.edges = tuple(edges)
         self.exact = exact
+        self.dividends = None if dividends is None else tuple(dividends)
         self._fn = fn
         self._fn_many = fn_many if not exact else None
 
@@ -116,17 +125,60 @@ class EdgeGame:
         return self.characteristic(self.graph.full_edge_mask)
 
 
+#: Exact dividends accumulate in int64 while the sum of their magnitudes,
+#: which bounds every worth, stays below this.
+_INT64_DIVIDEND_BOUND = 1 << 62
+
+
+def _dividend_worths(rows: list[tuple[int, Value]], exact: bool):
+    """Batch worth of a sum of unanimity games: coalition S gains ``value``
+    for every row whose node mask R lies inside S, in row order from 0.
+
+    Approx rows accumulate in float64. Exact rows of Python ints accumulate
+    in int64 when the sum of their magnitudes is below 2^62, and are handed
+    out as an object array of ints; other exact rows accumulate in an object
+    array, in the rows' own arithmetic.
+    """
+    if not exact:
+        dtype = np.float64
+    elif all(type(val) is int for _, val in rows) and (
+        sum(abs(val) for _, val in rows) < _INT64_DIVIDEND_BOUND
+    ):
+        dtype = np.int64
+    else:
+        dtype = object
+
+    def fn_many(masks: np.ndarray) -> np.ndarray:
+        out = np.zeros(masks.shape, dtype=dtype)
+        held = np.empty_like(masks)
+        hit = np.empty(masks.shape, dtype=bool)
+        for r, val in rows:
+            np.bitwise_and(masks, r, out=held)
+            np.equal(held, r, out=hit)
+            np.add(out, val, out=out, where=hit)
+        del held, hit  # before the object copy, which is the peak
+        return out.astype(object) if dtype is np.int64 else out
+
+    return fn_many
+
+
 def lift(eg: EdgeGame) -> NodeCharacteristic:
     """Node game induced by an edge game: a coalition is worth the worth of
     the edges both of whose endpoints it contains.
 
-    Batch evaluation (what fills the engines' coalition table) takes the
-    induced edge masks of all coalitions at once. An approx worth with a
-    vector path evaluates them as one array. An exact worth is called once
-    per distinct induced edge set and the results are gathered back per
-    coalition, so the table holds the worth's own ints and Fractions; exact
-    games on more than ``MAX_EDGE_BITS`` edges are evaluated coalition by
-    coalition.
+    Batch evaluation (what fills the engines' coalition table) takes a whole
+    array of coalitions at once. A worth that declares its dividends is
+    evaluated on the node masks themselves: the edges of a dividend row are
+    all induced by S exactly when their endpoints R lie inside S, so S gains
+    the row's value where ``S & R == R`` (see :func:`_dividend_worths`). That
+    needs no edge masks, so it serves any number of edges. Otherwise the
+    induced edge masks of the coalitions are built as int64, which holds at
+    most ``MAX_EDGE_BITS`` edges: an approx worth with a vector path
+    evaluates them as one array (and refuses more edges with
+    `CapacityError`); an exact worth is called once per distinct induced edge
+    set and the results are gathered back per coalition, so the table holds
+    the worth's own ints and Fractions; exact games on more edges are
+    evaluated coalition by coalition.
     """
     g = eg.graph
     w = eg.characteristic
@@ -135,7 +187,10 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
         return w(g.induced_edge_mask(node_mask))
 
     fn_many = None
-    if w.has_vector_path:
+    if w.dividends is not None:
+        rows = [(g.endpoint_mask(em), val) for em, val in w.dividends]
+        fn_many = _dividend_worths(rows, w.exact)
+    elif w.has_vector_path:
         fn_many = lambda masks: w.evaluate_many(g.induced_edge_masks(masks))
     elif w.exact and len(g.edges) <= MAX_EDGE_BITS:
         def fn_many(masks: np.ndarray) -> np.ndarray:
@@ -281,7 +336,12 @@ def _resolve_edge(g: Graph, e: Edge | tuple[NodeId, NodeId]) -> int:
 
 def delete_edge(eg: EdgeGame, e: Edge | tuple[NodeId, NodeId]) -> EdgeGame:
     """The game that ignores edge ``e``: the graph loses the edge and the
-    characteristic evaluates as if ``e`` were never present."""
+    characteristic evaluates as if ``e`` were never present.
+
+    Declared dividends carry over: the rows holding ``e`` can never be
+    contained again and are dropped, and the rest are renumbered to the new
+    edge indices, in their order.
+    """
     g = eg.graph
     w = eg.characteristic
     j = _resolve_edge(g, e)
@@ -297,8 +357,20 @@ def delete_edge(eg: EdgeGame, e: Edge | tuple[NodeId, NodeId]) -> EdgeGame:
     if w.has_vector_path:
         fn_many = lambda masks: w.evaluate_many(embed(masks))
 
+    dividends = None
+    if w.dividends is not None:
+        dividends = tuple(
+            ((em & low) | ((em >> 1) & ~low), val)
+            for em, val in w.dividends
+            if not (em >> j) & 1
+        )
+
     new_w = EdgeCharacteristic(
-        new_graph.edges, lambda m: w(embed(m)), exact=w.exact, fn_many=fn_many
+        new_graph.edges,
+        lambda m: w(embed(m)),
+        exact=w.exact,
+        fn_many=fn_many,
+        dividends=dividends,
     )
     return EdgeGame(new_graph, new_w)
 

@@ -18,9 +18,11 @@ The Myerson value reduces the graph-restricted table folded from it, and
 hypothesis from it. Both domains fill the table through
 :meth:`NodeCharacteristic.evaluate_many`: exact tables are object arrays of
 the characteristic's own ints and Fractions, approx tables float64 arrays.
-A lifted exact edge game fills its table by the batch path, calling the edge
-worth once per distinct induced edge set (see :func:`edgeshapley.edgegame.lift`).
-The exact reduction brings the table to integers over one common
+A lifted edge game whose worth declares its dividends fills its table on
+node masks; other lifted exact edge games call the edge worth once per
+distinct induced edge set (see :func:`edgeshapley.edgegame.lift`). The float
+reduction weights the marginals from one table of size weights. The exact
+reduction brings the table to integers over one common
 denominator, sums them (int64 when a bound proves it safe, Python ints
 otherwise) and forms one `Fraction` per player at the end.
 
@@ -60,10 +62,14 @@ DEFAULT_ENUMERATION_LIMIT = 24
 
 #: Peak bytes an enumeration holds per coalition: the table, the masks and
 #: the temporaries of the table build and the reduction. tracemalloc at
-#: n = 16-20 read about 61 for exact lifted games and 33 for approx ones;
-#: with the component table, myerson read 60 and 49 and
-#: component_efficiency_check 60 and 49. 2^n times this must fit in
-#: physical memory.
+#: n = 16-20, for edge_shapley / edge_shapley_pruned / myerson /
+#: component_efficiency_check, read 32-35 / 33-35 / 49 / 49 on approx supply
+#: games, 30-31 / 30-31 / 60-62 / 41 on exact contract games (counts above
+#: 256) and 46-50 / 47-51 / 67-72 / 54-58 on contract games beyond 2^62,
+#: whose dividends accumulate as Python ints; exact games without declared
+#: dividends (the unique pass of the batch path) read about 61. Exact myerson
+#: on large ints exceeds the budget, as it did before the dividend path
+#: (65-67 there). 2^n times this must fit in physical memory.
 _COALITION_BYTES = 64
 
 
@@ -311,28 +317,36 @@ def _reduce(
     keeps only the coalitions that meet it. Exact tables are brought to
     integers over one denominator D; their marginals are summed per coalition
     size and player i gets the single rational
-    ``sum_s s!(n-s-1)! * S_s / (n! * D)``. Float marginals are weighted one by
-    one and summed as one contiguous array.
+    ``sum_s s!(n-s-1)! * S_s / (n! * D)``. Float marginals are weighted in
+    place by one table of ``weight(|S|)`` per coalition, built once (weight 0
+    at |S| = n, which no ``[:, 0, :]`` row holds), and summed as one
+    contiguous array.
     """
     exact = table.dtype == object
+    masks = all_masks(n)
     if exact:
         table, denom = _integer_table(table, n)
         fact = [math.factorial(k) for k in range(n + 1)]
         coef = [fact[s] * fact[n - s - 1] for s in range(n)]
         denom *= fact[n]
+        sizes = popcount_array(masks)
     else:
-        weights = np.array([float(w) for w in shapley_weights(n)])
-    masks = all_masks(n)
-    sizes = popcount_array(masks)
+        weights = np.array([float(w) for w in shapley_weights(n)] + [0.0])
+        weighted = weights[popcount_array(masks)]
     out: list[Value] = []
     for i in range(n):
         shape = (-1, 2, 1 << i)
         rows = table.reshape(shape)
-        diff = (rows[:, 1, :] - rows[:, 0, :]).ravel()
-        size = sizes.reshape(shape)[:, 0, :].ravel()
+        diff = rows[:, 1, :] - rows[:, 0, :]
+        if exact:
+            size = sizes.reshape(shape)[:, 0, :]
+        else:
+            diff *= weighted.reshape(shape)[:, 0, :]
         if member_masks is not None:
-            keep = (masks.reshape(shape)[:, 0, :].ravel() & member_masks[i]) != 0
-            diff, size = diff[keep], size[keep]
+            keep = (masks.reshape(shape)[:, 0, :] & member_masks[i]) != 0
+            diff = diff[keep]
+            if exact:
+                size = size[keep]
         if stats is not None:
             stats.marginals += int(diff.size)
         if exact:
@@ -340,7 +354,7 @@ def _reduce(
             np.add.at(by_size, size, diff)
             out.append(Fraction(sum(c * int(t) for c, t in zip(coef, by_size)), denom))
         else:
-            out.append(float((weights[size] * diff).sum()))
+            out.append(float(diff.sum()))
     return tuple(out)
 
 

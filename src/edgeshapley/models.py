@@ -93,7 +93,12 @@ def _route_characteristic(
                 out += np.where((edge_masks & care) == em, val, 0.0)
             return out
 
-    return EdgeCharacteristic(g.edges, fn, exact=exact, fn_many=fn_many)
+    # Under containment the worth is a sum of unanimity games on the route
+    # edge sets: one dividend per route, in route order, repeats kept.
+    dividends = tuple(entries) if semantics == CONTAINMENT else None
+    return EdgeCharacteristic(
+        g.edges, fn, exact=exact, fn_many=fn_many, dividends=dividends
+    )
 
 
 def supply_weight_fn(

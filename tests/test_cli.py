@@ -10,6 +10,7 @@ import pytest
 
 import edgeshapley
 from edgeshapley.cli import main
+from edgeshapley.edgegame import edge_shapley
 from edgeshapley.models import CostDecayParams, route_closed_form
 from edgeshapley.scenarios import load_scenario
 
@@ -248,33 +249,56 @@ def test_nonpositive_samples_exits_64(samples, capsys):
     assert "--samples: must be a positive integer" in capsys.readouterr().err
 
 
-def _complete_supply_scenario(tmp_path) -> str:
-    """Supply scenario on K12: 66 edges in lexicographic order, so the route
-    on v09, v10, v11 uses only edges 63, 64 and 65."""
+def _k12_route_scenario(tmp_path, semantics="containment", domain="approx") -> str:
+    """Supply (approx) or contract (exact) scenario on K12: 66 edges in
+    lexicographic order, so the route on v09, v10, v11 uses only edges 63,
+    64 and 65."""
     nodes = [f"v{i:02d}" for i in range(12)]
+    if domain == "approx":
+        model = {"type": "supply_cost_decay", "alpha": 0.1, "semantics": semantics}
+    else:
+        model = {"type": "contract", "semantics": semantics}
     doc = {
         "nodes": nodes,
         "edges": [{"from": a, "to": b, "cost": 1.0}
                   for i, a in enumerate(nodes) for b in nodes[i + 1:]],
-        "model": {"type": "supply_cost_decay", "alpha": 0.1, "semantics": "containment"},
+        "model": model,
         "routes": [{"nodes": nodes[:2], "quantity": 3},
                    {"nodes": nodes[-3:], "quantity": 5}],
-        "domain": "approx",
+        "domain": domain,
     }
-    path = tmp_path / "k12.json"
+    path = tmp_path / f"k12-{semantics}-{domain}.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
 
 def test_approx_game_over_63_edges_exits_64(tmp_path, capsys):
-    path = _complete_supply_scenario(tmp_path)
+    # strict equality declares no dividends, so its worth still reads int64
+    # edge masks
+    path = _k12_route_scenario(tmp_path, "strict-equality")
     assert main(["compute", "--input", path, "--method", "edge_shapley"]) == 64
     assert main(["compute", "--input", path, "--method", "sampled", "--samples", "10"]) == 64
     assert "63-edge limit" in capsys.readouterr().err
 
 
+def test_containment_routes_beyond_63_edges(tmp_path, capsys):
+    path = _k12_route_scenario(tmp_path)
+    s = load_scenario(path)
+    expected = route_closed_form(s.graph, s.routes, CostDecayParams(0.1))
+    alloc = edge_shapley(s.edge_game())
+    assert all(abs(a - b) <= 1e-9 for a, b in zip(alloc.values, expected.values))
+    contract = load_scenario(_k12_route_scenario(tmp_path, domain="exact"))
+    assert edge_shapley(contract.edge_game()).values == route_closed_form(
+        contract.graph, contract.routes).values
+    for method in ("edge_shapley", "sampled"):
+        code, out = run(capsys, "compute", "--input", path, "--method", method,
+                        "--samples", "10", "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["allocations"]) == 12
+
+
 def test_closed_form_with_routes_beyond_edge_63(tmp_path, capsys):
-    path = _complete_supply_scenario(tmp_path)
+    path = _k12_route_scenario(tmp_path)
     code, out = run(capsys, "compute", "--input", path, "--method", "closed_form",
                     "--format", "json")
     assert code == 0

@@ -270,6 +270,38 @@ def test_exact_reduction_around_the_int64_bound(n):
         assert alloc.total() == v((1 << n) - 1)
 
 
+def per_player_float_reduction(table, n, member_masks):
+    """The float reduction written player by player, each gathering its own
+    coalition sizes and weights: ``(weights[size] * diff).sum()`` over the
+    flattened marginals."""
+    weights = np.array([float(w) for w in shapley_weights(n)])
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = np.bitwise_count(masks)
+    out = []
+    for i in range(n):
+        shape = (-1, 2, 1 << i)
+        rows = table.reshape(shape)
+        diff = (rows[:, 1, :] - rows[:, 0, :]).ravel()
+        size = sizes.reshape(shape)[:, 0, :].ravel()
+        if member_masks is not None:
+            keep = (masks.reshape(shape)[:, 0, :].ravel() & member_masks[i]) != 0
+            diff, size = diff[keep], size[keep]
+        out.append(float((weights[size] * diff).sum()))
+    return tuple(out)
+
+
+def test_float_reduction_equals_per_player_formula():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 19):
+        table = rng.normal(size=1 << n) * rng.uniform(0.1, 1e3)
+        table[0] = 0.0
+        member_masks = [int(m) for m in rng.integers(0, 1 << n, size=n)]
+        for members in (None, member_masks):
+            got = games._reduce(table, n, members, None)
+            want = per_player_float_reduction(table, n, members)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (n, members)
+
+
 def test_threads_bit_identical():
     rng = np.random.default_rng(105)
     n = 10

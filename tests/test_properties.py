@@ -5,9 +5,12 @@ written here, and with each other."""
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeshapley import (
+    CostDecayParams,
     Edge,
     EdgeCharacteristic,
     EdgeGame,
@@ -17,6 +20,7 @@ from edgeshapley import (
     Route,
     component_efficiency_check,
     contract_weight_fn,
+    delete_edge,
     edge_shapley,
     edge_shapley_pruned,
     fairness_delta,
@@ -24,8 +28,11 @@ from edgeshapley import (
     myerson,
     myerson_bridge,
     route_closed_form,
+    shapley_sampled,
+    supply_weight_fn,
 )
 from edgeshapley.games import _table
+from edgeshapley.masks import all_masks
 
 from conftest import permutation_shapley
 
@@ -41,10 +48,10 @@ HUGE = st.builds(lambda sign, x: sign * x, st.sampled_from((-1, 1)),
 
 
 @st.composite
-def graphs(draw, min_nodes=1, max_edges=9):
-    """A random graph on ``min_nodes`` to 7 nodes and at most ``max_edges``
-    edges."""
-    n = draw(st.integers(min_nodes, 7))
+def graphs(draw, min_nodes=1, max_edges=9, max_nodes=7):
+    """A random graph on ``min_nodes`` to ``max_nodes`` nodes and at most
+    ``max_edges`` edges."""
+    n = draw(st.integers(min_nodes, max_nodes))
     labels = [f"n{i}" for i in range(n)]
     pairs = list(combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
@@ -129,8 +136,98 @@ def test_exact_contract_game_beyond_63_edges_equals_closed_form(routes):
     g = Graph(labels, [Edge(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
     assert len(g.edges) == 66
     eg = EdgeGame(g, contract_weight_fn(g, routes))
-    assert not lift(eg).has_vector_path  # more edges than the int64 batch path holds
+    assert lift(eg).has_vector_path  # the dividend path holds any number of edges
     assert edge_shapley(eg).values == route_closed_form(g, routes).values
+
+
+@st.composite
+def route_games(draw, exact=False):
+    """A containment route game on at most 9 nodes: a supply game with float
+    quantities, or a contract game with counts that may exceed 2^62. Each
+    route is the endpoint set of a nonempty edge subset, sometimes with an
+    extra node that may add no edge (so two routes can share an edge mask),
+    and routes are drawn with repetition."""
+    g = draw(graphs(min_nodes=2, max_edges=12, max_nodes=9).filter(lambda g: g.edges))
+    m = len(g.edges)
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        nodes = g.endpoint_mask(draw(st.integers(1, (1 << m) - 1)))
+        nodes |= draw(st.sampled_from([0, *(1 << i for i in range(g.n))]))
+        sets.append(g.labels_of(nodes))
+    picked = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=6))
+    if exact:
+        counts = st.one_of(st.integers(0, 20), st.integers(1 << 62, 1 << 80))
+        routes = [Route(nodes, draw(counts)) for nodes in picked]
+        return EdgeGame(g, contract_weight_fn(g, routes))
+    quantities = st.floats(0, 50, allow_nan=False)
+    routes = [Route(nodes, draw(quantities)) for nodes in picked]
+    return EdgeGame(g, supply_weight_fn(g, routes, CostDecayParams(0.3)))
+
+
+def edge_mask_table(eg):
+    """The lifted table read through int64 induced edge masks: one worth
+    call per coalition (exact) or the worth's own vector path (approx)."""
+    g, w = eg.graph, eg.characteristic
+    edge_masks = g.induced_edge_masks(all_masks(g.n))
+    if w.exact:
+        return np.fromiter(map(w, edge_masks.tolist()), dtype=object, count=edge_masks.size)
+    return w.evaluate_many(edge_masks)
+
+
+def assert_identical_tables(got, want):
+    assert got.dtype == want.dtype
+    if got.dtype == object:
+        assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_dividend_table_equals_edge_mask_table(exact, data):
+    eg = data.draw(route_games(exact))
+    assert eg.characteristic.dividends is not None
+    assert_identical_tables(_table(lift(eg)), edge_mask_table(eg))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_deleted_game_keeps_dividends(exact, data):
+    eg = data.draw(route_games(exact))
+    for edge in eg.graph.edges:
+        deleted = delete_edge(eg, edge)
+        assert deleted.characteristic.dividends is not None
+        v = lift(deleted)
+        scalar = NodeCharacteristic(v.n, v, exact=v.exact)  # w(embed(m)) per coalition
+        assert_identical_tables(_table(v), _table(scalar))
+
+
+def test_sampled_dividends_equal_edge_mask_sampler():
+    rng = np.random.default_rng(30)
+    labels = [f"n{i:02d}" for i in range(30)]
+    pairs = {(int(rng.integers(0, i)), i) for i in range(1, 30)}  # a random tree
+    while len(pairs) < 45:
+        i, j = sorted(int(x) for x in rng.choice(30, size=2, replace=False))
+        pairs.add((i, j))
+    g = Graph(labels, [Edge(labels[i], labels[j], float(rng.uniform(0.5, 3)))
+                       for i, j in sorted(pairs)])
+    routes = []
+    for _ in range(12):
+        edges = rng.choice(len(g.edges), size=int(rng.integers(2, 5)), replace=False)
+        nodes = g.endpoint_mask(sum(1 << int(j) for j in edges))
+        routes.append(Route(g.labels_of(nodes), float(rng.uniform(1, 20))))
+    routes.append(routes[0])
+    eg = EdgeGame(g, supply_weight_fn(g, routes, CostDecayParams(0.1)))
+    w = eg.characteristic
+    through_edges = NodeCharacteristic(
+        g.n, lift(eg), exact=False,
+        fn_many=lambda masks: w.evaluate_many(g.induced_edge_masks(masks)),
+    )
+    for samples, seed in ((1, 0), (5000, 7), (9000, 42)):
+        assert (shapley_sampled(lift(eg), samples, seed).values
+                == shapley_sampled(through_edges, samples, seed).values)
 
 
 @st.composite
