@@ -93,6 +93,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _fmt6(x: float) -> str:
     return f"{float(x):.6g}"
 
@@ -476,7 +483,7 @@ def _add_common(p: argparse.ArgumentParser, *, formats=("table", "json", "csv"))
                         "holds); closed_form and sampled ignore it")
     p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
                    help="permutation samples for --method sampled")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED,
                    help="RNG seed for --method sampled")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock timing in the report (breaks byte determinism)")

@@ -130,7 +130,7 @@ class EdgeGame:
 _INT64_DIVIDEND_BOUND = 1 << 62
 
 
-def _dividend_worths(rows: list[tuple[int, Value]], exact: bool):
+def _dividend_worths(rows: tuple[tuple[int, Value], ...], exact: bool):
     """Batch worth of a sum of unanimity games: coalition S gains ``value``
     for every row whose node mask R lies inside S, in row order from 0.
 
@@ -171,7 +171,9 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
     evaluated on the node masks themselves: the edges of a dividend row are
     all induced by S exactly when their endpoints R lie inside S, so S gains
     the row's value where ``S & R == R`` (see :func:`_dividend_worths`). That
-    needs no edge masks, so it serves any number of edges. Otherwise the
+    needs no edge masks, so it serves any number of edges. The lifted game
+    keeps these node-mask rows as its ``dividends``, which the approx
+    sampler reads (see :func:`games.shapley_sampled`). Otherwise the
     induced edge masks of the coalitions are built as int64, which holds at
     most ``MAX_EDGE_BITS`` edges: an approx worth with a vector path
     evaluates them as one array (and refuses more edges with
@@ -187,8 +189,9 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
         return w(g.induced_edge_mask(node_mask))
 
     fn_many = None
+    rows = None
     if w.dividends is not None:
-        rows = [(g.endpoint_mask(em), val) for em, val in w.dividends]
+        rows = tuple((g.endpoint_mask(em), val) for em, val in w.dividends)
         fn_many = _dividend_worths(rows, w.exact)
     elif w.has_vector_path:
         fn_many = lambda masks: w.evaluate_many(g.induced_edge_masks(masks))
@@ -198,7 +201,7 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
             worths = np.fromiter(map(w, edge_sets.tolist()), dtype=object, count=edge_sets.size)
             return worths[inverse]
 
-    return NodeCharacteristic(g.n, fn, exact=w.exact, fn_many=fn_many)
+    return NodeCharacteristic(g.n, fn, exact=w.exact, fn_many=fn_many, dividends=rows)
 
 
 def edge_shapley(
@@ -225,7 +228,10 @@ def edge_shapley_pruned(
     A coalition disjoint from a player's neighborhood cannot gain an edge
     when the player joins, so only coalitions meeting the neighborhood enter
     the player's sum; isolated nodes sum no terms and get 0. The coalition
-    table is still full, so this saves marginal terms, not evaluations.
+    table is still full, so this saves marginal terms, not evaluations. On
+    the float path it does not save time either: the per-player filter costs
+    more than the terms it drops (a 20-player smartphone run takes about
+    0.14 s against 0.10 s for :func:`edge_shapley` on a 2-vCPU machine).
     """
     g = eg.graph
     member_masks = [g.adjacency_mask(i) for i in range(g.n)]

@@ -24,7 +24,9 @@ distinct induced edge set (see :func:`edgeshapley.edgegame.lift`). The float
 reduction weights the marginals from one table of size weights. The exact
 reduction brings the table to integers over one common
 denominator, sums them (int64 when a bound proves it safe, Python ints
-otherwise) and forms one `Fraction` per player at the end.
+otherwise) and forms one `Fraction` per player at the end. The approx
+sampler reads a lifted game's per-step worths straight from its declared
+dividend rows (see :func:`shapley_sampled`).
 
 Determinism contract: the table is built in ascending mask order in one
 pass, and every float sum runs over a contiguous array in that order, so
@@ -45,7 +47,7 @@ import numpy as np
 
 from .errors import CapacityError, CharacteristicContractError
 from .graph import Graph
-from .masks import all_masks, popcount_array
+from .masks import all_masks, indices_of, popcount_array
 
 Coalition = int
 Value = Union[Fraction, int, float]
@@ -83,9 +85,16 @@ class NodeCharacteristic:
     :meth:`evaluate_many`, which falls back to calling ``fn`` once per mask;
     :func:`edgeshapley.edgegame.lift` gives exact edge games a ``fn_many``
     that calls the edge worth once per distinct induced edge set.
+
+    ``dividends``, when given, declares the game as a sum of unanimity games:
+    ``(node_mask, value)`` rows, where S is worth the sum of ``value`` over
+    the rows whose node mask lies inside S, added in row order from 0. It
+    must agree with ``fn`` and ``fn_many`` bit for bit; the approx sampler
+    reads it (see :func:`shapley_sampled`). A sum of two games declares
+    none, since it adds its floats in another order.
     """
 
-    __slots__ = ("n", "exact", "_fn", "_fn_many")
+    __slots__ = ("n", "exact", "dividends", "_fn", "_fn_many")
 
     def __init__(
         self,
@@ -94,6 +103,7 @@ class NodeCharacteristic:
         *,
         exact: bool = True,
         fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
+        dividends: tuple[tuple[int, Value], ...] | None = None,
     ):
         if n < 1:
             raise ValueError("a game needs at least one player")
@@ -101,6 +111,7 @@ class NodeCharacteristic:
             raise CapacityError(f"at most {MAX_PLAYERS} players supported, got {n}")
         self.n = n
         self.exact = exact
+        self.dividends = None if dividends is None else tuple(dividends)
         self._fn = fn
         self._fn_many = fn_many
 
@@ -408,6 +419,71 @@ def shapley_restricted(
 
 _SAMPLE_BLOCK = 4096
 
+#: Dividend rows are tracked in chunks of this many, as the bits of one
+#: uint16 per player and step; the subset sums of the first chunk fill one
+#: 2^16-entry float table.
+_ROW_CHUNK = 16
+
+
+def _held_rows(bits: np.ndarray, full: int, perms: np.ndarray) -> np.ndarray:
+    """``held[s, t]``: the rows of one chunk held by the first t + 1 players
+    of permutation s, as bits. ``bits[j]`` holds the rows player j belongs
+    to and ``full`` all the chunk's rows.
+
+    A row is held from its completion step, the position of its last member,
+    on; so the rows held at step t are those with no member after t. The
+    member bits are OR-accumulated from the last step back, and each step
+    keeps the rows missing from the next step's accumulation. A row without
+    members is held from step 0.
+    """
+    later = np.take(bits, perms)
+    for t in range(perms.shape[1] - 2, -1, -1):
+        np.bitwise_or(later[:, t], later[:, t + 1], out=later[:, t])
+    held = np.empty_like(later)
+    np.bitwise_xor(later[:, 1:], full, out=held[:, :-1])
+    held[:, -1] = full
+    return held
+
+
+def _completion_worths(rows: tuple[tuple[int, Value], ...], n: int):
+    """Per-step float worths of a block of permutations of an n-player sum
+    of unanimity games, the ``(node_mask, value)`` rows, with no prefix
+    masks.
+
+    ``rowsum[S]``, filled by doubling in row order (``rowsum[S | 1 << r] =
+    rowsum[S] + value_r`` for S < 2^r), is the sum of the values of the
+    first chunk's row subset S, added in row order from 0.0; a step's worth
+    is ``rowsum`` of the first chunk's rows it holds (see
+    :func:`_held_rows`). The rows of later chunks are added on top, row by
+    row, at the steps that hold them. These are the float additions
+    :func:`edgeshapley.edgegame._dividend_worths` makes on the prefix masks,
+    in the same order, so the worths are bit-identical to it.
+    """
+    chunks = []
+    # a game without rows still gets one empty chunk, worth 0 at every step
+    for start in range(0, max(len(rows), 1), _ROW_CHUNK):
+        chunk = rows[start : start + _ROW_CHUNK]
+        bits = np.zeros(n, dtype=np.uint16)
+        for r, (mask, _) in enumerate(chunk):
+            bits[indices_of(mask)] |= np.uint16(1 << r)
+        chunks.append((bits, (1 << len(chunk)) - 1, [val for _, val in chunk]))
+    head = chunks[0][2]
+    rowsum = np.zeros(1 << len(head))
+    for r, val in enumerate(head):
+        low = 1 << r
+        np.add(rowsum[:low], val, out=rowsum[low : 2 * low])
+
+    def worths(perms: np.ndarray) -> np.ndarray:
+        bits, full, _ = chunks[0]
+        vals = np.take(rowsum, _held_rows(bits, full, perms))
+        for bits, full, values in chunks[1:]:
+            held = _held_rows(bits, full, perms)
+            for r, val in enumerate(values):
+                np.add(vals, val, out=vals, where=(held & np.uint16(1 << r)) != 0)
+        return vals
+
+    return worths
+
 
 def shapley_sampled(
     v: NodeCharacteristic,
@@ -418,7 +494,14 @@ def shapley_sampled(
     ``samples`` uniformly drawn player permutations.
 
     The generator is seeded, so identical (seed, samples, game) inputs give
-    bit-identical output on every run.
+    bit-identical output on every run. Approx games with a vector path draw
+    their permutations in blocks of ``_SAMPLE_BLOCK`` and read the worth of
+    every prefix at once: a game that declares its dividends from the steps
+    at which each row completes (see :func:`_completion_worths`), with no
+    prefix masks; others by :meth:`NodeCharacteristic.evaluate_many` of the
+    prefix masks. Both give the same per-step worths, so the estimate does
+    not depend on which path ran. Other games draw one permutation per
+    sample and call the characteristic per prefix.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -427,15 +510,20 @@ def shapley_sampled(
     rng = np.random.default_rng(seed)
 
     if v.has_vector_path and not v.exact:
+        if v.dividends is not None:
+            prefix_worths = _completion_worths(v.dividends, n)
+        else:
+            def prefix_worths(perms: np.ndarray) -> np.ndarray:
+                bits = np.int64(1) << perms
+                prefixes = np.bitwise_or.accumulate(bits, axis=1)
+                return v.evaluate_many(prefixes.ravel()).reshape(perms.shape)
         acc = np.zeros(n, dtype=np.float64)
         remaining = samples
         base = np.tile(np.arange(n), (_SAMPLE_BLOCK, 1))
         while remaining > 0:
             k = min(remaining, _SAMPLE_BLOCK)
             perms = rng.permuted(base[:k], axis=1)
-            bits = (np.int64(1) << perms.astype(np.int64))
-            prefixes = np.bitwise_or.accumulate(bits, axis=1)
-            vals = v.evaluate_many(prefixes.ravel()).reshape(k, n)
+            vals = prefix_worths(perms)
             marginals = np.diff(vals, axis=1, prepend=0.0)
             np.add.at(acc, perms.ravel(), marginals.ravel())
             remaining -= k

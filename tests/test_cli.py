@@ -98,7 +98,7 @@ def test_compute_check_expected_pass(capsys):
 
 
 def test_compute_check_expected_mismatch_exits_2(tmp_path, capsys):
-    doc = json.loads(open(H).read())
+    doc = json.loads(Path(H).read_text())
     doc["expected"]["A"] = "9/5"
     bad = tmp_path / "wrong.json"
     bad.write_text(json.dumps(doc))
@@ -247,6 +247,13 @@ def test_nonpositive_samples_exits_64(samples, capsys):
         main(["compute", "--input", H, "--method", "sampled", "--samples", samples])
     assert exc.value.code == 64
     assert "--samples: must be a positive integer" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_64(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--input", CHAIN, "--method", "sampled", "--seed", "-1"])
+    assert exc.value.code == 64
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
 
 def _k12_route_scenario(tmp_path, semantics="containment", domain="approx") -> str:

@@ -230,6 +230,93 @@ def test_sampled_dividends_equal_edge_mask_sampler():
                 == shapley_sampled(through_edges, samples, seed).values)
 
 
+def through_edges(eg):
+    """The lifted approx game of ``eg`` without its rows: the sampler reads
+    its permutation prefixes as int64 induced edge masks, valued by the
+    worth's own vector path."""
+    g, w = eg.graph, eg.characteristic
+    return NodeCharacteristic(
+        g.n, lift(eg), exact=False,
+        fn_many=lambda masks: w.evaluate_many(g.induced_edge_masks(masks)),
+    )
+
+
+def assert_sampler_matches_edge_masks(eg, runs):
+    v, oracle = lift(eg), through_edges(eg)
+    assert v.dividends is not None and oracle.dividends is None
+    for samples, seed in runs:
+        assert (shapley_sampled(v, samples, seed).values
+                == shapley_sampled(oracle, samples, seed).values)
+
+
+def random_supply_game(seed, n, n_edges, n_routes, repeats=0):
+    """A connected random graph on n nodes and a containment supply game on
+    ``n_routes`` random routes, the first ``repeats`` of them declared twice."""
+    rng = np.random.default_rng(seed)
+    labels = [f"n{i:02d}" for i in range(n)]
+    pairs = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    while len(pairs) < n_edges:
+        i, j = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        pairs.add((i, j))
+    g = Graph(labels, [Edge(labels[i], labels[j], float(rng.uniform(0.5, 3)))
+                       for i, j in sorted(pairs)])
+    routes = []
+    for _ in range(n_routes):
+        edges = rng.choice(len(g.edges), size=int(rng.integers(1, 6)), replace=False)
+        nodes = g.endpoint_mask(sum(1 << int(j) for j in edges))
+        routes.append(Route(g.labels_of(nodes), float(rng.uniform(0.1, 40))))
+    routes += routes[:repeats]
+    return EdgeGame(g, supply_weight_fn(g, routes, CostDecayParams(0.2)))
+
+
+def test_sampled_rows_beyond_one_chunk_equal_edge_mask_sampler():
+    eg = random_supply_game(11, 24, 50, 45)
+    assert len(eg.characteristic.dividends) > 32  # three chunks of 16 rows
+    assert_sampler_matches_edge_masks(eg, ((1, 3), (700, 5), (4100, 9)))
+
+
+def test_sampled_repeated_rows_equal_edge_mask_sampler():
+    eg = random_supply_game(12, 14, 22, 9, repeats=6)
+    rows = [em for em, _ in eg.characteristic.dividends]
+    assert len(set(rows)) < len(rows)
+    assert_sampler_matches_edge_masks(eg, ((1, 0), (3000, 4)))
+
+
+def test_sampled_rows_completed_at_one_step_equal_edge_mask_sampler():
+    # x closes every route, so each permutation with x after a and b
+    # completes two or three rows at x's step
+    g = Graph(["a", "b", "c", "x"], [Edge("a", "x", 1.0), Edge("b", "x", 2.0),
+                                     Edge("c", "x", 0.5)])
+    routes = [Route(("a", "x"), 3.7), Route(("b", "x"), 11.3),
+              Route(("a", "b", "x"), 0.9), Route(("c", "x"), 6.1)]
+    eg = EdgeGame(g, supply_weight_fn(g, routes, CostDecayParams(0.3)))
+    assert_sampler_matches_edge_masks(eg, ((1, 1), (2000, 2)))
+
+
+def test_sampled_block_edges_equal_edge_mask_sampler():
+    # one permutation, and one block of 4096 plus one more
+    eg = random_supply_game(13, 18, 30, 20)
+    assert_sampler_matches_edge_masks(eg, ((1, 6), (4097, 6)))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_sampled_route_games_equal_edge_mask_sampler(data):
+    eg = data.draw(route_games(exact=False))
+    samples = data.draw(st.sampled_from([1, 37, 600]))
+    assert_sampler_matches_edge_masks(eg, ((samples, data.draw(st.integers(0, 99))),))
+
+
+def test_sum_of_dividend_games_declares_no_rows():
+    a = random_supply_game(14, 12, 20, 10)
+    b = random_supply_game(15, 12, 20, 10)
+    summed = lift(a) + lift(b)
+    assert summed.dividends is None
+    oracle = through_edges(a) + through_edges(b)
+    assert (shapley_sampled(summed, 2500, 8).values
+            == shapley_sampled(oracle, 2500, 8).values)
+
+
 @st.composite
 def node_games(draw, zero_normalized=False):
     """A random graph and a sparse random integer table over its coalitions;
