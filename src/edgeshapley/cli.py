@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .edgegame import (
     EdgeGame,
-    component_efficiency_check,
+    _component_report,
     delete_edge,
     edge_shapley,
     edge_shapley_pruned,
@@ -42,7 +42,8 @@ from .games import (
     CheckResult,
     GraphGame,
     Value,
-    axiom_check,
+    _axiom_check,
+    _enumerate,
     myerson,
     shapley_exact,
     shapley_sampled,
@@ -406,8 +407,11 @@ def cmd_axioms(args) -> int:
     scenario = load_scenario(args.input)
     eg = scenario.edge_game()
     v = lift(eg)
-    alloc = edge_shapley(eg, limit=args.limit)
-    report = axiom_check(v, alloc, "all", limit=args.limit)
+    # one base table serves the allocation, the axiom views and the
+    # component check
+    table, values = _enumerate(v, args.limit)
+    alloc = Allocation(values, v.exact, eg.graph.nodes)
+    report = _axiom_check(v, alloc, "all", (), args.limit, 1e-9, table)
     checks = list(report.checks)
 
     fair_ok = True
@@ -424,7 +428,7 @@ def cmd_axioms(args) -> int:
         CheckResult("fairness", fair_ok, f"{len(eg.graph.edges)} edge deletion(s){witness}")
     )
 
-    comp = component_efficiency_check(eg, limit=args.limit)
+    comp = _component_report(eg, v, table, alloc, 1e-9)
     for entry in comp.components:
         checks.append(
             CheckResult(

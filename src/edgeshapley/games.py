@@ -15,15 +15,19 @@ table. How coalitions split on a graph is one more table,
 :func:`_component_table`: the component of each coalition's lowest member.
 The Myerson value reduces the graph-restricted table folded from it, and
 :func:`edgeshapley.edgegame.component_efficiency_check` reads its additivity
-hypothesis from it. Both domains fill the table through
+hypothesis from it. A game that declares its dividends (as a lifted route
+game does) fills its table by adding each row onto the view of the
+supersets of its node mask: float64 when approx, int64 numerators when
+exact and the rows' magnitudes sum below 2^62, the rows' own ints and
+Fractions otherwise. Other games fill it through
 :meth:`NodeCharacteristic.evaluate_many`: exact tables are object arrays of
-the characteristic's own ints and Fractions, approx tables float64 arrays.
-A lifted edge game whose worth declares its dividends fills its table on
-node masks; other lifted exact edge games call the edge worth once per
-distinct induced edge set (see :func:`edgeshapley.edgegame.lift`). The float
-reduction weights the marginals from one table of size weights. The exact
-reduction brings the table to integers over one common
-denominator, sums them (int64 when a bound proves it safe, Python ints
+the characteristic's own ints and Fractions, approx tables float64 arrays;
+lifted exact edge games call the edge worth once per distinct induced edge
+set (see :func:`edgeshapley.edgegame.lift`). The domain is the game's
+``exact`` flag, never the table's dtype. The float reduction weights the
+marginals from one half-size table of size weights. The exact reduction
+brings the table to integers over one common denominator (an int64 table
+already is), sums them (int64 when a bound proves it safe, Python ints
 otherwise) and forms one `Fraction` per player at the end. The approx
 sampler reads a lifted game's per-step worths straight from its declared
 dividend rows (see :func:`shapley_sampled`).
@@ -47,7 +51,7 @@ import numpy as np
 
 from .errors import CapacityError, CharacteristicContractError
 from .graph import Graph
-from .masks import all_masks, indices_of, popcount_array
+from .masks import all_masks, indices_of, popcount_array, superset_view
 
 Coalition = int
 Value = Union[Fraction, int, float]
@@ -65,13 +69,15 @@ DEFAULT_ENUMERATION_LIMIT = 24
 #: Peak bytes an enumeration holds per coalition: the table, the masks and
 #: the temporaries of the table build and the reduction. tracemalloc at
 #: n = 16-20, for edge_shapley / edge_shapley_pruned / myerson /
-#: component_efficiency_check, read 32-35 / 33-35 / 49 / 49 on approx supply
-#: games, 30-31 / 30-31 / 60-62 / 41 on exact contract games (counts above
-#: 256) and 46-50 / 47-51 / 67-72 / 54-58 on contract games beyond 2^62,
-#: whose dividends accumulate as Python ints; exact games without declared
-#: dividends (the unique pass of the batch path) read about 61. Exact myerson
-#: on large ints exceeds the budget, as it did before the dividend path
-#: (65-67 there). 2^n times this must fit in physical memory.
+#: component_efficiency_check, read 21-23 / 26 / 49 / 49 on approx supply
+#: games and 17-19 / 22-23 / 49 / 41 on exact contract games (counts above
+#: 256, an int64 dividend table); exact games without declared dividends
+#: (the unique pass of the batch path) read 60-61. Contract counts beyond
+#: 2^62 accumulate as Python ints, one object per coalition, and read
+#: 54-60 / 57-65 / 99-103 / 82-86: myerson, the component check and (at
+#: n = 20) the pruned engine exceed the budget there, as all four did
+#: before the superset fill (72-103). 2^n times this must fit in physical
+#: memory.
 _COALITION_BYTES = 64
 
 
@@ -89,9 +95,10 @@ class NodeCharacteristic:
     ``dividends``, when given, declares the game as a sum of unanimity games:
     ``(node_mask, value)`` rows, where S is worth the sum of ``value`` over
     the rows whose node mask lies inside S, added in row order from 0. It
-    must agree with ``fn`` and ``fn_many`` bit for bit; the approx sampler
-    reads it (see :func:`shapley_sampled`). A sum of two games declares
-    none, since it adds its floats in another order.
+    must agree with ``fn`` and ``fn_many`` bit for bit; the dense table is
+    filled from it (see :func:`_table`) and the approx sampler reads it (see
+    :func:`shapley_sampled`). A sum of two games declares none, since it
+    adds its floats in another order.
     """
 
     __slots__ = ("n", "exact", "dividends", "_fn", "_fn_many")
@@ -272,10 +279,42 @@ def _check_grounded(v: NodeCharacteristic):
         )
 
 
+#: Exact dividends accumulate in int64 while the sum of their magnitudes,
+#: which bounds every worth, stays below this.
+_INT64_DIVIDEND_BOUND = 1 << 62
+
+
+def _dividend_dtype(rows: tuple[tuple[int, Value], ...], exact: bool):
+    """Dtype that sums of the dividend ``rows`` accumulate in: float64 for
+    approx rows; int64 for exact rows of Python ints whose magnitudes sum
+    below 2^62; object (the rows' own arithmetic) for other exact rows."""
+    if not exact:
+        return np.float64
+    if all(type(val) is int for _, val in rows) and (
+        sum(abs(val) for _, val in rows) < _INT64_DIVIDEND_BOUND
+    ):
+        return np.int64
+    return object
+
+
 def _table(v: NodeCharacteristic) -> np.ndarray:
-    """Worth of every coalition, in ascending mask order: an object array of
-    the characteristic's own values (exact) or a float64 array (approx)."""
-    return v.evaluate_many(all_masks(v.n))
+    """Worth of every coalition, in ascending mask order.
+
+    A game that declares its dividends starts from zeros in the rows' dtype
+    (see :func:`_dividend_dtype`) and adds each row, in row order, onto the
+    view of the supersets of its node mask (:func:`masks.superset_view`):
+    every coalition gets the additions of the rows inside it, in row order
+    from 0, and no mask array is built. Other games are evaluated through
+    :meth:`NodeCharacteristic.evaluate_many` of all masks: an object array
+    of the characteristic's own values (exact) or a float64 array (approx).
+    """
+    if v.dividends is None:
+        return v.evaluate_many(all_masks(v.n))
+    table = np.zeros(1 << v.n, dtype=_dividend_dtype(v.dividends, v.exact))
+    for mask, value in v.dividends:
+        view = superset_view(table, mask)
+        np.add(view, value, out=view)
+    return table
 
 
 def _integer_table(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -284,33 +323,46 @@ def _integer_table(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
 
     The numerators are int64 when max |numerator| * 2^(n+1) < 2^62, which
     bounds every per-size marginal sum of an n-player table; otherwise they
-    are Python ints in an object array. An entry that is not a rational
-    breaks the exact contract.
+    are Python ints in an object array, which is the table itself when it
+    already holds only Python ints. An int64 table (the dividend fill) is
+    already numerators over 1 and only meets that bound; in any other table,
+    an entry that is not a rational breaks the exact contract.
     """
-    kinds = set(map(type, table))
-    for kind in kinds:
-        if not issubclass(kind, numbers.Rational):
-            mask = next(m for m, x in enumerate(table) if type(x) is kind)
-            raise CharacteristicContractError(
-                f"exact characteristic returned {table[mask]!r} for coalition "
-                f"{mask:#b}, which is not an int or Fraction"
-            )
     denom = 1
-    if not all(issubclass(kind, numbers.Integral) for kind in kinds):
-        denom = math.lcm(*{int(x.denominator) for x in table})
-        table = np.fromiter(
-            (int(x.numerator) * (denom // int(x.denominator)) for x in table),
-            dtype=object,
-            count=table.size,
-        )
+    if table.dtype != np.int64:
+        kinds = set(map(type, table))
+        for kind in kinds:
+            if not issubclass(kind, numbers.Rational):
+                mask = next(m for m, x in enumerate(table) if type(x) is kind)
+                raise CharacteristicContractError(
+                    f"exact characteristic returned {table[mask]!r} for coalition "
+                    f"{mask:#b}, which is not an int or Fraction"
+                )
+        if not all(issubclass(kind, numbers.Integral) for kind in kinds):
+            denom = math.lcm(*{int(x.denominator) for x in table})
+            table = np.fromiter(
+                (int(x.numerator) * (denom // int(x.denominator)) for x in table),
+                dtype=object,
+                count=table.size,
+            )
+        elif kinds - {int}:
+            table = np.fromiter(map(int, table), dtype=object, count=table.size)
     bound = 1 << max(61 - n, 0)
     try:
-        small = table.astype(np.int64)
+        small = table.astype(np.int64, copy=False)
     except OverflowError:
         small = None
     if small is not None and -bound < int(small.min()) and int(small.max()) < bound:
         return small, denom
-    return np.fromiter(map(int, table), dtype=object, count=table.size), denom
+    if table.dtype == np.int64:
+        table = np.array(table.tolist(), dtype=object)
+    return table, denom
+
+
+def _squeeze(mask: int, i: int) -> int:
+    """``mask`` without bit i, the higher bits moved down by one: the mask
+    read on the index of the coalitions that avoid player i."""
+    return (mask & ((1 << i) - 1)) | ((mask >> (i + 1)) << i)
 
 
 def _reduce(
@@ -318,55 +370,78 @@ def _reduce(
     n: int,
     member_masks: Sequence[int] | None,
     stats: EngineStats | None,
+    exact: bool,
 ) -> tuple[Value, ...]:
     """Shapley value of player i = sum over coalitions S avoiding i of
     ``weight(|S|) * (table[S + i] - table[S])``.
 
     Reshaped to (2^(n-1-i), 2, 2^i), the table's ``[:, 0, :]`` rows are the
     coalitions avoiding i and its ``[:, 1, :]`` rows the same coalitions with
-    i added, both in ascending mask order. ``member_masks[i]``, when given,
-    keeps only the coalitions that meet it. Exact tables are brought to
-    integers over one denominator D; their marginals are summed per coalition
-    size and player i gets the single rational
-    ``sum_s s!(n-s-1)! * S_s / (n! * D)``. Float marginals are weighted in
-    place by one table of ``weight(|S|)`` per coalition, built once (weight 0
-    at |S| = n, which no ``[:, 0, :]`` row holds), and summed as one
-    contiguous array.
+    i added, both in ascending mask order. Position k of that order is the
+    coalition whose mask with bit i squeezed out (see :func:`_squeeze`) is k,
+    so it has popcount(k) members: one half-size table of sizes (and of
+    float weights) serves every player. Each player's marginals are
+    subtracted into one reused half-size buffer. ``member_masks[i]``, when
+    given, keeps only the coalitions that meet it, tested as
+    ``k & squeeze(member_masks[i]) != 0``. Exact tables (``exact``, the
+    game's domain) are brought to integers over one denominator D; their
+    marginals are summed per coalition size and player i gets the single
+    rational ``sum_s s!(n-s-1)! * S_s / (n! * D)``. Float marginals are
+    weighted in place and summed as one contiguous array.
     """
-    exact = table.dtype == object
-    masks = all_masks(n)
+    index = np.arange(1 << (n - 1), dtype=np.int64)
+    sizes = popcount_array(index)
     if exact:
         table, denom = _integer_table(table, n)
         fact = [math.factorial(k) for k in range(n + 1)]
         coef = [fact[s] * fact[n - s - 1] for s in range(n)]
         denom *= fact[n]
-        sizes = popcount_array(masks)
     else:
-        weights = np.array([float(w) for w in shapley_weights(n)] + [0.0])
-        weighted = weights[popcount_array(masks)]
+        weights = np.array([float(w) for w in shapley_weights(n)])[sizes]
+    diff = np.empty(index.size, dtype=table.dtype)
     out: list[Value] = []
     for i in range(n):
-        shape = (-1, 2, 1 << i)
-        rows = table.reshape(shape)
-        diff = rows[:, 1, :] - rows[:, 0, :]
-        if exact:
-            size = sizes.reshape(shape)[:, 0, :]
-        else:
-            diff *= weighted.reshape(shape)[:, 0, :]
+        rows = table.reshape(-1, 2, 1 << i)
+        np.subtract(rows[:, 1, :], rows[:, 0, :], out=diff.reshape(-1, 1 << i))
+        if not exact:
+            diff *= weights
+        terms, size = diff, sizes
         if member_masks is not None:
-            keep = (masks.reshape(shape)[:, 0, :] & member_masks[i]) != 0
-            diff = diff[keep]
+            keep = (index & _squeeze(member_masks[i], i)) != 0
+            terms = diff[keep]
             if exact:
-                size = size[keep]
+                size = sizes[keep]
         if stats is not None:
-            stats.marginals += int(diff.size)
+            stats.marginals += int(terms.size)
         if exact:
             by_size = np.zeros(n, dtype=table.dtype)
-            np.add.at(by_size, size, diff)
+            np.add.at(by_size, size, terms)
             out.append(Fraction(sum(c * int(t) for c, t in zip(coef, by_size)), denom))
         else:
-            out.append(float(diff.sum()))
+            out.append(float(terms.sum()))
+        # a filtered copy would keep its objects alive through the next
+        # player's subtraction into the buffer
+        del terms
     return tuple(out)
+
+
+def _enumerate(
+    v: NodeCharacteristic,
+    limit: int | None,
+    member_masks: Sequence[int] | None = None,
+    stats: EngineStats | None = None,
+) -> tuple[np.ndarray, tuple[Value, ...]]:
+    """The coalition table of ``v`` and its (restricted) Shapley reduction,
+    after the capacity and grounding checks; callers that check more of the
+    same game read the one table."""
+    _check_capacity(v, limit)
+    _check_grounded(v)
+    if member_masks is not None and len(member_masks) != v.n:
+        raise ValueError("need one member mask per player")
+    if stats is not None:
+        stats.evaluations += 1 << v.n
+    table = _table(v)
+    return table, _reduce(table, v.n, member_masks, stats, v.exact)
 
 
 def shapley_exact(
@@ -384,11 +459,7 @@ def shapley_exact(
     exactly; approx games return floats with the weights converted to binary64
     only after the rational is formed. ``threads`` has no effect.
     """
-    _check_capacity(v, limit)
-    _check_grounded(v)
-    if stats is not None:
-        stats.evaluations += 1 << v.n
-    return Allocation(_reduce(_table(v), v.n, None, stats), v.exact)
+    return Allocation(_enumerate(v, limit, None, stats)[1], v.exact)
 
 
 def shapley_restricted(
@@ -408,13 +479,7 @@ def shapley_restricted(
     The table itself is always full: pruning saves marginal terms, not
     evaluations. ``threads`` has no effect.
     """
-    _check_capacity(v, limit)
-    _check_grounded(v)
-    if len(member_masks) != v.n:
-        raise ValueError("need one member mask per player")
-    if stats is not None:
-        stats.evaluations += 1 << v.n
-    return Allocation(_reduce(_table(v), v.n, member_masks, stats), v.exact)
+    return Allocation(_enumerate(v, limit, member_masks, stats)[1], v.exact)
 
 
 _SAMPLE_BLOCK = 4096
@@ -606,7 +671,7 @@ def myerson(
         rest ^= part
     # free the fold's buffers before the reduction allocates its own
     del table, comp, rest, part, worth
-    return Allocation(_reduce(restricted, g.n, None, None), v.exact, g.nodes)
+    return Allocation(_reduce(restricted, g.n, None, None, v.exact), v.exact, g.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +755,20 @@ def axiom_check(
     coalition of one 2^n table, so they are refused (`CapacityError`) above
     ``limit`` players, like the engines.
     """
+    return _axiom_check(v, allocation, which, game_pairs, limit, tol, None)
+
+
+def _axiom_check(
+    v: NodeCharacteristic,
+    allocation: Allocation,
+    which: str | Iterable[str],
+    game_pairs: Sequence[tuple[NodeCharacteristic, NodeCharacteristic]],
+    limit: int | None,
+    tol: float,
+    table: np.ndarray | None,
+) -> AxiomReport:
+    """:func:`axiom_check` on the coalition table of ``v`` when the caller
+    already holds it; with ``table`` None the detection builds its own."""
     if len(allocation) != v.n:
         raise ValueError("allocation length does not match the player count")
     names = ("efficiency", "symmetry", "null-player", "additivity")
@@ -702,7 +781,7 @@ def axiom_check(
     unknown = set(selected) - set(names)
     if unknown:
         raise ValueError(f"unknown axiom check(s): {sorted(unknown)}")
-    if {"symmetry", "null-player"} & set(selected):
+    if {"symmetry", "null-player"} & set(selected) and table is None:
         _check_capacity(v, limit)
         table = _table(v)
 

@@ -437,3 +437,23 @@ def test_axioms_single_edge_symmetric_pair(capsys, tmp_path):
     symmetry = next(c for c in doc["checks"] if c["name"] == "symmetry")
     assert symmetry["passed"]
     assert "1 interchangeable pair" in symmetry["detail"]
+
+
+@pytest.mark.parametrize("name", ["counterexample-H", "platform-dual", "chain-suppliers"])
+def test_axioms_builds_and_reduces_the_base_table_once(capsys, monkeypatch, name):
+    # one table and one reduction per edge deletion, plus one base table
+    # that serves the allocation, the symmetry and null-player views and the
+    # component check
+    from edgeshapley import edgegame, games
+
+    built, reduced = [], []
+    table, reduce = games._table, games._reduce
+    for module in (games, edgegame):
+        monkeypatch.setattr(module, "_table", lambda v: built.append(v.n) or table(v))
+        monkeypatch.setattr(module, "_reduce",
+                            lambda *args: reduced.append(args[1]) or reduce(*args))
+    path = fixture_path(name)
+    code, _ = run(capsys, "axioms", "--input", path, "--format", "json")
+    assert code == 0
+    edges = len(load_scenario(path).graph.edges)
+    assert len(built) == len(reduced) == edges + 1

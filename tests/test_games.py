@@ -297,7 +297,7 @@ def test_float_reduction_equals_per_player_formula():
         table[0] = 0.0
         member_masks = [int(m) for m in rng.integers(0, 1 << n, size=n)]
         for members in (None, member_masks):
-            got = games._reduce(table, n, members, None)
+            got = games._reduce(table, n, members, None, False)
             want = per_player_float_reduction(table, n, members)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (n, members)
 

@@ -28,9 +28,11 @@ from edgeshapley import (
     myerson,
     myerson_bridge,
     route_closed_form,
+    shapley_exact,
     shapley_sampled,
     supply_weight_fn,
 )
+from edgeshapley.edgegame import _dividend_worths
 from edgeshapley.games import _table
 from edgeshapley.masks import all_masks
 
@@ -120,6 +122,89 @@ def test_batch_table_equals_scalar_table(eg):
     assert [(type(x), x) for x in batch] == [(type(x), x) for x in scalar]
 
 
+def dividend_game(n, rows, exact):
+    """An n-player game declared by its ``(node_mask, value)`` rows."""
+    return NodeCharacteristic(
+        n, lambda m: sum((val for r, val in rows if m & r == r), 0),
+        exact=exact, dividends=tuple(rows),
+    )
+
+
+def fill_dtype(rows, exact):
+    """The dtype the dense fill must use: float64 when approx, int64 for
+    Python ints whose magnitudes sum below 2^62, object otherwise."""
+    if not exact:
+        return np.float64
+    small = all(type(val) is int for _, val in rows)
+    return np.int64 if small and sum(abs(val) for _, val in rows) < 1 << 62 else object
+
+
+def assert_fill_equals_mask_path(n, rows, exact, chunk=1 << 20):
+    """The superset fill of ``_table`` against ``_dividend_worths`` on all
+    2^n masks, taken ``chunk`` masks at a time: bit-identical floats, equal
+    ints, and the same value types in object tables."""
+    table = _table(dividend_game(n, rows, exact))
+    assert table.dtype == fill_dtype(rows, exact)
+    worths = _dividend_worths(tuple(rows), exact)
+    for start in range(0, 1 << n, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
+        assert_identical_tables(table[masks], worths(masks))
+
+
+@st.composite
+def dividend_rows(draw, values):
+    """1 to 10 players and up to 12 rows of ``values``, drawn with repeats,
+    on any nonempty node mask; the full mask and the lowest and highest
+    single bits are drawn often."""
+    n = draw(st.integers(1, 10))
+    full = (1 << n) - 1
+    masks = st.one_of(st.sampled_from([full, 1, 1 << (n - 1)]), st.integers(1, full))
+    picked = draw(st.lists(st.tuples(masks, values), max_size=6))
+    rows = draw(st.lists(st.sampled_from(picked), max_size=12)) if picked else []
+    return n, rows
+
+
+#: Floats, often ones whose binary64 sums depend on the order of addition.
+FLOATS = st.one_of(st.sampled_from([0.1, 0.2, 0.3]), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(dividend_rows(FLOATS).map(lambda d: (*d, False)),
+                 dividend_rows(st.integers(-20, 20)).map(lambda d: (*d, True)),
+                 dividend_rows(st.one_of(st.integers(-20, 20), HUGE)).map(lambda d: (*d, True)),
+                 dividend_rows(st.one_of(st.integers(-20, 20), FRACTIONS)).map(lambda d: (*d, True))))
+def test_superset_fill_equals_mask_path(case):
+    assert_fill_equals_mask_path(*case)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_superset_fill_edge_rows(exact):
+    # float sums that depend on the order rows are added in: 0.1 + 0.2 + 0.3
+    # differs from 0.3 + 0.2 + 0.1 in binary64
+    a, b, c = (0.1, 0.2, 0.3) if not exact else (1, 2, 3)
+    assert_fill_equals_mask_path(1, [(1, a), (1, b), (1, c)], exact)
+    n = 6
+    full = (1 << n) - 1
+    cases = [
+        [(full, a), (1, b), (full, c)],  # a full-mask row gives a 0-d view
+        [(1, a), (1 << (n - 1), b), (1 | 1 << (n - 1), c)],  # bits 0 and n-1
+        [(0b1010, a), (0b1010, b), (0b1010, c), (0b11, a)],  # repeated rows
+        [(0b11, c), (0b111, b), (0b1111, a), (0b11, b)],  # nested rows
+    ]
+    for rows in cases:
+        assert_fill_equals_mask_path(n, rows, exact)
+
+
+def test_superset_fill_alternating_bits_24_players():
+    # alternating bits give the most runs: one view axis per player
+    n = 24
+    odd, even = int("10" * 12, 2), int("01" * 12, 2)
+    # 2^11 coalitions hold the first three rows, whose sum depends on order
+    rows = [(even, 0.1), (even ^ 1, 0.2), (even | 2, 0.3), (odd, 0.2), ((1 << n) - 1, 0.7)]
+    assert_fill_equals_mask_path(n, rows, False)
+    assert_fill_equals_mask_path(n, [(even, 5), (odd, -3), ((1 << n) - 1, 7)], True)
+
+
 @st.composite
 def complete_contract_routes(draw, n=12):
     """Containment contract routes on K_n: any node set of two or more nodes
@@ -175,6 +260,12 @@ def edge_mask_table(eg):
 
 
 def assert_identical_tables(got, want):
+    """Same values: an int64 table equals an oracle of Python ints value for
+    value; other tables match in dtype, in every value's type and bits."""
+    if got.dtype == np.int64 and want.dtype == object:
+        assert {type(x) for x in want} <= {int}
+        assert got.tolist() == want.tolist()
+        return
     assert got.dtype == want.dtype
     if got.dtype == object:
         assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
@@ -188,7 +279,9 @@ def assert_identical_tables(got, want):
 def test_dividend_table_equals_edge_mask_table(exact, data):
     eg = data.draw(route_games(exact))
     assert eg.characteristic.dividends is not None
-    assert_identical_tables(_table(lift(eg)), edge_mask_table(eg))
+    table = _table(lift(eg))
+    assert table.dtype == fill_dtype(eg.characteristic.dividends, exact)
+    assert_identical_tables(table, edge_mask_table(eg))
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -201,7 +294,9 @@ def test_deleted_game_keeps_dividends(exact, data):
         assert deleted.characteristic.dividends is not None
         v = lift(deleted)
         scalar = NodeCharacteristic(v.n, v, exact=v.exact)  # w(embed(m)) per coalition
-        assert_identical_tables(_table(v), _table(scalar))
+        table = _table(v)
+        assert table.dtype == fill_dtype(deleted.characteristic.dividends, exact)
+        assert_identical_tables(table, _table(scalar))
 
 
 def test_sampled_dividends_equal_edge_mask_sampler():
@@ -364,6 +459,23 @@ def test_myerson_approx_domain_matches_exact(gg):
 @given(node_games(zero_normalized=True))
 def test_bridge_edge_shapley_equals_myerson(gg):
     assert edge_shapley(myerson_bridge(gg)).values == myerson(gg).values
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_int64_dividend_table_around_the_reduction_bound(n):
+    # the dividend fill hands int64 worths to the reduction, which sums them
+    # in int64 below 2^(61-n) and as Python ints at and beyond it; the
+    # Myerson fold stays in int64, since no row lies inside two components
+    full = (1 << n) - 1
+    labels = [f"n{i}" for i in range(n)]
+    g = Graph(labels, [Edge(labels[i], labels[i + 1]) for i in range(n - 2)])
+    for big in ((1 << (61 - n)) - 1, 1 << (61 - n), 1 << 60):
+        rows = [(0b11, big), (0b110, -big), (full, big)]  # magnitudes below 2^62
+        v = dividend_game(n, rows, True)
+        assert _table(v).dtype == np.int64
+        assert list(shapley_exact(v).values) == permutation_shapley(v)
+        gg = GraphGame(g, v)
+        assert list(myerson(gg).values) == permutation_shapley(component_sum(gg))
 
 
 def separated_pairs(g):
