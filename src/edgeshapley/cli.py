@@ -43,7 +43,8 @@ from .games import (
     GraphGame,
     Value,
     _axiom_check,
-    _enumerate,
+    _reduce,
+    _table,
     myerson,
     shapley_exact,
     shapley_sampled,
@@ -409,7 +410,8 @@ def cmd_axioms(args) -> int:
     v = lift(eg)
     # one base table serves the allocation, the axiom views and the
     # component check
-    table, values = _enumerate(v, args.limit)
+    table, denom = _table(v, args.limit)
+    values = _reduce(table, denom, v.n, None, None, v.exact)
     alloc = Allocation(values, v.exact, eg.graph.nodes)
     report = _axiom_check(v, alloc, "all", (), args.limit, 1e-9, table)
     checks = list(report.checks)

@@ -31,10 +31,8 @@ from .games import (
     GraphGame,
     NodeCharacteristic,
     Value,
-    _check_capacity,
     _component_table,
     _dividend_dtype,
-    _integer_table,
     _reduce,
     _table,
     shapley_exact,
@@ -447,9 +445,8 @@ def component_efficiency_check(
     """
     g = eg.graph
     v = lift(eg)
-    _check_capacity(v, limit)
-    table = _table(v)
-    alloc = Allocation(_reduce(table, g.n, None, None, v.exact), v.exact, g.nodes)
+    table, denom = _table(v, limit)
+    alloc = Allocation(_reduce(table, denom, g.n, None, None, v.exact), v.exact, g.nodes)
     return _component_report(eg, v, table, alloc, tol)
 
 
@@ -461,10 +458,12 @@ def _component_report(
     tol: float,
 ) -> ComponentEfficiencyReport:
     """:func:`component_efficiency_check` on the lifted game ``v``, its
-    coalition table and its labelled allocation, when the caller holds them.
+    coalition table (from :func:`games._table`) and its labelled allocation,
+    when the caller holds them.
 
-    An exact table is compared on its integer numerators (see
-    :func:`games._integer_table`). On the int64 table of the dividend fill,
+    An exact table holds integer numerators over one denominator, so it is
+    compared as it is. Int64 numerators below 2^(61-n) sum without
+    overflow; on the int64 table of the dividend fill,
     ``table[C_S] + table[S - C_S]`` stays below the 2^62 that bounds the
     rows' magnitudes, since no row lies inside two disjoint coalitions.
     """
@@ -482,8 +481,6 @@ def _component_report(
                 matches=values_close(total, worth, alloc.exact, tol),
             )
         )
-    if v.exact:
-        table = _integer_table(table, g.n)[0]
     lowest = _component_table(g)
     split = table[lowest]
     rest = np.bitwise_xor(lowest, all_masks(g.n), out=lowest)

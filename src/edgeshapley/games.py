@@ -8,29 +8,32 @@ exactly one value domain:
 * approx -- binary64 floats.
 
 The two domains never mix inside one computation. Every full-enumeration
-value (plain, pruned, Myerson) comes from one engine: :func:`_table` fills the
-worth of all 2^n coalitions, and :func:`_reduce` turns that table into
-marginal sums; symmetry and null-player detection are views of the same
-table. How coalitions split on a graph is one more table,
-:func:`_component_table`: the component of each coalition's lowest member.
-The Myerson value reduces the graph-restricted table folded from it, and
+value (plain, pruned, Myerson) comes from one engine: :func:`_table` is the
+only way to the worth of all 2^n coalitions, and :func:`_reduce` turns that
+table into marginal sums; symmetry and null-player detection are views of the
+same table. :func:`_table` runs the capacity and grounding checks before it
+allocates anything and hands out one representation per domain: float64 for
+approx games, integer numerators over one common denominator for exact games
+(int64 when a bound proves every marginal sum safe, Python ints otherwise),
+so no engine reads the game's own ints and Fractions. How coalitions split
+on a graph is one more table, :func:`_component_table`: the component of
+each coalition's lowest member. The Myerson value reduces the
+graph-restricted table folded from it, and
 :func:`edgeshapley.edgegame.component_efficiency_check` reads its additivity
 hypothesis from it. A game that declares its dividends (as a lifted route
-game does) fills its table by adding each row onto the view of the
-supersets of its node mask: float64 when approx, int64 numerators when
-exact and the rows' magnitudes sum below 2^62, the rows' own ints and
-Fractions otherwise. Other games fill it through
-:meth:`NodeCharacteristic.evaluate_many`: exact tables are object arrays of
-the characteristic's own ints and Fractions, approx tables float64 arrays;
-lifted exact edge games call the edge worth once per distinct induced edge
-set (see :func:`edgeshapley.edgegame.lift`). The domain is the game's
-``exact`` flag, never the table's dtype. The float reduction weights the
-marginals from one half-size table of size weights. The exact reduction
-brings the table to integers over one common denominator (an int64 table
-already is), sums them (int64 when a bound proves it safe, Python ints
-otherwise) and forms one `Fraction` per player at the end. The approx
-sampler reads a lifted game's per-step worths straight from its declared
-dividend rows (see :func:`shapley_sampled`).
+game does) fills its table by adding each row onto the view of the supersets
+of its node mask: float64 when approx, int64 numerators when exact and the
+rows' magnitudes sum below 2^62, the rows' own ints and Fractions (then
+brought to numerators) otherwise. Other games fill it through
+:meth:`NodeCharacteristic.evaluate_many`; lifted exact edge games call the
+edge worth once per distinct induced edge set (see
+:func:`edgeshapley.edgegame.lift`). The domain is the game's ``exact`` flag,
+never the table's dtype. The float reduction weights the marginals from one
+half-size table of size weights. The exact reduction sums the numerators
+(as Python ints where the int64 bound does not cover them) and forms one
+`Fraction` per player at the end. The approx sampler reads a lifted game's
+per-step worths straight from its declared dividend rows (see
+:func:`shapley_sampled`).
 
 Determinism contract: the table is built in ascending mask order in one
 pass, and every float sum runs over a contiguous array in that order, so
@@ -70,14 +73,14 @@ DEFAULT_ENUMERATION_LIMIT = 24
 #: the temporaries of the table build and the reduction. tracemalloc at
 #: n = 16-20, for edge_shapley / edge_shapley_pruned / myerson /
 #: component_efficiency_check, read 21-23 / 26 / 49 / 49 on approx supply
-#: games and 17-19 / 22-23 / 49 / 41 on exact contract games (counts above
-#: 256, an int64 dividend table); exact games without declared dividends
-#: (the unique pass of the batch path) read 60-61. Contract counts beyond
-#: 2^62 accumulate as Python ints, one object per coalition, and read
-#: 54-60 / 57-65 / 99-103 / 82-86: myerson, the component check and (at
-#: n = 20) the pruned engine exceed the budget there, as all four did
-#: before the superset fill (72-103). 2^n times this must fit in physical
-#: memory.
+#: games and 18 / 22 / 49 / 41 on exact contract games (counts above 256,
+#: an int64 dividend table). Exact games without declared dividends (the
+#: unique pass of the batch path) read 57-58 for all four, on ints above
+#: 256 and on Fractions alike, since the table build hands out int64
+#: numerators. Worths beyond 2^62 stay one Python int per coalition and
+#: read 58 / 58 / 90-91 / 73-74 on a path game and 71 / 74 / 126 / 109 on a
+#: 16-player contract game: myerson and the component check exceed the
+#: budget there. 2^n times this must fit in physical memory.
 _COALITION_BYTES = 64
 
 
@@ -297,66 +300,79 @@ def _dividend_dtype(rows: tuple[tuple[int, Value], ...], exact: bool):
     return object
 
 
-def _table(v: NodeCharacteristic) -> np.ndarray:
-    """Worth of every coalition, in ascending mask order.
+def _table(
+    v: NodeCharacteristic,
+    limit: int | None,
+    stats: EngineStats | None = None,
+) -> tuple[np.ndarray, int]:
+    """The coalition table of ``v`` as ``(table, D)``: coalition S, in
+    ascending mask order, is worth ``table[S] / D``. Every engine gets its
+    table here, after the capacity check (:func:`_check_capacity`) and the
+    v(empty) = 0 check, before anything is allocated; ``stats`` counts 2^n
+    evaluations.
 
     A game that declares its dividends starts from zeros in the rows' dtype
     (see :func:`_dividend_dtype`) and adds each row, in row order, onto the
     view of the supersets of its node mask (:func:`masks.superset_view`):
     every coalition gets the additions of the rows inside it, in row order
     from 0, and no mask array is built. Other games are evaluated through
-    :meth:`NodeCharacteristic.evaluate_many` of all masks: an object array
-    of the characteristic's own values (exact) or a float64 array (approx).
+    :meth:`NodeCharacteristic.evaluate_many` of all masks.
+
+    Approx tables are float64 over D = 1. Exact ones are integer numerators
+    over D, the lcm of the worths' denominators (an int64 dividend fill is
+    over 1 as it is): int64 when every |numerator| < 2^(61-n), which bounds
+    each per-size marginal sum of the reduction, Python ints otherwise. A
+    worth that is not a rational breaks the exact contract.
     """
+    _check_capacity(v, limit)
+    _check_grounded(v)
+    if stats is not None:
+        stats.evaluations += 1 << v.n
     if v.dividends is None:
-        return v.evaluate_many(all_masks(v.n))
-    table = np.zeros(1 << v.n, dtype=_dividend_dtype(v.dividends, v.exact))
-    for mask, value in v.dividends:
-        view = superset_view(table, mask)
-        np.add(view, value, out=view)
-    return table
-
-
-def _integer_table(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """An exact table as (numerators, D) over the common denominator D, the
-    lcm of the entry denominators.
-
-    The numerators are int64 when max |numerator| * 2^(n+1) < 2^62, which
-    bounds every per-size marginal sum of an n-player table; otherwise they
-    are Python ints in an object array, which is the table itself when it
-    already holds only Python ints. An int64 table (the dividend fill) is
-    already numerators over 1 and only meets that bound; in any other table,
-    an entry that is not a rational breaks the exact contract.
-    """
-    denom = 1
-    if table.dtype != np.int64:
-        kinds = set(map(type, table))
-        for kind in kinds:
-            if not issubclass(kind, numbers.Rational):
-                mask = next(m for m, x in enumerate(table) if type(x) is kind)
-                raise CharacteristicContractError(
-                    f"exact characteristic returned {table[mask]!r} for coalition "
-                    f"{mask:#b}, which is not an int or Fraction"
-                )
-        if not all(issubclass(kind, numbers.Integral) for kind in kinds):
-            denom = math.lcm(*{int(x.denominator) for x in table})
-            table = np.fromiter(
-                (int(x.numerator) * (denom // int(x.denominator)) for x in table),
-                dtype=object,
-                count=table.size,
+        table = v.evaluate_many(all_masks(v.n))
+    else:
+        table = np.zeros(1 << v.n, dtype=_dividend_dtype(v.dividends, v.exact))
+        for mask, value in v.dividends:
+            view = superset_view(table, mask)
+            np.add(view, value, out=view)
+        if table.dtype == np.int64:
+            return table, 1
+    if not v.exact:
+        return table, 1
+    kinds = set(map(type, table))
+    for kind in kinds:
+        if not issubclass(kind, numbers.Rational):
+            mask = next(m for m, x in enumerate(table) if type(x) is kind)
+            raise CharacteristicContractError(
+                f"exact characteristic returned {table[mask]!r} for coalition "
+                f"{mask:#b}, which is not an int or Fraction"
             )
-        elif kinds - {int}:
+    if all(issubclass(kind, numbers.Integral) for kind in kinds):
+        denom = 1
+        if kinds != {int}:
             table = np.fromiter(map(int, table), dtype=object, count=table.size)
-    bound = 1 << max(61 - n, 0)
+        numerators = lambda dtype: table.astype(dtype, copy=False)
+    else:
+        denom = math.lcm(*{int(x.denominator) for x in table})
+        numerators = lambda dtype: np.fromiter(
+            (int(x.numerator) * (denom // int(x.denominator)) for x in table),
+            dtype=dtype,
+            count=table.size,
+        )
     try:
-        small = table.astype(np.int64, copy=False)
+        small = numerators(np.int64)
     except OverflowError:
         small = None
-    if small is not None and -bound < int(small.min()) and int(small.max()) < bound:
+    if small is not None and _int64_reducible(small, v.n):
         return small, denom
-    if table.dtype == np.int64:
-        table = np.array(table.tolist(), dtype=object)
-    return table, denom
+    return numerators(object), denom
+
+
+def _int64_reducible(table: np.ndarray, n: int) -> bool:
+    """Whether the int64 numerators of an n-player table lie below
+    2^(61-n) in magnitude, so every per-size marginal sum fits in int64."""
+    bound = 1 << max(61 - n, 0)
+    return -bound < int(table.min()) and int(table.max()) < bound
 
 
 def _squeeze(mask: int, i: int) -> int:
@@ -367,6 +383,7 @@ def _squeeze(mask: int, i: int) -> int:
 
 def _reduce(
     table: np.ndarray,
+    denom: int,
     n: int,
     member_masks: Sequence[int] | None,
     stats: EngineStats | None,
@@ -383,16 +400,19 @@ def _reduce(
     float weights) serves every player. Each player's marginals are
     subtracted into one reused half-size buffer. ``member_masks[i]``, when
     given, keeps only the coalitions that meet it, tested as
-    ``k & squeeze(member_masks[i]) != 0``. Exact tables (``exact``, the
-    game's domain) are brought to integers over one denominator D; their
-    marginals are summed per coalition size and player i gets the single
-    rational ``sum_s s!(n-s-1)! * S_s / (n! * D)``. Float marginals are
-    weighted in place and summed as one contiguous array.
+    ``k & squeeze(member_masks[i]) != 0``. An exact table (``exact``, the
+    game's domain) holds integer numerators over ``denom`` (see
+    :func:`_table`); int64 numerators that the 2^(61-n) bound does not
+    cover (a Myerson fold, a dividend fill near 2^62) are summed as Python
+    ints. Exact marginals are summed per coalition size and player i gets
+    the single rational ``sum_s s!(n-s-1)! * S_s / (n! * denom)``. Float
+    marginals are weighted in place and summed as one contiguous array.
     """
     index = np.arange(1 << (n - 1), dtype=np.int64)
     sizes = popcount_array(index)
     if exact:
-        table, denom = _integer_table(table, n)
+        if table.dtype == np.int64 and not _int64_reducible(table, n):
+            table = np.array(table.tolist(), dtype=object)
         fact = [math.factorial(k) for k in range(n + 1)]
         coef = [fact[s] * fact[n - s - 1] for s in range(n)]
         denom *= fact[n]
@@ -425,25 +445,6 @@ def _reduce(
     return tuple(out)
 
 
-def _enumerate(
-    v: NodeCharacteristic,
-    limit: int | None,
-    member_masks: Sequence[int] | None = None,
-    stats: EngineStats | None = None,
-) -> tuple[np.ndarray, tuple[Value, ...]]:
-    """The coalition table of ``v`` and its (restricted) Shapley reduction,
-    after the capacity and grounding checks; callers that check more of the
-    same game read the one table."""
-    _check_capacity(v, limit)
-    _check_grounded(v)
-    if member_masks is not None and len(member_masks) != v.n:
-        raise ValueError("need one member mask per player")
-    if stats is not None:
-        stats.evaluations += 1 << v.n
-    table = _table(v)
-    return table, _reduce(table, v.n, member_masks, stats, v.exact)
-
-
 def shapley_exact(
     v: NodeCharacteristic,
     *,
@@ -459,7 +460,8 @@ def shapley_exact(
     exactly; approx games return floats with the weights converted to binary64
     only after the rational is formed. ``threads`` has no effect.
     """
-    return Allocation(_enumerate(v, limit, None, stats)[1], v.exact)
+    table, denom = _table(v, limit, stats)
+    return Allocation(_reduce(table, denom, v.n, None, stats, v.exact), v.exact)
 
 
 def shapley_restricted(
@@ -479,7 +481,10 @@ def shapley_restricted(
     The table itself is always full: pruning saves marginal terms, not
     evaluations. ``threads`` has no effect.
     """
-    return Allocation(_enumerate(v, limit, member_masks, stats)[1], v.exact)
+    if len(member_masks) != v.n:
+        raise ValueError("need one member mask per player")
+    table, denom = _table(v, limit, stats)
+    return Allocation(_reduce(table, denom, v.n, member_masks, stats, v.exact), v.exact)
 
 
 _SAMPLE_BLOCK = 4096
@@ -650,15 +655,14 @@ def myerson(
     v^G(S) = sum of v(C) over the connected components C of the subgraph S
     induces (isolated members count as singletons).
 
-    The v^G table is folded from v's own coalition table and
-    :func:`_component_table`: each coalition adds the worth of the component
-    of its lowest remaining member and strips it, so the worths are summed
-    onto 0 in order of lowest member, the order of
+    The v^G table is folded from the coalition table of v (:func:`_table`,
+    numerators when exact) and :func:`_component_table`: each coalition adds
+    the worth of the component of its lowest remaining member and strips it,
+    so the worths are summed onto 0 in order of lowest member, the order of
     :meth:`Graph.component_masks`. ``threads`` has no effect.
     """
     g, v = gg.graph, gg.v
-    _check_capacity(v, limit)
-    table = _table(v)
+    table, denom = _table(v, limit)
     comp = _component_table(g)
     restricted = np.zeros(table.size, dtype=table.dtype)
     rest = all_masks(g.n)
@@ -671,7 +675,7 @@ def myerson(
         rest ^= part
     # free the fold's buffers before the reduction allocates its own
     del table, comp, rest, part, worth
-    return Allocation(_reduce(restricted, g.n, None, None, v.exact), v.exact, g.nodes)
+    return Allocation(_reduce(restricted, denom, g.n, None, None, v.exact), v.exact, g.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +756,9 @@ def axiom_check(
       a + b equals the sum of the separate allocations.
 
     Symmetry and null-player detection are exhaustive: both read every
-    coalition of one 2^n table, so they are refused (`CapacityError`) above
-    ``limit`` players, like the engines.
+    coalition of one 2^n table, so, like the engines, they are refused above
+    ``limit`` players (`CapacityError`) and for v(empty) != 0
+    (`CharacteristicContractError`).
     """
     return _axiom_check(v, allocation, which, game_pairs, limit, tol, None)
 
@@ -782,8 +787,7 @@ def _axiom_check(
     if unknown:
         raise ValueError(f"unknown axiom check(s): {sorted(unknown)}")
     if {"symmetry", "null-player"} & set(selected) and table is None:
-        _check_capacity(v, limit)
-        table = _table(v)
+        table = _table(v, limit)[0]
 
     checks: list[CheckResult] = []
     for name in selected:

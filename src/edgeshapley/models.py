@@ -30,6 +30,7 @@ from .edgegame import EdgeCharacteristic
 from .errors import DegenerateRouteError, RouteCoverageError
 from .games import Allocation
 from .graph import Graph, Route
+from .masks import indices_of
 
 CONTAINMENT = "containment"
 STRICT_EQUALITY = "strict-equality"
@@ -153,11 +154,13 @@ def route_closed_form(
 ) -> Allocation:
     """Closed-form allocation for containment-semantics route games.
 
-    Each route spreads its value evenly over its nodes, so node i receives
-    sum over routes containing i of value/|route|. This equals the full
-    enumeration because the lifted game is a non-negative combination of
-    unanimity games -- provided each route's node set coincides with the
-    endpoints of its induced edges (checked).
+    The worth (:func:`supply_weight_fn` or :func:`contract_weight_fn`, which
+    validate the routes and compute their values) declares one dividend row
+    (H, value) per route, H the route's edges. The lifted game is the sum of
+    the unanimity games on the endpoints V(H), so each endpoint receives
+    value/|V(H)| of every row, in row order. This equals the full
+    enumeration provided each route's node set coincides with V(H)
+    (checked).
 
     ``decay`` selects the supply model (float values); without it, route
     quantities are taken as integer contract counts (exact values).
@@ -165,26 +168,18 @@ def route_closed_form(
     if decay is not None and decay.semantics != CONTAINMENT:
         raise ValueError("the closed form only applies to containment semantics")
     exact = decay is None
-    totals: list = [Fraction(0) if exact else 0.0 for _ in range(g.n)]
-    for r in routes:
-        em = g.route_edge_mask(r)
-        if em == 0:
-            raise DegenerateRouteError(f"route {sorted(r.nodes)} induces no edges")
-        node_mask = g.node_mask(r.nodes)
-        uncovered = node_mask & ~g.endpoint_mask(em)
+    w = contract_weight_fn(g, routes) if exact else supply_weight_fn(g, routes, decay)
+    totals: list = [Fraction(0) if exact else 0.0] * g.n
+    for r, (em, value) in zip(routes, w.dividends):
+        endpoints = g.endpoint_mask(em)
+        uncovered = g.node_mask(r.nodes) & ~endpoints
         if uncovered:
             raise RouteCoverageError(
                 f"route node(s) {list(g.labels_of(uncovered))} touch no induced edge; "
                 "the closed form needs node sets equal to their induced-edge endpoints"
             )
-        size = len(r.nodes)
-        if exact:
-            cv = r.quantity
-            if cv != int(cv):
-                raise ValueError(f"contract count must be an integer, got {cv}")
-            share: object = Fraction(int(cv), size)
-        else:
-            share = r.quantity * math.exp(-decay.alpha * g.route_cost(r)) / size
-        for label in r.nodes:
-            totals[g.index(label)] += share
+        size = endpoints.bit_count()
+        share = Fraction(value, size) if exact else value / size
+        for i in indices_of(endpoints):
+            totals[i] += share
     return Allocation(tuple(totals), exact, g.nodes)

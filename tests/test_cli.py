@@ -444,14 +444,15 @@ def test_axioms_builds_and_reduces_the_base_table_once(capsys, monkeypatch, name
     # one table and one reduction per edge deletion, plus one base table
     # that serves the allocation, the symmetry and null-player views and the
     # component check
-    from edgeshapley import edgegame, games
+    from edgeshapley import cli, edgegame, games
 
     built, reduced = [], []
     table, reduce = games._table, games._reduce
-    for module in (games, edgegame):
-        monkeypatch.setattr(module, "_table", lambda v: built.append(v.n) or table(v))
+    for module in (games, edgegame, cli):
+        monkeypatch.setattr(module, "_table",
+                            lambda v, *args: built.append(v.n) or table(v, *args))
         monkeypatch.setattr(module, "_reduce",
-                            lambda *args: reduced.append(args[1]) or reduce(*args))
+                            lambda *args: reduced.append(args[2]) or reduce(*args))
     path = fixture_path(name)
     code, _ = run(capsys, "axioms", "--input", path, "--format", "json")
     assert code == 0

@@ -358,8 +358,8 @@ def test_myerson_and_component_check_refused_before_allocating(monkeypatch):
     def no_table(*args):
         raise AssertionError("no coalition table may be built")
 
+    monkeypatch.setattr(games, "all_masks", no_table)
     for module in (games, edgegame):
-        monkeypatch.setattr(module, "_table", no_table)
         monkeypatch.setattr(module, "_component_table", no_table)
     labels = [f"v{i}" for i in range(30)]
     g = build_graph(labels, list(zip(labels, labels[1:])))
@@ -373,6 +373,36 @@ def test_myerson_and_component_check_refused_before_allocating(monkeypatch):
         myerson(GraphGame(g, lift(eg)), limit=None)
     with pytest.raises(CapacityError, match="GiB"):
         component_efficiency_check(eg, limit=None)
+
+
+@pytest.mark.parametrize("worth", [lambda m: Fraction(m, 7), lambda m: 1000 * m],
+                         ids=["fractions", "ints-above-256"])
+def test_myerson_and_component_check_stay_within_the_coalition_budget(worth):
+    # the capacity check admits 2^n * games._COALITION_BYTES; exact worths
+    # become int64 numerators in the table build, so neither the Myerson
+    # fold nor the component split holds one object per coalition
+    import tracemalloc
+
+    n = 16
+    labels = [f"v{i}" for i in range(n)]
+    g = build_graph(labels, list(zip(labels, labels[1:])))
+    eg = EdgeGame(g, EdgeCharacteristic(g.edges, worth))
+    for run in (lambda: myerson(GraphGame(g, lift(eg))),
+                lambda: component_efficiency_check(eg)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= games._COALITION_BYTES << n
+
+
+def test_myerson_refuses_an_ungrounded_game():
+    g = build_graph(["a", "b"], [("a", "b")])
+    v = NodeCharacteristic(2, lambda m: 1 if m == 0 else 2 * m.bit_count())
+    with pytest.raises(CharacteristicContractError, match="v\\(empty\\) = 0"):
+        myerson(GraphGame(g, v))
 
 
 def test_component_report_connected_graph_single_component():

@@ -18,6 +18,7 @@ from edgeshapley import (
     shapley_sampled,
     shapley_weights,
 )
+from edgeshapley.masks import all_masks
 
 from conftest import permutation_shapley, random_zero_normalized_game
 
@@ -169,7 +170,7 @@ def test_symmetry_and_null_player():
 def test_symmetry_and_null_player_detection(v, pairs, nulls):
     if pairs is None:
         pairs, nulls = scalar_pairs(v), scalar_nulls(v)
-    table = games._table(v)
+    table = games._table(v, None)[0]
     assert games.interchangeable_pairs(table, v.n) == pairs
     assert games.null_players(table, v.n) == nulls
     alloc = shapley_exact(v)
@@ -215,10 +216,10 @@ def test_capacity_guard():
 
 
 def test_axiom_detection_refused_above_limit(monkeypatch):
-    def no_table(v):
+    def no_table(n):
         raise AssertionError("the coalition table must not be built")
 
-    monkeypatch.setattr(games, "_table", no_table)
+    monkeypatch.setattr(games, "all_masks", no_table)
     v = NodeCharacteristic(30, lambda m: 0)
     zeros = Allocation((0,) * 30, True)
     for which in ("symmetry", "null-player"):
@@ -228,23 +229,23 @@ def test_axiom_detection_refused_above_limit(monkeypatch):
 
 
 def test_enumeration_refuses_63_players(monkeypatch):
-    def no_table(v):
+    def no_table(n):
         raise AssertionError("the coalition table must not be built")
 
-    monkeypatch.setattr(games, "_table", no_table)
+    monkeypatch.setattr(games, "all_masks", no_table)
     v = NodeCharacteristic(63, lambda m: 0)
     for limit in (63, None):
         with pytest.raises(CapacityError, match="62-player bound"):
             shapley_exact(v, limit=limit)
     with pytest.raises(CapacityError):
-        games.all_masks(63)
+        all_masks(63)
 
 
 def test_memory_estimate_refuses_before_allocating(monkeypatch):
-    def no_table(v):
+    def no_table(n):
         raise AssertionError("the coalition table must not be built")
 
-    monkeypatch.setattr(games, "_table", no_table)
+    monkeypatch.setattr(games, "all_masks", no_table)
     monkeypatch.setattr(games, "_physical_memory", lambda: 1 << 25)
     v = NodeCharacteristic(20, lambda m: 0)
     with pytest.raises(CapacityError, match=r"needs about 0\.06 GiB, more than the 0\.03 GiB"):
@@ -297,7 +298,7 @@ def test_float_reduction_equals_per_player_formula():
         table[0] = 0.0
         member_masks = [int(m) for m in rng.integers(0, 1 << n, size=n)]
         for members in (None, member_masks):
-            got = games._reduce(table, n, members, None, False)
+            got = games._reduce(table, 1, n, members, None, False)
             want = per_player_float_reduction(table, n, members)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (n, members)
 

@@ -2,6 +2,7 @@
 engines agree with the permutation brute force, with scalar definitions
 written here, and with each other."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -116,10 +117,41 @@ def test_exact_reduction_beyond_int64(eg):
 def test_batch_table_equals_scalar_table(eg):
     v = lift(eg)
     assert v.has_vector_path
-    batch = _table(v)
-    scalar = _table(NodeCharacteristic(v.n, v, exact=True))
+    masks = all_masks(v.n)
+    batch = v.evaluate_many(masks)
+    scalar = NodeCharacteristic(v.n, v, exact=True).evaluate_many(masks)
     assert batch.dtype == scalar.dtype == object
     assert [(type(x), x) for x in batch] == [(type(x), x) for x in scalar]
+    table, denom = _table(v, None)
+    assert (table.dtype, denom) == table_form(scalar.tolist(), v.n)
+    assert_numerators(table, denom, scalar)
+
+
+def table_form(worths, n):
+    """The dtype and denominator ``_table`` gives an exact table of
+    ``worths`` that is not the int64 dividend fill: numerators over the lcm
+    D of the worths' denominators, int64 when every |worth * D| lies below
+    2^(61-n), Python ints beyond."""
+    denom = math.lcm(*{Fraction(x).denominator for x in worths})
+    small = all(abs(x * denom) < 1 << max(61 - n, 0) for x in worths)
+    return (np.int64 if small else object), denom
+
+
+def assert_numerators(table, denom, want):
+    """``_table``'s ``(table, denom)`` against ``want``, an array of the
+    game's own worths: float64 over 1, bit for bit, when approx; otherwise
+    int64 or Python-int numerators with ``Fraction(numerator, denom)`` equal
+    to every worth."""
+    if want.dtype == np.float64:
+        assert (table.dtype, denom) == (np.float64, 1)
+        assert table.tobytes() == want.tobytes()
+        return
+    assert {type(x) for x in want.tolist()} <= {int, Fraction}
+    assert table.dtype == np.int64 or {type(x) for x in table} <= {int}
+    got = table.tolist()
+    if denom != 1:
+        got = [Fraction(x, denom) for x in got]
+    assert got == want.tolist()
 
 
 def dividend_game(n, rows, exact):
@@ -139,16 +171,27 @@ def fill_dtype(rows, exact):
     return np.int64 if small and sum(abs(val) for _, val in rows) < 1 << 62 else object
 
 
+def table_dtype(rows, exact, n):
+    """The dtype and denominator ``_table`` gives a game declared by
+    ``rows``: the fill's own dtype over 1, unless that is object, whose
+    worths become numerators (see :func:`table_form`)."""
+    dtype = fill_dtype(rows, exact)
+    if dtype is not object:
+        return dtype, 1
+    worths = _dividend_worths(tuple(rows), exact)(all_masks(n))
+    return table_form(worths.tolist(), n)
+
+
 def assert_fill_equals_mask_path(n, rows, exact, chunk=1 << 20):
     """The superset fill of ``_table`` against ``_dividend_worths`` on all
-    2^n masks, taken ``chunk`` masks at a time: bit-identical floats, equal
-    ints, and the same value types in object tables."""
-    table = _table(dividend_game(n, rows, exact))
-    assert table.dtype == fill_dtype(rows, exact)
+    2^n masks, taken ``chunk`` masks at a time: bit-identical floats, and
+    numerators equal to the worths over the table's denominator."""
+    table, denom = _table(dividend_game(n, rows, exact), None)
+    assert (table.dtype, denom) == table_dtype(rows, exact, n)
     worths = _dividend_worths(tuple(rows), exact)
     for start in range(0, 1 << n, chunk):
         masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        assert_identical_tables(table[masks], worths(masks))
+        assert_numerators(table[masks], denom, worths(masks))
 
 
 @st.composite
@@ -259,13 +302,8 @@ def edge_mask_table(eg):
     return w.evaluate_many(edge_masks)
 
 
-def assert_identical_tables(got, want):
-    """Same values: an int64 table equals an oracle of Python ints value for
-    value; other tables match in dtype, in every value's type and bits."""
-    if got.dtype == np.int64 and want.dtype == object:
-        assert {type(x) for x in want} <= {int}
-        assert got.tolist() == want.tolist()
-        return
+def assert_same_values(got, want):
+    """Equal dtypes and, value for value, the same types and bits."""
     assert got.dtype == want.dtype
     if got.dtype == object:
         assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
@@ -279,9 +317,12 @@ def assert_identical_tables(got, want):
 def test_dividend_table_equals_edge_mask_table(exact, data):
     eg = data.draw(route_games(exact))
     assert eg.characteristic.dividends is not None
-    table = _table(lift(eg))
-    assert table.dtype == fill_dtype(eg.characteristic.dividends, exact)
-    assert_identical_tables(table, edge_mask_table(eg))
+    v = lift(eg)
+    want = edge_mask_table(eg)
+    assert_same_values(v.evaluate_many(all_masks(v.n)), want)
+    table, denom = _table(v, None)
+    assert (table.dtype, denom) == table_dtype(v.dividends, exact, v.n)
+    assert_numerators(table, denom, want)
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -294,9 +335,11 @@ def test_deleted_game_keeps_dividends(exact, data):
         assert deleted.characteristic.dividends is not None
         v = lift(deleted)
         scalar = NodeCharacteristic(v.n, v, exact=v.exact)  # w(embed(m)) per coalition
-        table = _table(v)
-        assert table.dtype == fill_dtype(deleted.characteristic.dividends, exact)
-        assert_identical_tables(table, _table(scalar))
+        want = scalar.evaluate_many(all_masks(v.n))
+        assert_same_values(v.evaluate_many(all_masks(v.n)), want)
+        table, denom = _table(v, None)
+        assert (table.dtype, denom) == table_dtype(v.dividends, exact, v.n)
+        assert_numerators(table, denom, want)
 
 
 def test_sampled_dividends_equal_edge_mask_sampler():
@@ -472,7 +515,7 @@ def test_int64_dividend_table_around_the_reduction_bound(n):
     for big in ((1 << (61 - n)) - 1, 1 << (61 - n), 1 << 60):
         rows = [(0b11, big), (0b110, -big), (full, big)]  # magnitudes below 2^62
         v = dividend_game(n, rows, True)
-        assert _table(v).dtype == np.int64
+        assert _table(v, None)[0].dtype == np.int64
         assert list(shapley_exact(v).values) == permutation_shapley(v)
         gg = GraphGame(g, v)
         assert list(myerson(gg).values) == permutation_shapley(component_sum(gg))
