@@ -11,8 +11,10 @@ Exit codes follow a scriptable convention:
 * 64 -- usage error (bad flags, method incompatible with the scenario's
   model, game too large for exact enumeration or for physical memory, approx
   game on a graph with more than 63 edges whose worth declares no dividends,
-  such as a strict-equality supply game);
-* 65 -- the input failed to load or a what-if target does not exist.
+  such as a strict-equality supply game, ``whatif --remove-node`` of a
+  scenario's only node);
+* 65 -- the input failed to load, the output could not be written, or a
+  what-if target does not exist.
 
 Output is byte-deterministic for a given (input file, flags, seed); wall-time
 measurement is therefore opt-in via ``--timing``.
@@ -108,14 +110,15 @@ def _fmt6(x: float) -> str:
 
 def _allocate(
     scenario: Scenario,
+    eg: EdgeGame,
     method: str,
     *,
     samples: int,
     seed: int,
     limit: int | None,
-    game: EdgeGame | None = None,
 ) -> Allocation:
-    eg = game if game is not None else scenario.edge_game()
+    """The allocation ``method`` gives ``eg``; closed_form reads the
+    scenario's routes, so :func:`cmd_whatif` refuses it on a deleted edge."""
     if method == "edge_shapley":
         return edge_shapley(eg, limit=limit)
     if method == "edge_shapley_pruned":
@@ -127,8 +130,6 @@ def _allocate(
     if method == "sampled":
         return shapley_sampled(lift(eg), samples, seed).with_labels(eg.graph.nodes)
     if method == "closed_form":
-        if game is not None:
-            raise UsageError("closed_form cannot run on an edge-deleted game")
         model = scenario.model
         if isinstance(model, SupplyModel):
             if model.semantics != CONTAINMENT:
@@ -228,17 +229,17 @@ def _render(doc_or_report, fmt: str, output: str | None):
         _emit(doc_or_report.to_table(), output)
 
 
-def _build_report(scenario, method, args) -> RunReport:
+def _build_report(scenario, eg, method, args) -> RunReport:
     started = time.perf_counter()
     alloc = _allocate(
         scenario,
+        eg,
         method,
         samples=args.samples,
         seed=args.seed,
         limit=args.limit,
     )
     elapsed = (time.perf_counter() - started) * 1000.0
-    eg = scenario.edge_game()
     total_worth = eg.total_worth
     checks = [
         CheckResult(
@@ -259,7 +260,7 @@ def _build_report(scenario, method, args) -> RunReport:
 
 def cmd_compute(args) -> int:
     scenario = load_scenario(args.input)
-    report = _build_report(scenario, args.method, args)
+    report = _build_report(scenario, scenario.edge_game(), args.method, args)
     status = 0
     if args.check_expected:
         expected = scenario.expected_allocation()
@@ -300,26 +301,26 @@ def cmd_compute(args) -> int:
 
 
 def _whatif_doc(args, scenario: Scenario):
-    base_report = _build_report(scenario, args.method, args)
+    eg = scenario.edge_game()
+    base_report = _build_report(scenario, eg, args.method, args)
     fairness = None
     if args.remove_node is not None:
         modified = remove_node(scenario, args.remove_node)
-        mod_report = _build_report(modified, args.method, args)
+        mod_report = _build_report(modified, modified.edge_game(), args.method, args)
         removed = {args.remove_node}
     else:
         u, v = args.remove_edge
-        eg = scenario.edge_game()
         j = eg.graph.edge_index(u, v)  # raises UnknownEdgeError -> 65
         edge = eg.graph.edges[j]
         deleted = delete_edge(eg, (u, v))
         started = time.perf_counter()
         alloc = _allocate(
             scenario,
+            deleted,
             args.method,
             samples=args.samples,
             seed=args.seed,
             limit=args.limit,
-            game=deleted,
         )
         elapsed = (time.perf_counter() - started) * 1000.0
         mod_report = RunReport(
@@ -356,6 +357,8 @@ def cmd_whatif(args) -> int:
     scenario = load_scenario(args.input)
     if args.method == "closed_form" and args.remove_edge is not None:
         raise UsageError("closed_form cannot run on an edge-deleted game")
+    if args.remove_node is not None and scenario.graph.nodes == (args.remove_node,):
+        raise UsageError(f"removing {args.remove_node} leaves no players")
     base_report, mod_report, deltas, fairness = _whatif_doc(args, scenario)
     exact = base_report.allocation.exact
 
@@ -530,7 +533,7 @@ def main(argv=None) -> int:
     except (UsageError, CapacityError) as e:
         print(f"edgeshapley: error: {e}", file=sys.stderr)
         return 64
-    except (ScenarioError, UnknownNodeError, UnknownEdgeError, FileNotFoundError) as e:
+    except (ScenarioError, UnknownNodeError, UnknownEdgeError, OSError) as e:
         print(f"edgeshapley: error: {e}", file=sys.stderr)
         return 65
     except GameError as e:

@@ -167,10 +167,10 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
     (what fills the engines' coalition table) builds the induced edge masks
     of the coalitions as int64, which holds at most ``MAX_EDGE_BITS``
     edges: an approx worth with a vector path evaluates them as one array
-    (and refuses more edges with `CapacityError`); an exact worth is called
-    once per distinct induced edge set and the results are gathered back per
-    coalition, so the table holds the worth's own ints and Fractions; exact
-    games on more edges are evaluated coalition by coalition.
+    (and refuses more edges with `CapacityError`); any other worth, in
+    either domain, is called once per distinct induced edge set and the
+    results are gathered back per coalition; such games on more edges are
+    evaluated coalition by coalition.
     """
     g = eg.graph
     w = eg.characteristic
@@ -185,10 +185,12 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
         fn_many = _dividend_worths(rows, w.exact)
     elif w.has_vector_path:
         fn_many = lambda masks: w.evaluate_many(g.induced_edge_masks(masks))
-    elif w.exact and len(g.edges) <= MAX_EDGE_BITS:
+    elif len(g.edges) <= MAX_EDGE_BITS:
+        dtype = object if w.exact else np.float64
+
         def fn_many(masks: np.ndarray) -> np.ndarray:
             edge_sets, inverse = np.unique(g.induced_edge_masks(masks), return_inverse=True)
-            worths = np.fromiter(map(w, edge_sets.tolist()), dtype=object, count=edge_sets.size)
+            worths = np.fromiter(map(w, edge_sets.tolist()), dtype=dtype, count=edge_sets.size)
             return worths[inverse]
 
     return NodeCharacteristic(g.n, fn, exact=w.exact, fn_many=fn_many, dividends=rows)

@@ -25,15 +25,15 @@ game does) fills its table by adding each row onto the view of the supersets
 of its node mask: float64 when approx, int64 numerators when exact and the
 rows' magnitudes sum below 2^62, the rows' own ints and Fractions (then
 brought to numerators) otherwise. Other games fill it through
-:meth:`NodeCharacteristic.evaluate_many`; lifted exact edge games call the
-edge worth once per distinct induced edge set (see
+:meth:`NodeCharacteristic.evaluate_many`; lifted edge games whose worth
+has no vector path call it once per distinct induced edge set (see
 :func:`edgeshapley.edgegame.lift`). The domain is the game's ``exact`` flag,
 never the table's dtype. The float reduction weights the marginals from one
 half-size table of size weights. The exact reduction sums the numerators
 (as Python ints where the int64 bound does not cover them) and forms one
-`Fraction` per player at the end. The approx sampler reads a lifted game's
-per-step worths straight from its declared dividend rows (see
-:func:`shapley_sampled`).
+`Fraction` per player at the end. The sampler reads a block of
+permutations' prefix worths at once, an approx lifted game's straight from
+its declared dividend rows (see :func:`shapley_sampled`).
 
 Determinism contract: the table is built in ascending mask order in one
 pass, and every float sum runs over a contiguous array in that order, so
@@ -74,10 +74,11 @@ DEFAULT_ENUMERATION_LIMIT = 24
 #: n = 16-20, for edge_shapley / edge_shapley_pruned / myerson /
 #: component_efficiency_check, read 21-23 / 26 / 49 / 49 on approx supply
 #: games and 18 / 22 / 49 / 41 on exact contract games (counts above 256,
-#: an int64 dividend table). Exact games without declared dividends (the
-#: unique pass of the batch path) read 57-58 for all four, on ints above
-#: 256 and on Fractions alike, since the table build hands out int64
-#: numerators. Worths beyond 2^62 stay one Python int per coalition and
+#: an int64 dividend table). Games whose edge worth has no vector path (the
+#: unique pass of the batch path) read 57-58 for all four: exact ones on
+#: ints above 256 and on Fractions alike, since the table build hands out
+#: int64 numerators, and approx tables and Myerson bridges on 16-18-node
+#: paths. Worths beyond 2^62 stay one Python int per coalition and
 #: read 58 / 58 / 90-91 / 73-74 on a path game and 71 / 74 / 126 / 109 on a
 #: 16-player contract game: myerson and the component check exceed the
 #: budget there. 2^n times this must fit in physical memory.
@@ -90,10 +91,11 @@ class NodeCharacteristic:
     ``fn`` must be deterministic and effect-free with ``fn(0) == 0``. Either
     domain may supply ``fn_many``, which maps an int64 mask array to a worth
     array: float64 for approx characteristics, an object array of ints and
-    Fractions for exact ones. The engines fill their coalition table through
+    Fractions for exact ones. The engines and the sampler evaluate through
     :meth:`evaluate_many`, which falls back to calling ``fn`` once per mask;
-    :func:`edgeshapley.edgegame.lift` gives exact edge games a ``fn_many``
-    that calls the edge worth once per distinct induced edge set.
+    :func:`edgeshapley.edgegame.lift` gives edge games whose worth has no
+    vector path a ``fn_many`` that calls it once per distinct induced edge
+    set.
 
     ``dividends``, when given, declares the game as a sum of unanimity games:
     ``(node_mask, value)`` rows, where S is worth the sum of ``value`` over
@@ -135,9 +137,8 @@ class NodeCharacteristic:
     def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
         if self._fn_many is not None:
             return self._fn_many(masks)
-        if self.exact:
-            return np.fromiter(map(self._fn, masks.tolist()), dtype=object, count=masks.size)
-        return np.array([self._fn(int(m)) for m in masks], dtype=np.float64)
+        dtype = object if self.exact else np.float64
+        return np.fromiter(map(self._fn, masks.tolist()), dtype=dtype, count=masks.size)
 
     @classmethod
     def from_table(
@@ -228,9 +229,9 @@ class Allocation:
 class EngineStats:
     """Work counters an engine fills in when handed to it: coalition table
     entries filled (2^n per enumeration, as the table is always full) and
-    marginal terms summed. A lifted exact edge game fills its 2^n entries by
-    the batch path, which calls the edge worth only once per distinct induced
-    edge set."""
+    marginal terms summed. A lifted edge game whose worth has no vector path
+    fills its 2^n entries by the batch path, which calls the edge worth only
+    once per distinct induced edge set."""
 
     marginals: int = 0
     evaluations: int = 0
@@ -564,57 +565,42 @@ def shapley_sampled(
     ``samples`` uniformly drawn player permutations.
 
     The generator is seeded, so identical (seed, samples, game) inputs give
-    bit-identical output on every run. Approx games with a vector path draw
-    their permutations in blocks of ``_SAMPLE_BLOCK`` and read the worth of
-    every prefix at once: a game that declares its dividends from the steps
-    at which each row completes (see :func:`_completion_worths`), with no
-    prefix masks; others by :meth:`NodeCharacteristic.evaluate_many` of the
-    prefix masks. Both give the same per-step worths, so the estimate does
-    not depend on which path ran. Other games draw one permutation per
-    sample and call the characteristic per prefix.
+    bit-identical output on every run. Permutations are drawn in blocks of
+    ``_SAMPLE_BLOCK`` rows by ``rng.permuted(block, axis=1)``, whose rows
+    must equal successive ``rng.permutation(n)`` draws, so the stream does
+    not depend on the block size. An approx game that declares its dividends
+    reads every prefix worth from the steps at which each row completes (see
+    :func:`_completion_worths`); every other game from
+    :meth:`NodeCharacteristic.evaluate_many` of the prefix masks, which
+    gives the same worths. Marginals are added in sample order, into float64
+    (approx) or the game's own ints and Fractions (exact).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_grounded(v)
     n = v.n
     rng = np.random.default_rng(seed)
-
-    if v.has_vector_path and not v.exact:
-        if v.dividends is not None:
-            prefix_worths = _completion_worths(v.dividends, n)
-        else:
-            def prefix_worths(perms: np.ndarray) -> np.ndarray:
-                bits = np.int64(1) << perms
-                prefixes = np.bitwise_or.accumulate(bits, axis=1)
-                return v.evaluate_many(prefixes.ravel()).reshape(perms.shape)
-        acc = np.zeros(n, dtype=np.float64)
-        remaining = samples
-        base = np.tile(np.arange(n), (_SAMPLE_BLOCK, 1))
-        while remaining > 0:
-            k = min(remaining, _SAMPLE_BLOCK)
-            perms = rng.permuted(base[:k], axis=1)
-            vals = prefix_worths(perms)
-            marginals = np.diff(vals, axis=1, prepend=0.0)
-            np.add.at(acc, perms.ravel(), marginals.ravel())
-            remaining -= k
-        return Allocation(tuple(float(x) for x in acc / samples), False)
-
-    totals: list[Value] = [0] * n
-    for _ in range(samples):
-        perm = rng.permutation(n)
-        mask = 0
-        prev: Value = 0
-        for idx in perm:
-            i = int(idx)
-            mask |= 1 << i
-            cur = v(mask)
-            totals[i] += cur - prev
-            prev = cur
-    if v.exact:
-        values = tuple(Fraction(t) / samples for t in totals)
+    if v.dividends is not None and not v.exact:
+        prefix_worths = _completion_worths(v.dividends, n)
     else:
-        values = tuple(t / samples for t in totals)
-    return Allocation(values, v.exact)
+        def prefix_worths(perms: np.ndarray) -> np.ndarray:
+            prefixes = np.bitwise_or.accumulate(np.int64(1) << perms, axis=1)
+            return v.evaluate_many(prefixes.ravel()).reshape(perms.shape)
+    acc = np.zeros(n, dtype=object if v.exact else np.float64)
+    remaining = samples
+    base = np.tile(np.arange(n), (_SAMPLE_BLOCK, 1))
+    while remaining > 0:
+        k = min(remaining, _SAMPLE_BLOCK)
+        perms = rng.permuted(base[:k], axis=1)
+        # a named block outlives the next block's allocations; freeing it
+        # at once measured 15-20% slower on 32-48-player route games
+        vals = prefix_worths(perms)
+        marginals = np.diff(vals, axis=1, prepend=0)
+        np.add.at(acc, perms.ravel(), marginals.ravel())
+        remaining -= k
+    if v.exact:
+        return Allocation(tuple(Fraction(t) / samples for t in acc), True)
+    return Allocation(tuple(float(x) for x in acc / samples), False)
 
 
 def _component_table(g: Graph) -> np.ndarray:

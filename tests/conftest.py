@@ -37,6 +37,27 @@ def permutation_shapley(v: NodeCharacteristic) -> list[Fraction]:
     return [Fraction(t) / count for t in totals]
 
 
+def per_sample_shapley(v: NodeCharacteristic, samples: int, seed: int) -> tuple:
+    """Reference for the seeded sampler: one ``Generator.permutation(n)``
+    draw per sample and one characteristic call per prefix, each marginal
+    added to its player in sample order. Exact games end as one `Fraction`
+    per player, approx games as the float total over ``samples``."""
+    rng = np.random.default_rng(seed)
+    totals = [0] * v.n
+    for _ in range(samples):
+        mask = 0
+        prev = 0
+        for idx in rng.permutation(v.n):
+            i = int(idx)
+            mask |= 1 << i
+            cur = v(mask)
+            totals[i] += cur - prev
+            prev = cur
+    if v.exact:
+        return tuple(Fraction(t) / samples for t in totals)
+    return tuple(t / samples for t in totals)
+
+
 # ---------------------------------------------------------------------------
 # Reference games
 # ---------------------------------------------------------------------------

@@ -334,6 +334,31 @@ def test_whatif_unknown_target_exits_65(capsys):
     capsys.readouterr()
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("edgeshapley: error: ")
+    assert err.count("\n") == 1
+
+
+def test_whatif_removing_the_only_node_exits_64(tmp_path, capsys):
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({
+        "nodes": ["U"],
+        "edges": [],
+        "model": {"type": "edge_count_power", "exponent": 1},
+        "domain": "exact",
+    }))
+    assert main(["whatif", "--input", str(path), "--remove-node", "U"]) == 64
+    assert_one_error_line(capsys)
+
+
+def test_directory_as_input_or_output_exits_65(tmp_path, capsys):
+    assert main(["compute", "--input", str(tmp_path)]) == 65
+    assert_one_error_line(capsys)
+    assert main(["compute", "--input", H, "--output", str(tmp_path)]) == 65
+    assert_one_error_line(capsys)
+
+
 # ---------------------------------------------------------------------------
 # whatif
 # ---------------------------------------------------------------------------

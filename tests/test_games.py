@@ -9,18 +9,32 @@ from edgeshapley import (
     Allocation,
     CapacityError,
     CharacteristicContractError,
+    CostDecayParams,
+    EdgeCharacteristic,
+    EdgeGame,
     GraphGame,
     NodeCharacteristic,
+    Route,
     axiom_check,
     build_graph,
+    contract_weight_fn,
+    lift,
     myerson,
+    myerson_bridge,
+    power_weight_fn,
     shapley_exact,
     shapley_sampled,
     shapley_weights,
+    supply_weight_fn,
 )
 from edgeshapley.masks import all_masks
 
-from conftest import permutation_shapley, random_zero_normalized_game
+from conftest import (
+    per_sample_shapley,
+    permutation_shapley,
+    random_connected_graph,
+    random_zero_normalized_game,
+)
 
 
 def unanimity(n, members):
@@ -345,6 +359,47 @@ def test_sampled_deterministic():
 def test_sampled_rejects_zero_samples():
     with pytest.raises(ValueError):
         shapley_sampled(additive(3), 0, 1)
+
+
+def oracle_sampler_games():
+    """One game per way the sampler reads prefix worths: lifted exact power,
+    contract (declared rows) and table games, an approx Myerson bridge (no
+    vector path), an approx strict-equality supply game (the worth's vector
+    path on prefix masks) and an approx containment supply game (completion
+    steps of declared rows)."""
+    rng = np.random.default_rng(2024)
+    g = random_connected_graph(rng, 6)
+    routes = [Route(g.labels_of(g.endpoint_mask(int(rng.integers(1, 1 << len(g.edges))))),
+                    float(np.round(rng.uniform(1, 20), 3))) for _ in range(4)]
+    counts = [Route(r.nodes, int(rng.integers(1, 9))) for r in routes]
+    # worths on the edge sets coalitions induce, so most coalitions count
+    table = {g.induced_edge_mask(m): Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 4)))
+             for m in range(1 << g.n) if rng.random() < 0.5}
+    table.pop(0, None)
+    node_game = NodeCharacteristic(
+        g.n, lambda m: 0.0 if m.bit_count() < 2 else 0.1 * m + 0.3 * m.bit_count(),
+        exact=False,
+    )
+    return {
+        "power": EdgeGame(g, power_weight_fn(g, 2)),
+        "contract": EdgeGame(g, contract_weight_fn(g, counts)),
+        "table": EdgeGame(g, EdgeCharacteristic.from_table(g.edges, table)),
+        "bridge-approx": myerson_bridge(GraphGame(g, node_game)),
+        "supply-strict": EdgeGame(g, supply_weight_fn(
+            g, routes, CostDecayParams(0.2, "strict-equality"))),
+        "supply-containment": EdgeGame(g, supply_weight_fn(g, routes, CostDecayParams(0.2))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(oracle_sampler_games()))
+def test_sampled_equals_per_sample_oracle(name):
+    # one permuted block row per sample draws what one permutation(n) call
+    # per sample draws, within a block and across block boundaries
+    v = lift(oracle_sampler_games()[name])
+    for seed in (5, 2718):
+        for samples in (1, 4095, 4096, 4097):
+            assert (shapley_sampled(v, samples, seed).values
+                    == per_sample_shapley(v, samples, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,10 @@ HUGE = st.builds(lambda sign, x: sign * x, st.sampled_from((-1, 1)),
                  st.integers(1 << 62, 1 << 80))
 
 
+#: Floats, often ones whose binary64 sums depend on the order of addition.
+FLOATS = st.one_of(st.sampled_from([0.1, 0.2, 0.3]), st.floats(-1e6, 1e6, allow_nan=False))
+
+
 @st.composite
 def graphs(draw, min_nodes=1, max_edges=9, max_nodes=7):
     """A random graph on ``min_nodes`` to ``max_nodes`` nodes and at most
@@ -62,15 +66,15 @@ def graphs(draw, min_nodes=1, max_edges=9, max_nodes=7):
 
 
 @st.composite
-def table_edge_games(draw, values=st.integers(-5, 9)):
+def table_edge_games(draw, values=st.integers(-5, 9), exact=True):
     """A random graph and a sparse random table of ``values`` over its edge
-    subsets (missing subsets are worth 0)."""
+    subsets (missing subsets are worth 0), in the domain ``exact`` names."""
     g = draw(graphs())
     m = len(g.edges)
     table = {}
     if m:
         table = draw(st.dictionaries(st.integers(1, (1 << m) - 1), values, max_size=3 * m))
-    return EdgeGame(g, EdgeCharacteristic.from_table(g.edges, table))
+    return EdgeGame(g, EdgeCharacteristic.from_table(g.edges, table, exact=exact))
 
 
 @PROPERTY_SETTINGS
@@ -113,17 +117,18 @@ def test_exact_reduction_beyond_int64(eg):
 
 @PROPERTY_SETTINGS
 @given(st.one_of(table_edge_games(), table_edge_games(values=FRACTIONS),
-                 table_edge_games(values=HUGE)))
+                 table_edge_games(values=HUGE), table_edge_games(values=FLOATS, exact=False)))
 def test_batch_table_equals_scalar_table(eg):
     v = lift(eg)
     assert v.has_vector_path
     masks = all_masks(v.n)
     batch = v.evaluate_many(masks)
-    scalar = NodeCharacteristic(v.n, v, exact=True).evaluate_many(masks)
-    assert batch.dtype == scalar.dtype == object
-    assert [(type(x), x) for x in batch] == [(type(x), x) for x in scalar]
+    scalar = NodeCharacteristic(v.n, v, exact=v.exact).evaluate_many(masks)
+    assert batch.dtype == scalar.dtype == (object if v.exact else np.float64)
+    assert_same_values(batch, scalar)
     table, denom = _table(v, None)
-    assert (table.dtype, denom) == table_form(scalar.tolist(), v.n)
+    if v.exact:
+        assert (table.dtype, denom) == table_form(scalar.tolist(), v.n)
     assert_numerators(table, denom, scalar)
 
 
@@ -205,10 +210,6 @@ def dividend_rows(draw, values):
     picked = draw(st.lists(st.tuples(masks, values), max_size=6))
     rows = draw(st.lists(st.sampled_from(picked), max_size=12)) if picked else []
     return n, rows
-
-
-#: Floats, often ones whose binary64 sums depend on the order of addition.
-FLOATS = st.one_of(st.sampled_from([0.1, 0.2, 0.3]), st.floats(-1e6, 1e6, allow_nan=False))
 
 
 @PROPERTY_SETTINGS
