@@ -3,9 +3,10 @@
 Exit codes follow a scriptable convention:
 
 * 0 -- success;
-* 1 -- a check failed: ``whatif --remove-edge`` found unequal endpoint
-  deltas, or a hard ``axioms`` check (efficiency, symmetry, null-player,
-  fairness) did not pass;
+* 1 -- a check failed: ``whatif --remove-edge`` with a deterministic method
+  found unequal endpoint deltas (``--method sampled`` reports their gap
+  without a verdict), or a hard ``axioms`` check (efficiency, symmetry,
+  null-player, fairness) did not pass;
 * 2 -- an expected vector was present and the computed allocation mismatched
   (regression mode);
 * 64 -- usage error (bad flags, method incompatible with the scenario's
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from .edgegame import (
     EdgeGame,
     _component_report,
+    _deleted_endpoint_values,
     delete_edge,
     edge_shapley,
     edge_shapley_pruned,
@@ -46,6 +48,7 @@ from .games import (
     Value,
     _axiom_check,
     _reduce,
+    _ReduceTables,
     _table,
     myerson,
     shapley_exact,
@@ -334,11 +337,13 @@ def _whatif_doc(args, scenario: Scenario):
         removed = set()
         d_src = base_report.allocation[edge.src] - alloc[edge.src]
         d_dst = base_report.allocation[edge.dst] - alloc[edge.dst]
-        fairness = {
-            "edge": [edge.src, edge.dst],
-            "delta": [d_src, d_dst],
-            "equal": values_close(d_src, d_dst, base_report.allocation.exact, 1e-9),
-        }
+        fairness = {"edge": [edge.src, edge.dst], "delta": [d_src, d_dst]}
+        if args.method == "sampled":
+            # two Monte-Carlo estimates differ by their sampling error, so
+            # their gap is reported without a verdict
+            fairness["gap"] = d_src - d_dst
+        else:
+            fairness["equal"] = values_close(d_src, d_dst, base_report.allocation.exact, 1e-9)
 
     deltas = []
     for label in scenario.graph.nodes:
@@ -380,8 +385,11 @@ def cmd_whatif(args) -> int:
             doc["fairness"] = {
                 "edge": fairness["edge"],
                 "delta": [num(d) for d in fairness["delta"]],
-                "equal": fairness["equal"],
             }
+            if "equal" in fairness:
+                doc["fairness"]["equal"] = fairness["equal"]
+            else:
+                doc["fairness"]["gap"] = num(fairness["gap"])
         _render(doc, "json", args.output)
     else:
         lines = ["# baseline", base_report.to_table(), "# modified", mod_report.to_table()]
@@ -398,11 +406,15 @@ def cmd_whatif(args) -> int:
             d_src, d_dst = fairness["delta"]
             ds = str(d_src) if exact else _fmt6(d_src)
             dd = str(d_dst) if exact else _fmt6(d_dst)
-            verdict = "equal" if fairness["equal"] else "UNEQUAL"
-            lines.append(f"# fairness\nendpoint deltas {u}: {ds}, {v}: {dd} -> {verdict}\n")
+            if "equal" in fairness:
+                verdict = "-> equal" if fairness["equal"] else "-> UNEQUAL"
+            else:
+                gap = str(fairness["gap"]) if exact else _fmt6(fairness["gap"])
+                verdict = f"(sampled estimates, gap {gap}, no verdict)"
+            lines.append(f"# fairness\nendpoint deltas {u}: {ds}, {v}: {dd} {verdict}\n")
         _emit("\n".join(lines), args.output)
 
-    if fairness is not None and not fairness["equal"]:
+    if fairness is not None and not fairness.get("equal", True):
         return 1
     return 0
 
@@ -412,9 +424,11 @@ def cmd_axioms(args) -> int:
     eg = scenario.edge_game()
     v = lift(eg)
     # one base table serves the allocation, the axiom views and the
-    # component check
+    # component check; the per-n tables of the reduction, built after its
+    # capacity check, serve it and every edge deletion
     table, denom = _table(v, args.limit)
-    values = _reduce(table, denom, v.n, None, None, v.exact)
+    tables = _ReduceTables(v.n, v.exact)
+    values = _reduce(table, denom, v.n, None, None, v.exact, tables=tables)
     alloc = Allocation(values, v.exact, eg.graph.nodes)
     report = _axiom_check(v, alloc, "all", (), args.limit, 1e-9, table)
     checks = list(report.checks)
@@ -422,9 +436,10 @@ def cmd_axioms(args) -> int:
     fair_ok = True
     witness = ""
     for edge in eg.graph.edges:
-        after = edge_shapley(delete_edge(eg, edge), limit=args.limit)
-        d_src = alloc[edge.src] - after[edge.src]
-        d_dst = alloc[edge.dst] - after[edge.dst]
+        # each deleted game's own table, reduced for the edge's endpoints only
+        after_src, after_dst = _deleted_endpoint_values(eg, edge, args.limit, tables)
+        d_src = alloc[edge.src] - after_src
+        d_dst = alloc[edge.dst] - after_dst
         if not values_close(d_src, d_dst, alloc.exact, 1e-9):
             fair_ok = False
             witness = f"; unequal deltas on ({edge.src}, {edge.dst}): {d_src} vs {d_dst}"
@@ -432,6 +447,7 @@ def cmd_axioms(args) -> int:
     checks.append(
         CheckResult("fairness", fair_ok, f"{len(eg.graph.edges)} edge deletion(s){witness}")
     )
+    del tables  # before the component check allocates its own tables
 
     comp = _component_report(eg, v, table, alloc, 1e-9)
     for entry in comp.components:

@@ -34,6 +34,7 @@ from .games import (
     _component_table,
     _dividend_dtype,
     _reduce,
+    _ReduceTables,
     _table,
     shapley_exact,
     shapley_restricted,
@@ -384,16 +385,39 @@ def fairness_delta(
     """How much each endpoint of ``e`` loses when the edge is deleted.
 
     Returns the (src, dst) allocation drops; the allocation rule guarantees
-    they are equal, which makes this a handy self-check.
+    they are equal, which makes this a handy self-check. Each endpoint's two
+    values are reductions of a whole coalition table for the two endpoints
+    only: the game's own, then the edge-deleted game's own (see
+    :func:`_deleted_endpoint_values`). They equal those players'
+    :func:`edge_shapley` values bit for bit. ``threads`` has no effect.
     """
-    j = _resolve_edge(eg.graph, e)
-    edge = eg.graph.edges[j]
-    before = edge_shapley(eg, limit=limit)
-    after = edge_shapley(delete_edge(eg, e), limit=limit)
-    return (
-        before[edge.src] - after[edge.src],
-        before[edge.dst] - after[edge.dst],
-    )
+    g = eg.graph
+    edge = g.edges[_resolve_edge(g, e)]
+    v = lift(eg)
+    table, denom = _table(v, limit)
+    tables = _ReduceTables(v.n, v.exact)
+    ends = (g.index(edge.src), g.index(edge.dst))
+    before = _reduce(table, denom, v.n, None, None, v.exact, players=ends, tables=tables)
+    del table  # before the deleted game's table is built
+    after = _deleted_endpoint_values(eg, edge, limit, tables)
+    return before[0] - after[0], before[1] - after[1]
+
+
+def _deleted_endpoint_values(
+    eg: EdgeGame,
+    edge: Edge,
+    limit: int | None,
+    tables: _ReduceTables,
+) -> tuple[Value, Value]:
+    """The (src, dst) values of ``edge``'s endpoints in the game without it:
+    the coalition table of ``lift(delete_edge(eg, edge))``, built whole and
+    reduced for those two players only, on ``tables`` (the per-n tables of
+    ``eg``'s player count and domain, which deletion keeps)."""
+    g = eg.graph
+    v = lift(delete_edge(eg, edge))
+    table, denom = _table(v, limit)
+    ends = (g.index(edge.src), g.index(edge.dst))
+    return _reduce(table, denom, v.n, None, None, v.exact, players=ends, tables=tables)
 
 
 # ---------------------------------------------------------------------------

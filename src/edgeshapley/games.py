@@ -10,12 +10,16 @@ exactly one value domain:
 The two domains never mix inside one computation. Every full-enumeration
 value (plain, pruned, Myerson) comes from one engine: :func:`_table` is the
 only way to the worth of all 2^n coalitions, and :func:`_reduce` turns that
-table into marginal sums; symmetry and null-player detection are views of the
-same table. :func:`_table` runs the capacity and grounding checks before it
-allocates anything and hands out one representation per domain: float64 for
-approx games, integer numerators over one common denominator for exact games
-(int64 when a bound proves every marginal sum safe, Python ints otherwise),
-so no engine reads the game's own ints and Fractions. How coalitions split
+table into marginal sums, for every player or for a chosen few; symmetry and
+null-player detection are views of the same table, and fairness deltas a
+two-player view (each edge-deleted game's own table, reduced for the edge's
+two endpoints on per-n size tables built once, see
+:func:`edgeshapley.edgegame.fairness_delta`). :func:`_table` runs the
+capacity and grounding checks before it allocates anything and hands out
+one representation per domain: float64 for approx games, integer
+numerators over one common denominator for exact games (int64 when a bound
+proves every marginal sum safe, Python ints otherwise), so no engine reads
+the game's own ints and Fractions. How coalitions split
 on a graph is one more table, :func:`_component_table`: the component of
 each coalition's lowest member. The Myerson value reduces the
 graph-restricted table folded from it, and
@@ -33,7 +37,8 @@ half-size table of size weights. The exact reduction sums the numerators
 (as Python ints where the int64 bound does not cover them) and forms one
 `Fraction` per player at the end. The sampler reads a block of
 permutations' prefix worths at once, an approx lifted game's straight from
-its declared dividend rows (see :func:`shapley_sampled`).
+its declared dividend rows, and sums an exact game's as integer numerators
+over one denominator (see :func:`shapley_sampled`).
 
 Determinism contract: the table is built in ascending mask order in one
 pass, and every float sum runs over a contiguous array in that order, so
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -382,6 +388,40 @@ def _squeeze(mask: int, i: int) -> int:
     return (mask & ((1 << i) - 1)) | ((mask >> (i + 1)) << i)
 
 
+class _ReduceTables:
+    """The per-n tables every reduction of n-player tables in one domain
+    reads: the half-size coalition index, its popcounts (the coalition
+    sizes), the float size weights (approx) or the integer size
+    coefficients s!(n-s-1)! and n! (exact), and the marginal buffer. A
+    caller that reduces several tables, such as the fairness check, builds
+    them once and hands them to each :func:`_reduce`."""
+
+    __slots__ = ("index", "sizes", "weights", "coef", "scale", "_diff")
+
+    def __init__(self, n: int, exact: bool):
+        self.index = np.arange(1 << (n - 1), dtype=np.int64)
+        self.sizes = popcount_array(self.index)
+        self.weights = self.coef = None
+        self.scale = 1
+        if exact:
+            fact = [math.factorial(k) for k in range(n + 1)]
+            self.coef = [fact[s] * fact[n - s - 1] for s in range(n)]
+            self.scale = fact[n]
+        else:
+            self.weights = np.array([float(w) for w in shapley_weights(n)])[self.sizes]
+        self._diff = None
+
+    def buffer(self, dtype) -> np.ndarray:
+        """The half-size marginal buffer for a table of ``dtype``. A numeric
+        buffer is kept for the next reduction; an object one is not, as it
+        would keep the last player's marginals alive."""
+        if dtype == object:
+            return np.empty(self.index.size, dtype=object)
+        if self._diff is None or self._diff.dtype != dtype:
+            self._diff = np.empty(self.index.size, dtype=dtype)
+        return self._diff
+
+
 def _reduce(
     table: np.ndarray,
     denom: int,
@@ -389,39 +429,43 @@ def _reduce(
     member_masks: Sequence[int] | None,
     stats: EngineStats | None,
     exact: bool,
+    *,
+    players: Iterable[int] | None = None,
+    tables: _ReduceTables | None = None,
 ) -> tuple[Value, ...]:
     """Shapley value of player i = sum over coalitions S avoiding i of
-    ``weight(|S|) * (table[S + i] - table[S])``.
+    ``weight(|S|) * (table[S + i] - table[S])``, for each of ``players``
+    (default every player, in index order), in that order.
 
     Reshaped to (2^(n-1-i), 2, 2^i), the table's ``[:, 0, :]`` rows are the
     coalitions avoiding i and its ``[:, 1, :]`` rows the same coalitions with
     i added, both in ascending mask order. Position k of that order is the
     coalition whose mask with bit i squeezed out (see :func:`_squeeze`) is k,
     so it has popcount(k) members: one half-size table of sizes (and of
-    float weights) serves every player. Each player's marginals are
-    subtracted into one reused half-size buffer. ``member_masks[i]``, when
-    given, keeps only the coalitions that meet it, tested as
-    ``k & squeeze(member_masks[i]) != 0``. An exact table (``exact``, the
-    game's domain) holds integer numerators over ``denom`` (see
-    :func:`_table`); int64 numerators that the 2^(61-n) bound does not
+    float weights) serves every player. ``tables`` holds these per-n tables
+    (see :class:`_ReduceTables`); they are built here when not given. Each
+    player's marginals are subtracted into one reused half-size buffer, and
+    a player's sum reads only the table and that player's view of it, so a
+    value does not depend on which other players are reduced.
+    ``member_masks[i]``, when given, keeps only the coalitions that meet
+    it, tested as ``k & squeeze(member_masks[i]) != 0``. An exact table
+    (``exact``, the game's domain) holds integer numerators over ``denom``
+    (see :func:`_table`); int64 numerators that the 2^(61-n) bound does not
     cover (a Myerson fold, a dividend fill near 2^62) are summed as Python
     ints. Exact marginals are summed per coalition size and player i gets
     the single rational ``sum_s s!(n-s-1)! * S_s / (n! * denom)``. Float
     marginals are weighted in place and summed as one contiguous array.
     """
-    index = np.arange(1 << (n - 1), dtype=np.int64)
-    sizes = popcount_array(index)
+    if tables is None:
+        tables = _ReduceTables(n, exact)
+    index, sizes, weights, coef = tables.index, tables.sizes, tables.weights, tables.coef
     if exact:
         if table.dtype == np.int64 and not _int64_reducible(table, n):
             table = np.array(table.tolist(), dtype=object)
-        fact = [math.factorial(k) for k in range(n + 1)]
-        coef = [fact[s] * fact[n - s - 1] for s in range(n)]
-        denom *= fact[n]
-    else:
-        weights = np.array([float(w) for w in shapley_weights(n)])[sizes]
-    diff = np.empty(index.size, dtype=table.dtype)
+        denom *= tables.scale
+    diff = tables.buffer(table.dtype)
     out: list[Value] = []
-    for i in range(n):
+    for i in range(n) if players is None else players:
         rows = table.reshape(-1, 2, 1 << i)
         np.subtract(rows[:, 1, :], rows[:, 0, :], out=diff.reshape(-1, 1 << i))
         if not exact:
@@ -556,6 +600,40 @@ def _completion_worths(rows: tuple[tuple[int, Value], ...], n: int):
     return worths
 
 
+def _block_numerators(worths: np.ndarray, denom: int, acc: np.ndarray):
+    """Exact ``worths`` as Python-int numerators over the lcm of ``denom``
+    and their denominators, returned with that lcm. ``acc`` holds
+    numerators over ``denom`` and is rescaled in place when the lcm grows.
+    Python ints over 1 are handed back as they are; rationals other than
+    ints and Fractions become Fractions of Python ints first. A worth that
+    is not a rational breaks the exact contract."""
+    flat = worths.ravel()
+    kinds = set(map(type, flat))
+    if kinds <= {int} and denom == 1:
+        return worths, denom
+    if kinds - {int, Fraction}:
+        bad = next((x for x in flat if not isinstance(x, numbers.Rational)), None)
+        if bad is not None:
+            raise CharacteristicContractError(
+                f"exact characteristic returned {bad!r}, which is not an int or Fraction"
+            )
+        flat = np.fromiter(
+            (Fraction(int(x.numerator), int(x.denominator)) for x in flat),
+            dtype=object,
+            count=flat.size,
+        )
+    nums, dens = (
+        np.fromiter(map(operator.attrgetter(part), flat), dtype=object, count=flat.size)
+        for part in ("numerator", "denominator")
+    )
+    lcm = math.lcm(denom, *set(dens.tolist()))
+    if lcm != denom:
+        acc *= lcm // denom
+    if lcm != 1:
+        nums *= lcm // dens
+    return nums.reshape(worths.shape), lcm
+
+
 def shapley_sampled(
     v: NodeCharacteristic,
     samples: int,
@@ -572,8 +650,14 @@ def shapley_sampled(
     reads every prefix worth from the steps at which each row completes (see
     :func:`_completion_worths`); every other game from
     :meth:`NodeCharacteristic.evaluate_many` of the prefix masks, which
-    gives the same worths. Marginals are added in sample order, into float64
-    (approx) or the game's own ints and Fractions (exact).
+    gives the same worths. Marginals are added in sample order into float64
+    (approx) or, exact, into Python-int numerators over one denominator:
+    each block's worths are brought to numerators over the lcm of the
+    denominators seen so far (see :func:`_block_numerators`), and each
+    player gets one `Fraction` at the end. Worths of exact dividends that
+    sum in int64 (see :func:`_dividend_dtype`) are Python ints already and
+    skip that step. Exact sums do not depend on
+    their order, so this equals adding the game's own ints and Fractions.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -587,6 +671,12 @@ def shapley_sampled(
             prefixes = np.bitwise_or.accumulate(np.int64(1) << perms, axis=1)
             return v.evaluate_many(prefixes.ravel()).reshape(perms.shape)
     acc = np.zeros(n, dtype=object if v.exact else np.float64)
+    denom = 1  # exact: acc holds numerators over denom
+    # exact dividends that sum in int64 give Python-int worths, which are
+    # their own numerators; the type scan would only cost time
+    scan = v.exact and not (
+        v.dividends is not None and _dividend_dtype(v.dividends, True) is np.int64
+    )
     remaining = samples
     base = np.tile(np.arange(n), (_SAMPLE_BLOCK, 1))
     while remaining > 0:
@@ -595,11 +685,13 @@ def shapley_sampled(
         # a named block outlives the next block's allocations; freeing it
         # at once measured 15-20% slower on 32-48-player route games
         vals = prefix_worths(perms)
+        if scan:
+            vals, denom = _block_numerators(vals, denom, acc)
         marginals = np.diff(vals, axis=1, prepend=0)
         np.add.at(acc, perms.ravel(), marginals.ravel())
         remaining -= k
     if v.exact:
-        return Allocation(tuple(Fraction(t) / samples for t in acc), True)
+        return Allocation(tuple(Fraction(t, denom * samples) for t in acc), True)
     return Allocation(tuple(float(x) for x in acc / samples), False)
 
 

@@ -376,6 +376,54 @@ def test_whatif_remove_edge_fairness(capsys):
     assert deltas["A"]["delta"] == "-5/3"
 
 
+def test_whatif_sampled_fairness_is_informational(capsys):
+    # two Monte-Carlo deltas differ by sampling error; the sampled what-if
+    # reports their gap and passes
+    argv = ("whatif", "--input", SMARTPHONE, "--remove-edge", "S1", "M1",
+            "--method", "sampled", "--samples", "5000")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    fairness = out.split("# fairness\n")[1]
+    assert "gap" in fairness and "equal" not in fairness.lower()
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    d = json.loads(out)["fairness"]
+    assert "equal" not in d
+    assert d["delta"][0] != d["delta"][1]
+    assert d["gap"] == d["delta"][0] - d["delta"][1]
+
+
+def drop_one_more_row(monkeypatch):
+    """Plant a ``delete_edge`` bug: the deleted game also loses its first
+    remaining dividend row, which does not hold the deleted edge."""
+    from edgeshapley import cli, edgegame
+    from edgeshapley.edgegame import EdgeCharacteristic, EdgeGame
+
+    real = edgegame.delete_edge
+
+    def buggy(eg, e):
+        deleted = real(eg, e)
+        w = deleted.characteristic
+        rows = w.dividends[1:]
+        worth = lambda m: sum((val for em, val in rows if m & em == em), 0.0)
+        return EdgeGame(deleted.graph,
+                        EdgeCharacteristic(w.edges, worth, exact=w.exact, dividends=rows))
+
+    for module in (edgegame, cli):
+        monkeypatch.setattr(module, "delete_edge", buggy)
+
+
+@pytest.mark.parametrize("method", ["edge_shapley", "edge_shapley_pruned", "myerson", "shapley"])
+def test_whatif_deterministic_method_fails_on_unequal_deltas(capsys, monkeypatch, method):
+    # chain-suppliers without A-C keeps only the route B-C-D-E, which the
+    # bug drops too: C loses its share of it and A does not
+    drop_one_more_row(monkeypatch)
+    code, out = run(capsys, "whatif", "--input", CHAIN, "--remove-edge", "A", "C",
+                    "--method", method)
+    assert code == 1
+    assert "-> UNEQUAL" in out
+
+
 def test_whatif_remove_node_deltas(capsys):
     code, out = run(capsys, "whatif", "--input", CHAIN, "--remove-node", "A",
                     "--method", "closed_form", "--format", "json")
@@ -466,20 +514,52 @@ def test_axioms_single_edge_symmetric_pair(capsys, tmp_path):
 
 @pytest.mark.parametrize("name", ["counterexample-H", "platform-dual", "chain-suppliers"])
 def test_axioms_builds_and_reduces_the_base_table_once(capsys, monkeypatch, name):
-    # one table and one reduction per edge deletion, plus one base table
-    # that serves the allocation, the symmetry and null-player views and the
-    # component check
+    # one base table, reduced for every player, serves the allocation, the
+    # symmetry and null-player views and the component check; each edge
+    # deletion builds its own table and reduces the edge's two endpoints
     from edgeshapley import cli, edgegame, games
 
     built, reduced = [], []
     table, reduce = games._table, games._reduce
+
+    def count_reduce(*args, players=None, **kwargs):
+        reduced.append(None if players is None else tuple(players))
+        return reduce(*args, players=players, **kwargs)
+
     for module in (games, edgegame, cli):
         monkeypatch.setattr(module, "_table",
                             lambda v, *args: built.append(v.n) or table(v, *args))
-        monkeypatch.setattr(module, "_reduce",
-                            lambda *args: reduced.append(args[2]) or reduce(*args))
+        monkeypatch.setattr(module, "_reduce", count_reduce)
     path = fixture_path(name)
     code, _ = run(capsys, "axioms", "--input", path, "--format", "json")
     assert code == 0
-    edges = len(load_scenario(path).graph.edges)
-    assert len(built) == len(reduced) == edges + 1
+    g = load_scenario(path).graph
+    assert len(built) == len(g.edges) + 1
+    assert reduced == [None] + [(g.index(e.src), g.index(e.dst)) for e in g.edges]
+
+
+def test_axioms_fails_on_a_planted_deletion_bug(capsys, monkeypatch):
+    # the dropped row lies outside the coalitions holding both endpoints,
+    # so only a table built whole from the deleted game shows it
+    drop_one_more_row(monkeypatch)
+    code, out = run(capsys, "axioms", "--input", CHAIN)
+    assert code == 1
+    assert "[FAIL] fairness" in out
+    assert "unequal deltas on (A, C)" in out
+
+
+def test_axioms_fails_on_swapped_endpoint_values(capsys, monkeypatch):
+    # the deleted game's endpoint values handed back in the wrong order
+    from edgeshapley import cli, edgegame, games
+
+    reduce = games._reduce
+
+    def swapped(*args, players=None, **kwargs):
+        out = reduce(*args, players=players, **kwargs)
+        return out[::-1] if players is not None else out
+
+    for module in (games, edgegame, cli):
+        monkeypatch.setattr(module, "_reduce", swapped)
+    code, out = run(capsys, "axioms", "--input", CHAIN)
+    assert code == 1
+    assert "[FAIL] fairness" in out

@@ -402,6 +402,49 @@ def test_sampled_equals_per_sample_oracle(name):
                     == per_sample_shapley(v, samples, seed))
 
 
+def test_exact_sampler_on_fraction_table_equals_per_sample_oracle():
+    # Fraction worths over many denominators, some numerators beyond int64,
+    # some plain ints and some Fractions over 1: the sampler's integer
+    # numerators must sum to exactly the oracle's Fractions
+    rng = np.random.default_rng(11)
+    n = 7
+    denominators = (1, 2, 3, 7, 12, 97, (1 << 61) - 1)
+    table = {}
+    for m in range(1, 1 << n):
+        num = int(rng.integers(-50, 50)) << int(rng.choice([0, 70]))
+        den = denominators[int(rng.integers(len(denominators)))]
+        table[m] = num if den == 1 and m % 2 else Fraction(num, den)
+    v = NodeCharacteristic.from_table(n, table)
+    for samples in (1, 4095, 4096, 4097):
+        got = shapley_sampled(v, samples, 8).values
+        assert all(type(x) is Fraction for x in got)
+        assert got == per_sample_shapley(v, samples, 8)
+
+
+def test_block_numerators_rescale_the_accumulator():
+    # blocks of ints, then Fractions whose denominators grow the lcm, then
+    # ints again: the accumulator over the running lcm always equals the sum
+    blocks = [
+        [3, -7, 1 << 80],
+        [Fraction(1, 2), Fraction(5, 3), 4],
+        [Fraction(7, 1), 2, -1],
+        [Fraction(-1, 4), Fraction(2, 9), Fraction(1, 6)],
+    ]
+    acc = np.zeros(3, dtype=object)
+    denom, total = 1, [0, 0, 0]
+    for block in blocks:
+        worths = np.array(block, dtype=object).reshape(1, 3)
+        nums, denom = games._block_numerators(worths, denom, acc)
+        assert nums.shape == (1, 3) and {type(x) for x in nums.ravel()} == {int}
+        assert [Fraction(x, denom) for x in nums.ravel()] == block
+        acc += nums.ravel()
+        total = [t + x for t, x in zip(total, block)]
+        assert [Fraction(a, denom) for a in acc] == total
+    assert denom == 36
+    with pytest.raises(CharacteristicContractError):
+        games._block_numerators(np.array([[1, 0.5]], dtype=object), 1, np.zeros(2, dtype=object))
+
+
 # ---------------------------------------------------------------------------
 # Myerson value
 # ---------------------------------------------------------------------------

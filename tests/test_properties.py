@@ -34,7 +34,7 @@ from edgeshapley import (
     supply_weight_fn,
 )
 from edgeshapley.edgegame import _dividend_worths
-from edgeshapley.games import _table
+from edgeshapley.games import _reduce, _ReduceTables, _table
 from edgeshapley.masks import all_masks
 
 from conftest import permutation_shapley
@@ -89,6 +89,71 @@ def test_fairness_deltas_equal(eg):
     for edge in eg.graph.edges:
         d_src, d_dst = fairness_delta(eg, edge)
         assert d_src == d_dst
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(table_edge_games(), table_edge_games(values=FRACTIONS),
+                 table_edge_games(values=FLOATS, exact=False)))
+def test_fairness_delta_equals_edge_shapley_differences(eg):
+    # the endpoint-only reductions against two whole allocations: equal
+    # (exact) or bit-identical (approx) deltas
+    before = edge_shapley(eg)
+    for edge in eg.graph.edges:
+        after = edge_shapley(delete_edge(eg, edge))
+        want = (before[edge.src] - after[edge.src], before[edge.dst] - after[edge.dst])
+        got = fairness_delta(eg, edge)
+        assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
+
+
+@st.composite
+def reduction_inputs(draw):
+    """An n-player coalition table with v(empty) = 0 in one of the forms
+    ``_table`` hands out (float64; int64 numerators below the 2^(61-n)
+    bound; int64 numerators beyond it, which the reduction sums as Python
+    ints; Python-int numerators beyond int64), its denominator, the domain,
+    optional member masks and an ordered subset of the players."""
+    n = draw(st.integers(1, 7))
+    form = draw(st.sampled_from(["float64", "int64", "int64-beyond", "object"]))
+    if form == "float64":
+        values = FLOATS
+    elif form == "int64":
+        bound = 1 << (61 - n)
+        values = st.integers(-bound + 1, bound - 1)
+    elif form == "int64-beyond":
+        values = st.integers(-(1 << 62), 1 << 62)
+    else:
+        values = HUGE
+    worths = [0] + draw(st.lists(values, min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    if form == "float64":
+        table, denom = np.array(worths, dtype=np.float64), 1
+    else:
+        table = np.array(worths, dtype=object if form == "object" else np.int64)
+        denom = draw(st.integers(1, 12))
+    members = draw(st.one_of(st.none(), st.lists(st.integers(0, (1 << n) - 1),
+                                                 min_size=n, max_size=n)))
+    players = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return table, denom, n, form != "float64", members, players
+
+
+def same_values(got, want):
+    """Equal values of equal types, floats compared by their bits."""
+    if all(type(x) is float for x in want):
+        return np.array(got).tobytes() == np.array(want).tobytes()
+    return [(type(x), x) for x in got] == [(type(x), x) for x in want]
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(reduction_inputs())
+def test_player_subset_reduction_equals_full_reduction(inputs):
+    table, denom, n, exact, members, players = inputs
+    full = _reduce(table, denom, n, members, None, exact)
+    want = [full[i] for i in players]
+    assert same_values(_reduce(table, denom, n, members, None, exact, players=players), want)
+    # shared per-n tables: the buffer the full reduction left behind is reused
+    tables = _ReduceTables(n, exact)
+    assert same_values(_reduce(table, denom, n, members, None, exact, tables=tables), full)
+    got = _reduce(table, denom, n, members, None, exact, players=players, tables=tables)
+    assert same_values(got, want)
 
 
 @PROPERTY_SETTINGS
