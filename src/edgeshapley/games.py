@@ -391,12 +391,12 @@ def _squeeze(mask: int, i: int) -> int:
 class _ReduceTables:
     """The per-n tables every reduction of n-player tables in one domain
     reads: the half-size coalition index, its popcounts (the coalition
-    sizes), the float size weights (approx) or the integer size
-    coefficients s!(n-s-1)! and n! (exact), and the marginal buffer. A
-    caller that reduces several tables, such as the fairness check, builds
-    them once and hands them to each :func:`_reduce`."""
+    sizes), and the float size weights (approx) or the integer size
+    coefficients s!(n-s-1)! and n! (exact). A caller that reduces several
+    tables, such as the fairness check, builds them once and hands them to
+    each :func:`_reduce`."""
 
-    __slots__ = ("index", "sizes", "weights", "coef", "scale", "_diff")
+    __slots__ = ("index", "sizes", "weights", "coef", "scale")
 
     def __init__(self, n: int, exact: bool):
         self.index = np.arange(1 << (n - 1), dtype=np.int64)
@@ -409,17 +409,6 @@ class _ReduceTables:
             self.scale = fact[n]
         else:
             self.weights = np.array([float(w) for w in shapley_weights(n)])[self.sizes]
-        self._diff = None
-
-    def buffer(self, dtype) -> np.ndarray:
-        """The half-size marginal buffer for a table of ``dtype``. A numeric
-        buffer is kept for the next reduction; an object one is not, as it
-        would keep the last player's marginals alive."""
-        if dtype == object:
-            return np.empty(self.index.size, dtype=object)
-        if self._diff is None or self._diff.dtype != dtype:
-            self._diff = np.empty(self.index.size, dtype=dtype)
-        return self._diff
 
 
 def _reduce(
@@ -463,7 +452,7 @@ def _reduce(
         if table.dtype == np.int64 and not _int64_reducible(table, n):
             table = np.array(table.tolist(), dtype=object)
         denom *= tables.scale
-    diff = tables.buffer(table.dtype)
+    diff = np.empty(index.size, dtype=table.dtype)
     out: list[Value] = []
     for i in range(n) if players is None else players:
         rows = table.reshape(-1, 2, 1 << i)

@@ -149,7 +149,7 @@ def test_player_subset_reduction_equals_full_reduction(inputs):
     full = _reduce(table, denom, n, members, None, exact)
     want = [full[i] for i in players]
     assert same_values(_reduce(table, denom, n, members, None, exact, players=players), want)
-    # shared per-n tables: the buffer the full reduction left behind is reused
+    # per-n tables shared between a full and a subset reduction
     tables = _ReduceTables(n, exact)
     assert same_values(_reduce(table, denom, n, members, None, exact, tables=tables), full)
     got = _reduce(table, denom, n, members, None, exact, players=players, tables=tables)
