@@ -38,7 +38,7 @@ from .edgegame import (
     edge_shapley_pruned,
     lift,
 )
-from .errors import CapacityError, GameError, ScenarioError, UnknownEdgeError, UnknownNodeError
+from .errors import CapacityError, GameError
 from .games import (
     DEFAULT_ENUMERATION_LIMIT,
     MAX_ENUMERATION_PLAYERS,
@@ -549,10 +549,7 @@ def main(argv=None) -> int:
     except (UsageError, CapacityError) as e:
         print(f"edgeshapley: error: {e}", file=sys.stderr)
         return 64
-    except (ScenarioError, UnknownNodeError, UnknownEdgeError, OSError) as e:
-        print(f"edgeshapley: error: {e}", file=sys.stderr)
-        return 65
-    except GameError as e:
+    except (GameError, OSError) as e:
         print(f"edgeshapley: error: {e}", file=sys.stderr)
         return 65
 

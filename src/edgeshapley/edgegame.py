@@ -86,7 +86,8 @@ class EdgeCharacteristic:
     def evaluate_many(self, edge_masks: np.ndarray) -> np.ndarray:
         if self._fn_many is not None:
             return self._fn_many(edge_masks)
-        return np.array([self._fn(int(m)) for m in edge_masks], dtype=np.float64)
+        dtype = object if self.exact else np.float64
+        return np.fromiter(map(self._fn, edge_masks.tolist()), dtype=dtype, count=edge_masks.size)
 
     @classmethod
     def from_table(
@@ -130,11 +131,12 @@ def _dividend_worths(rows: tuple[tuple[int, Value], ...], exact: bool):
     coalition S gains ``value`` for every row whose node mask R lies inside
     S, in row order from 0.
 
-    The sums accumulate in the rows' dtype (see :func:`games._dividend_dtype`);
-    exact int64 sums are handed out as an object array of ints, as every
-    exact batch worth is. The dense table of such a game is filled without
-    masks (see :func:`games._table`); this path serves other mask arrays,
-    such as those of a sum of games.
+    The sums accumulate in the rows' dtype (see :func:`games._dividend_dtype`)
+    and are handed out in it: exact int64 sums stay int64, the numerators
+    over 1 that the dense fill of :func:`games._table` also holds. The dense
+    table of such a game is filled without masks; this path serves other
+    mask arrays, such as the exact sampler's prefixes or those of a sum of
+    games.
     """
     dtype = _dividend_dtype(rows, exact)
 
@@ -146,8 +148,7 @@ def _dividend_worths(rows: tuple[tuple[int, Value], ...], exact: bool):
             np.bitwise_and(masks, r, out=held)
             np.equal(held, r, out=hit)
             np.add(out, val, out=out, where=hit)
-        del held, hit  # before the object copy, which is the peak
-        return out.astype(object) if dtype is np.int64 else out
+        return out
 
     return fn_many
 

@@ -31,7 +31,10 @@ rows' magnitudes sum below 2^62, the rows' own ints and Fractions (then
 brought to numerators) otherwise. Other games fill it through
 :meth:`NodeCharacteristic.evaluate_many`; lifted edge games whose worth
 has no vector path call it once per distinct induced edge set (see
-:func:`edgeshapley.edgegame.lift`). The domain is the game's ``exact`` flag,
+:func:`edgeshapley.edgegame.lift`). One helper, :func:`_numerators`, turns
+exact worths into integer numerators over one denominator, for the table,
+for the reduction's Python-int fallback and for the sampler; an int64
+array is its own numerators over 1. The domain is the game's ``exact`` flag,
 never the table's dtype. The float reduction weights the marginals from one
 half-size table of size weights. The exact reduction sums the numerators
 (as Python ints where the int64 bound does not cover them) and forms one
@@ -60,7 +63,7 @@ import numpy as np
 
 from .errors import CapacityError, CharacteristicContractError
 from .graph import Graph
-from .masks import all_masks, indices_of, popcount_array, superset_view
+from .masks import all_masks, indices_of, superset_view
 
 Coalition = int
 Value = Union[Fraction, int, float]
@@ -96,12 +99,13 @@ class NodeCharacteristic:
 
     ``fn`` must be deterministic and effect-free with ``fn(0) == 0``. Either
     domain may supply ``fn_many``, which maps an int64 mask array to a worth
-    array: float64 for approx characteristics, an object array of ints and
-    Fractions for exact ones. The engines and the sampler evaluate through
-    :meth:`evaluate_many`, which falls back to calling ``fn`` once per mask;
-    :func:`edgeshapley.edgegame.lift` gives edge games whose worth has no
-    vector path a ``fn_many`` that calls it once per distinct induced edge
-    set.
+    array: float64 for approx characteristics; for exact ones an object
+    array of ints and Fractions, or int64 (as exact dividends that sum in
+    int64 give), read as numerators over 1. The engines and the sampler
+    evaluate through :meth:`evaluate_many`, which falls back to calling
+    ``fn`` once per mask; :func:`edgeshapley.edgegame.lift` gives edge games
+    whose worth has no vector path a ``fn_many`` that calls it once per
+    distinct induced edge set.
 
     ``dividends``, when given, declares the game as a sum of unanimity games:
     ``(node_mask, value)`` rows, where S is worth the sum of ``value`` over
@@ -171,7 +175,9 @@ class NodeCharacteristic:
         fn_many = None
         if self._fn_many is not None and other._fn_many is not None:
             am, bm = self._fn_many, other._fn_many
-            fn_many = lambda masks: am(masks) + bm(masks)
+            # exact batch worths may be int64, where a sum could overflow
+            dtype = object if self.exact else None
+            fn_many = lambda masks: np.add(am(masks), bm(masks), dtype=dtype)
         return NodeCharacteristic(
             self.n, lambda m: a(m) + b(m), exact=self.exact, fn_many=fn_many
         )
@@ -327,9 +333,10 @@ def _table(
 
     Approx tables are float64 over D = 1. Exact ones are integer numerators
     over D, the lcm of the worths' denominators (an int64 dividend fill is
-    over 1 as it is): int64 when every |numerator| < 2^(61-n), which bounds
-    each per-size marginal sum of the reduction, Python ints otherwise. A
-    worth that is not a rational breaks the exact contract.
+    over 1 as it is), from :func:`_numerators`: int64 when every
+    |numerator| < 2^(61-n), which bounds each per-size marginal sum of the
+    reduction, Python ints otherwise. A worth that is not a rational breaks
+    the exact contract.
     """
     _check_capacity(v, limit)
     _check_grounded(v)
@@ -346,33 +353,60 @@ def _table(
             return table, 1
     if not v.exact:
         return table, 1
-    kinds = set(map(type, table))
-    for kind in kinds:
-        if not issubclass(kind, numbers.Rational):
-            mask = next(m for m, x in enumerate(table) if type(x) is kind)
-            raise CharacteristicContractError(
-                f"exact characteristic returned {table[mask]!r} for coalition "
-                f"{mask:#b}, which is not an int or Fraction"
-            )
-    if all(issubclass(kind, numbers.Integral) for kind in kinds):
-        denom = 1
-        if kinds != {int}:
-            table = np.fromiter(map(int, table), dtype=object, count=table.size)
-        numerators = lambda dtype: table.astype(dtype, copy=False)
-    else:
-        denom = math.lcm(*{int(x.denominator) for x in table})
-        numerators = lambda dtype: np.fromiter(
-            (int(x.numerator) * (denom // int(x.denominator)) for x in table),
-            dtype=dtype,
-            count=table.size,
-        )
     try:
-        small = numerators(np.int64)
+        small, denom = _numerators(table, 1, np.int64)
     except OverflowError:
         small = None
     if small is not None and _int64_reducible(small, v.n):
         return small, denom
-    return numerators(object), denom
+    return _numerators(table, 1, object)
+
+
+def _numerators(
+    worths: np.ndarray,
+    denom: int,
+    dtype,
+    masks: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """Exact ``worths`` as integer numerators over D, the lcm of ``denom``
+    and the worths' denominators, returned with D, in ``dtype``: int64
+    (`OverflowError` when one does not fit) or object (Python ints).
+
+    An int64 array is its own numerators over 1, known from its dtype alone.
+    Other arrays are scanned for their types: Python ints are their own
+    numerators; any other rational's numerator is taken as a Python int (a
+    Fraction of numpy ints holds numpy ints, which would wrap) and scaled
+    to D one worth at a time, so no array of new ints is held beside the
+    result. A worth that is not a rational breaks the exact contract; the
+    error names its coalition, ``masks`` at its position (by default the
+    position itself, as in a full table).
+    """
+    if worths.dtype != np.int64:
+        flat = worths.ravel()
+        kinds = set(map(type, flat))
+        if not all(issubclass(kind, numbers.Rational) for kind in kinds):
+            i, bad = next(
+                (i, x) for i, x in enumerate(flat) if not isinstance(x, numbers.Rational)
+            )
+            mask = i if masks is None else int(masks.flat[i])
+            raise CharacteristicContractError(
+                f"exact characteristic returned {bad!r} for coalition "
+                f"{mask:#b}, which is not an int or Fraction"
+            )
+        if not kinds <= {int}:
+            dens = np.fromiter(
+                map(operator.attrgetter("denominator"), flat), dtype=object, count=flat.size
+            )
+            distinct = set(dens)
+            lcm = math.lcm(denom, *distinct)
+            nums = map(operator.index, map(operator.attrgetter("numerator"), flat))
+            if lcm != 1:
+                scale = {d: lcm // int(d) for d in distinct}
+                nums = map(operator.mul, nums, map(scale.__getitem__, dens))
+            return np.fromiter(nums, dtype=dtype, count=flat.size).reshape(worths.shape), lcm
+    if denom != 1:
+        worths = worths.astype(object) * denom
+    return worths.astype(dtype, copy=False), denom
 
 
 def _int64_reducible(table: np.ndarray, n: int) -> bool:
@@ -400,7 +434,7 @@ class _ReduceTables:
 
     def __init__(self, n: int, exact: bool):
         self.index = np.arange(1 << (n - 1), dtype=np.int64)
-        self.sizes = popcount_array(self.index)
+        self.sizes = np.bitwise_count(self.index)
         self.weights = self.coef = None
         self.scale = 1
         if exact:
@@ -450,7 +484,7 @@ def _reduce(
     index, sizes, weights, coef = tables.index, tables.sizes, tables.weights, tables.coef
     if exact:
         if table.dtype == np.int64 and not _int64_reducible(table, n):
-            table = np.array(table.tolist(), dtype=object)
+            table = _numerators(table, 1, object)[0]
         denom *= tables.scale
     diff = np.empty(index.size, dtype=table.dtype)
     out: list[Value] = []
@@ -589,40 +623,6 @@ def _completion_worths(rows: tuple[tuple[int, Value], ...], n: int):
     return worths
 
 
-def _block_numerators(worths: np.ndarray, denom: int, acc: np.ndarray):
-    """Exact ``worths`` as Python-int numerators over the lcm of ``denom``
-    and their denominators, returned with that lcm. ``acc`` holds
-    numerators over ``denom`` and is rescaled in place when the lcm grows.
-    Python ints over 1 are handed back as they are; rationals other than
-    ints and Fractions become Fractions of Python ints first. A worth that
-    is not a rational breaks the exact contract."""
-    flat = worths.ravel()
-    kinds = set(map(type, flat))
-    if kinds <= {int} and denom == 1:
-        return worths, denom
-    if kinds - {int, Fraction}:
-        bad = next((x for x in flat if not isinstance(x, numbers.Rational)), None)
-        if bad is not None:
-            raise CharacteristicContractError(
-                f"exact characteristic returned {bad!r}, which is not an int or Fraction"
-            )
-        flat = np.fromiter(
-            (Fraction(int(x.numerator), int(x.denominator)) for x in flat),
-            dtype=object,
-            count=flat.size,
-        )
-    nums, dens = (
-        np.fromiter(map(operator.attrgetter(part), flat), dtype=object, count=flat.size)
-        for part in ("numerator", "denominator")
-    )
-    lcm = math.lcm(denom, *set(dens.tolist()))
-    if lcm != denom:
-        acc *= lcm // denom
-    if lcm != 1:
-        nums *= lcm // dens
-    return nums.reshape(worths.shape), lcm
-
-
 def shapley_sampled(
     v: NodeCharacteristic,
     samples: int,
@@ -642,10 +642,10 @@ def shapley_sampled(
     gives the same worths. Marginals are added in sample order into float64
     (approx) or, exact, into Python-int numerators over one denominator:
     each block's worths are brought to numerators over the lcm of the
-    denominators seen so far (see :func:`_block_numerators`), and each
-    player gets one `Fraction` at the end. Worths of exact dividends that
-    sum in int64 (see :func:`_dividend_dtype`) are Python ints already and
-    skip that step. Exact sums do not depend on
+    denominators seen so far (see :func:`_numerators`; the accumulator is
+    rescaled when the lcm grows), and each player gets one `Fraction` at
+    the end. Exact dividends that sum in int64 hand out int64 worths, which
+    are their own numerators with no type scan. Exact sums do not depend on
     their order, so this equals adding the game's own ints and Fractions.
     """
     if samples < 1:
@@ -653,19 +653,11 @@ def shapley_sampled(
     _check_grounded(v)
     n = v.n
     rng = np.random.default_rng(seed)
+    completion_worths = None
     if v.dividends is not None and not v.exact:
-        prefix_worths = _completion_worths(v.dividends, n)
-    else:
-        def prefix_worths(perms: np.ndarray) -> np.ndarray:
-            prefixes = np.bitwise_or.accumulate(np.int64(1) << perms, axis=1)
-            return v.evaluate_many(prefixes.ravel()).reshape(perms.shape)
+        completion_worths = _completion_worths(v.dividends, n)
     acc = np.zeros(n, dtype=object if v.exact else np.float64)
     denom = 1  # exact: acc holds numerators over denom
-    # exact dividends that sum in int64 give Python-int worths, which are
-    # their own numerators; the type scan would only cost time
-    scan = v.exact and not (
-        v.dividends is not None and _dividend_dtype(v.dividends, True) is np.int64
-    )
     remaining = samples
     base = np.tile(np.arange(n), (_SAMPLE_BLOCK, 1))
     while remaining > 0:
@@ -673,9 +665,16 @@ def shapley_sampled(
         perms = rng.permuted(base[:k], axis=1)
         # a named block outlives the next block's allocations; freeing it
         # at once measured 15-20% slower on 32-48-player route games
-        vals = prefix_worths(perms)
-        if scan:
-            vals, denom = _block_numerators(vals, denom, acc)
+        if completion_worths is not None:
+            vals = completion_worths(perms)
+        else:
+            prefixes = np.bitwise_or.accumulate(np.int64(1) << perms, axis=1)
+            vals = v.evaluate_many(prefixes.ravel()).reshape(perms.shape)
+            if v.exact:
+                vals, lcm = _numerators(vals, denom, object, prefixes)
+                if lcm != denom:
+                    acc *= lcm // denom
+                    denom = lcm
         marginals = np.diff(vals, axis=1, prepend=0)
         np.add.at(acc, perms.ravel(), marginals.ravel())
         remaining -= k

@@ -35,11 +35,6 @@ def subsets_of(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
-def popcount_array(masks: np.ndarray) -> np.ndarray:
-    """Per-element popcount of an integer array."""
-    return np.bitwise_count(masks)
-
-
 def superset_view(table: np.ndarray, mask: int) -> np.ndarray:
     """Writable view of the entries of ``table`` at the supersets of ``mask``.
 

@@ -421,28 +421,53 @@ def test_exact_sampler_on_fraction_table_equals_per_sample_oracle():
         assert got == per_sample_shapley(v, samples, 8)
 
 
-def test_block_numerators_rescale_the_accumulator():
+def test_fractions_of_numpy_ints_keep_exact_numerators():
+    # a Fraction built from numpy ints holds numpy ints; scaled to the
+    # common denominator 3 in numpy arithmetic, 2^62 would wrap
+    big = np.int64(1 << 62)
+    worths = {0: 0, 1: Fraction(big), 2: Fraction(1, 3), 3: Fraction(big, np.int64(1))}
+    assert type(worths[1].numerator) is np.int64
+    v = NodeCharacteristic(2, worths.__getitem__)
+    plain = NodeCharacteristic(2, lambda m: Fraction(int(worths[m].numerator), worths[m].denominator))
+    assert shapley_exact(v).values == shapley_exact(plain).values
+    for samples in (1, 7):
+        assert shapley_sampled(v, samples, 3).values == shapley_sampled(plain, samples, 3).values
+
+
+def test_numerators_rescale_the_accumulator():
     # blocks of ints, then Fractions whose denominators grow the lcm, then
-    # ints again: the accumulator over the running lcm always equals the sum
+    # ints again, then int64 over the grown lcm: the accumulator, rescaled as
+    # the sampler rescales it, over the running lcm always equals the sum
     blocks = [
-        [3, -7, 1 << 80],
-        [Fraction(1, 2), Fraction(5, 3), 4],
-        [Fraction(7, 1), 2, -1],
-        [Fraction(-1, 4), Fraction(2, 9), Fraction(1, 6)],
+        np.array([3, -7, 1 << 80], dtype=object),
+        np.array([Fraction(1, 2), Fraction(5, 3), 4], dtype=object),
+        np.array([Fraction(7, 1), 2, -1], dtype=object),
+        np.array([Fraction(-1, 4), Fraction(2, 9), Fraction(1, 6)], dtype=object),
+        np.array([-5, 1 << 40, 0], dtype=np.int64),
     ]
     acc = np.zeros(3, dtype=object)
     denom, total = 1, [0, 0, 0]
     for block in blocks:
-        worths = np.array(block, dtype=object).reshape(1, 3)
-        nums, denom = games._block_numerators(worths, denom, acc)
+        worths = block.reshape(1, 3)
+        nums, lcm = games._numerators(worths, denom, object)
+        assert lcm % denom == 0
+        acc *= lcm // denom
+        denom = lcm
         assert nums.shape == (1, 3) and {type(x) for x in nums.ravel()} == {int}
-        assert [Fraction(x, denom) for x in nums.ravel()] == block
+        assert [Fraction(x, denom) for x in nums.ravel()] == block.tolist()
         acc += nums.ravel()
-        total = [t + x for t, x in zip(total, block)]
+        total = [t + x for t, x in zip(total, block.tolist())]
         assert [Fraction(a, denom) for a in acc] == total
     assert denom == 36
     with pytest.raises(CharacteristicContractError):
-        games._block_numerators(np.array([[1, 0.5]], dtype=object), 1, np.zeros(2, dtype=object))
+        games._numerators(np.array([[1, 0.5]], dtype=object), 1, object)
+    # an int64 array over 1 is handed back as it is; int64 numerators that
+    # do not fit raise OverflowError, which sends the table to Python ints
+    small = np.array([1, -2], dtype=np.int64)
+    nums, lcm = games._numerators(small, 1, np.int64)
+    assert nums is small and lcm == 1
+    with pytest.raises(OverflowError):
+        games._numerators(blocks[0], 1, np.int64)
 
 
 # ---------------------------------------------------------------------------

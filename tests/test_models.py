@@ -9,18 +9,23 @@ from edgeshapley import (
     STRICT_EQUALITY,
     CostDecayParams,
     DegenerateRouteError,
+    EdgeCharacteristic,
     EdgeGame,
+    NodeCharacteristic,
     Route,
     RouteCoverageError,
     build_graph,
     contract_weight_fn,
     edge_shapley,
+    lift,
     load_fixture,
     power_weight_fn,
     route_closed_form,
     route_values,
+    shapley_exact,
     supply_weight_fn,
 )
+from edgeshapley.masks import all_masks
 
 from conftest import random_route_game
 
@@ -84,6 +89,40 @@ def test_supply_weight_strict_mode():
         15 * math.exp(-0.4), abs=1e-12
     )
     assert w(0) == 0
+
+
+def test_exact_edge_worths_in_a_batch_stay_python_ints():
+    # 3^40 has no binary64 representation: the per-mask fallback of an
+    # exact worth must hand out Python ints, an approx one float64
+    g = build_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    masks = np.array([0b111, 0b11, 0], dtype=np.int64)
+    got = power_weight_fn(g, 40).evaluate_many(masks)
+    assert got.dtype == object
+    assert [(type(x), x) for x in got] == [(int, 3**40), (int, 2**40), (int, 0)]
+    approx = EdgeCharacteristic(g.edges, lambda m: 0.1 * m.bit_count(), exact=False)
+    got = approx.evaluate_many(masks)
+    assert got.dtype == np.float64 and got.tolist() == [0.1 * 3, 0.1 * 2, 0.0]
+
+
+def test_sum_of_int64_contract_games_keeps_exact_worths():
+    # each game's counts sum just below 2^62, so its batch worths are int64;
+    # the sum of three passes 2^63, where int64 addition would wrap
+    g = build_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    big = (1 << 61) - (1 << 40)
+    routes = [[Route(["a", "b"], big), Route(["b", "c", "d"], big + k)] for k in (1, 2, 3)]
+    parts = [lift(EdgeGame(g, contract_weight_fn(g, r))) for r in routes]
+    masks = all_masks(g.n)
+    assert all(v.evaluate_many(masks).dtype == np.int64 for v in parts)
+    total = parts[0] + parts[1] + parts[2]
+    want = [total(m) for m in range(1 << g.n)]
+    assert max(want) > 1 << 63
+    got = total.evaluate_many(masks)
+    assert got.dtype == object
+    assert [(type(x), x) for x in got] == [(int, x) for x in want]
+    scalar = NodeCharacteristic(g.n, total, exact=True)  # one worth call per coalition
+    assert shapley_exact(total).values == shapley_exact(scalar).values
+    closed = [route_closed_form(g, r).values for r in routes]
+    assert shapley_exact(total).values == tuple(map(sum, zip(*closed)))
 
 
 def test_supply_vector_path_matches_scalar():
