@@ -134,17 +134,12 @@ def _allocate(
         return shapley_sampled(lift(eg), samples, seed).with_labels(eg.graph.nodes)
     if method == "closed_form":
         model = scenario.model
-        if isinstance(model, SupplyModel):
-            if model.semantics != CONTAINMENT:
-                raise UsageError("closed_form requires containment semantics")
-            return route_closed_form(
-                scenario.graph, scenario.routes, CostDecayParams(model.alpha)
-            )
-        if isinstance(model, ContractModel):
-            if model.semantics != CONTAINMENT:
-                raise UsageError("closed_form requires containment semantics")
-            return route_closed_form(scenario.graph, scenario.routes)
-        raise UsageError("closed_form requires a supply or contract route model")
+        if not isinstance(model, (SupplyModel, ContractModel)):
+            raise UsageError("closed_form requires a supply or contract route model")
+        if model.semantics != CONTAINMENT:
+            raise UsageError("closed_form requires containment semantics")
+        decay = CostDecayParams(model.alpha) if isinstance(model, SupplyModel) else None
+        return route_closed_form(scenario.graph, scenario.routes, decay)
     raise UsageError(f"unknown method {method!r}")
 
 

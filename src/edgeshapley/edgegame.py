@@ -32,7 +32,6 @@ from .games import (
     NodeCharacteristic,
     Value,
     _component_table,
-    _dividend_dtype,
     _reduce,
     _ReduceTables,
     _table,
@@ -126,53 +125,22 @@ class EdgeGame:
         return self.characteristic(self.graph.full_edge_mask)
 
 
-def _dividend_worths(rows: tuple[tuple[int, Value], ...], exact: bool):
-    """Batch worth of a sum of unanimity games on any array of coalitions:
-    coalition S gains ``value`` for every row whose node mask R lies inside
-    S, in row order from 0.
-
-    The sums accumulate in the rows' dtype (see :func:`games._dividend_dtype`)
-    and are handed out in it: exact int64 sums stay int64, the numerators
-    over 1 that the dense fill of :func:`games._table` also holds. The dense
-    table of such a game is filled without masks; this path serves other
-    mask arrays, such as the exact sampler's prefixes or those of a sum of
-    games.
-    """
-    dtype = _dividend_dtype(rows, exact)
-
-    def fn_many(masks: np.ndarray) -> np.ndarray:
-        out = np.zeros(masks.shape, dtype=dtype)
-        held = np.empty_like(masks)
-        hit = np.empty(masks.shape, dtype=bool)
-        for r, val in rows:
-            np.bitwise_and(masks, r, out=held)
-            np.equal(held, r, out=hit)
-            np.add(out, val, out=out, where=hit)
-        return out
-
-    return fn_many
-
-
 def lift(eg: EdgeGame) -> NodeCharacteristic:
     """Node game induced by an edge game: a coalition is worth the worth of
     the edges both of whose endpoints it contains.
 
     A worth that declares its dividends is evaluated on node masks: the
     edges of a dividend row are all induced by S exactly when their
-    endpoints R lie inside S. The lifted game keeps these node-mask rows as
-    its ``dividends``, so the engines' dense table adds each row's value onto
-    the view of the supersets of R (see :func:`games._table`), the approx
-    sampler reads the rows per step (see :func:`games.shapley_sampled`), and
-    batch evaluation of other mask arrays gains a row's value where
-    ``S & R == R`` (see :func:`_dividend_worths`). None of this needs edge
-    masks, so it serves any number of edges. Otherwise batch evaluation
-    (what fills the engines' coalition table) builds the induced edge masks
-    of the coalitions as int64, which holds at most ``MAX_EDGE_BITS``
-    edges: an approx worth with a vector path evaluates them as one array
-    (and refuses more edges with `CapacityError`); any other worth, in
-    either domain, is called once per distinct induced edge set and the
-    results are gathered back per coalition; such games on more edges are
-    evaluated coalition by coalition.
+    endpoints R lie inside S, so the lifted game declares these node-mask
+    rows and nothing else (:class:`games.NodeCharacteristic` reads them),
+    on any number of edges. Otherwise batch evaluation (what fills
+    the engines' coalition table) builds the induced edge masks of the
+    coalitions as int64, which holds at most ``MAX_EDGE_BITS`` edges: an
+    approx worth with a vector path evaluates them as one array (and
+    refuses more edges with `CapacityError`); any other worth, in either
+    domain, is evaluated once per distinct induced edge set and the results
+    are gathered back per coalition; such games on more edges are evaluated
+    coalition by coalition.
     """
     g = eg.graph
     w = eg.characteristic
@@ -180,22 +148,19 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
     def fn(node_mask: int) -> Value:
         return w(g.induced_edge_mask(node_mask))
 
-    fn_many = None
-    rows = None
     if w.dividends is not None:
         rows = tuple((g.endpoint_mask(em), val) for em, val in w.dividends)
-        fn_many = _dividend_worths(rows, w.exact)
-    elif w.has_vector_path:
+        return NodeCharacteristic(g.n, fn, exact=w.exact, dividends=rows)
+    fn_many = None
+    if w.has_vector_path:
         fn_many = lambda masks: w.evaluate_many(g.induced_edge_masks(masks))
     elif len(g.edges) <= MAX_EDGE_BITS:
-        dtype = object if w.exact else np.float64
 
         def fn_many(masks: np.ndarray) -> np.ndarray:
             edge_sets, inverse = np.unique(g.induced_edge_masks(masks), return_inverse=True)
-            worths = np.fromiter(map(w, edge_sets.tolist()), dtype=dtype, count=edge_sets.size)
-            return worths[inverse]
+            return w.evaluate_many(edge_sets)[inverse]
 
-    return NodeCharacteristic(g.n, fn, exact=w.exact, fn_many=fn_many, dividends=rows)
+    return NodeCharacteristic(g.n, fn, exact=w.exact, fn_many=fn_many)
 
 
 def edge_shapley(

@@ -28,7 +28,9 @@ hypothesis from it. A game that declares its dividends (as a lifted route
 game does) fills its table by adding each row onto the view of the supersets
 of its node mask: float64 when approx, int64 numerators when exact and the
 rows' magnitudes sum below 2^62, the rows' own ints and Fractions (then
-brought to numerators) otherwise. Other games fill it through
+brought to numerators) otherwise. Only this module reads dividend rows:
+the fill, the sampler's completion steps and, for other mask arrays,
+:func:`_dividend_worths`. Other games fill the table through
 :meth:`NodeCharacteristic.evaluate_many`; lifted edge games whose worth
 has no vector path call it once per distinct induced edge set (see
 :func:`edgeshapley.edgegame.lift`). One helper, :func:`_numerators`, turns
@@ -39,9 +41,9 @@ never the table's dtype. The float reduction weights the marginals from one
 half-size table of size weights. The exact reduction sums the numerators
 (as Python ints where the int64 bound does not cover them) and forms one
 `Fraction` per player at the end. The sampler reads a block of
-permutations' prefix worths at once, an approx lifted game's straight from
-its declared dividend rows, and sums an exact game's as integer numerators
-over one denominator (see :func:`shapley_sampled`).
+permutations' prefix worths at once, a dividend game's straight from its
+declared rows in either domain, and sums an exact game's as integer
+numerators over one denominator (see :func:`shapley_sampled`).
 
 Determinism contract: the table is built in ascending mask order in one
 pass, and every float sum runs over a contiguous array in that order, so
@@ -100,20 +102,21 @@ class NodeCharacteristic:
     ``fn`` must be deterministic and effect-free with ``fn(0) == 0``. Either
     domain may supply ``fn_many``, which maps an int64 mask array to a worth
     array: float64 for approx characteristics; for exact ones an object
-    array of ints and Fractions, or int64 (as exact dividends that sum in
-    int64 give), read as numerators over 1. The engines and the sampler
-    evaluate through :meth:`evaluate_many`, which falls back to calling
-    ``fn`` once per mask; :func:`edgeshapley.edgegame.lift` gives edge games
-    whose worth has no vector path a ``fn_many`` that calls it once per
-    distinct induced edge set.
+    array of ints and Fractions, or int64, read as numerators over 1. It
+    must agree with ``fn``. The engines and the sampler evaluate through
+    :meth:`evaluate_many`: ``fn_many`` when given, else the declared
+    ``dividends`` (see :func:`_dividend_worths`), else ``fn`` once per mask;
+    :func:`edgeshapley.edgegame.lift` gives edge games whose worth has no
+    vector path a ``fn_many`` that calls it once per distinct induced edge
+    set.
 
     ``dividends``, when given, declares the game as a sum of unanimity games:
     ``(node_mask, value)`` rows, where S is worth the sum of ``value`` over
     the rows whose node mask lies inside S, added in row order from 0. It
-    must agree with ``fn`` and ``fn_many`` bit for bit; the dense table is
-    filled from it (see :func:`_table`) and the approx sampler reads it (see
+    must agree with ``fn`` bit for bit; the dense table is filled from it
+    (see :func:`_table`) and the sampler reads it (see
     :func:`shapley_sampled`). A sum of two games declares none, since it
-    adds its floats in another order.
+    adds its floats in another order, and sums the two batch worths.
     """
 
     __slots__ = ("n", "exact", "dividends", "_fn", "_fn_many")
@@ -142,11 +145,13 @@ class NodeCharacteristic:
 
     @property
     def has_vector_path(self) -> bool:
-        return self._fn_many is not None
+        return self._fn_many is not None or self.dividends is not None
 
     def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
         if self._fn_many is not None:
             return self._fn_many(masks)
+        if self.dividends is not None:
+            return _dividend_worths(self.dividends, self.exact, masks)
         dtype = object if self.exact else np.float64
         return np.fromiter(map(self._fn, masks.tolist()), dtype=dtype, count=masks.size)
 
@@ -173,8 +178,8 @@ class NodeCharacteristic:
             raise ValueError("can only add games with equal player count and domain")
         a, b = self._fn, other._fn
         fn_many = None
-        if self._fn_many is not None and other._fn_many is not None:
-            am, bm = self._fn_many, other._fn_many
+        if self.has_vector_path and other.has_vector_path:
+            am, bm = self.evaluate_many, other.evaluate_many
             # exact batch worths may be int64, where a sum could overflow
             dtype = object if self.exact else None
             fn_many = lambda masks: np.add(am(masks), bm(masks), dtype=dtype)
@@ -303,14 +308,38 @@ _INT64_DIVIDEND_BOUND = 1 << 62
 def _dividend_dtype(rows: tuple[tuple[int, Value], ...], exact: bool):
     """Dtype that sums of the dividend ``rows`` accumulate in: float64 for
     approx rows; int64 for exact rows of Python ints whose magnitudes sum
-    below 2^62; object (the rows' own arithmetic) for other exact rows."""
+    below 2^62; object (the rows' own arithmetic) for other exact rows. An
+    exact row that is not a rational breaks the contract, named by its mask."""
     if not exact:
         return np.float64
+    for mask, val in rows:
+        if not isinstance(val, numbers.Rational):
+            raise CharacteristicContractError(
+                f"exact characteristic declares the dividend {val!r} on coalition "
+                f"{mask:#b}, which is not an int or Fraction"
+            )
     if all(type(val) is int for _, val in rows) and (
         sum(abs(val) for _, val in rows) < _INT64_DIVIDEND_BOUND
     ):
         return np.int64
     return object
+
+
+def _dividend_worths(
+    rows: tuple[tuple[int, Value], ...], exact: bool, masks: np.ndarray
+) -> np.ndarray:
+    """Worths of the game declared by ``rows`` on any coalition array: S
+    gains each row's value where ``S & R == R``, in row order from 0, in the
+    rows' dtype (:func:`_dividend_dtype`; exact int64 sums are numerators
+    over 1, as in the dense fill of :func:`_table`)."""
+    out = np.zeros(masks.shape, dtype=_dividend_dtype(rows, exact))
+    held = np.empty_like(masks)
+    hit = np.empty(masks.shape, dtype=bool)
+    for r, val in rows:
+        np.bitwise_and(masks, r, out=held)
+        np.equal(held, r, out=hit)
+        np.add(out, val, out=out, where=hit)
+    return out
 
 
 def _table(
@@ -583,20 +612,21 @@ def _held_rows(bits: np.ndarray, full: int, perms: np.ndarray) -> np.ndarray:
     return held
 
 
-def _completion_worths(rows: tuple[tuple[int, Value], ...], n: int):
-    """Per-step float worths of a block of permutations of an n-player sum
-    of unanimity games, the ``(node_mask, value)`` rows, with no prefix
-    masks.
+def _completion_worths(rows: tuple[tuple[int, Value], ...], n: int, exact: bool):
+    """Per-step worths of a block of permutations of an n-player sum of
+    unanimity games, the ``(node_mask, value)`` rows, with no prefix masks,
+    in the rows' dtype (see :func:`_dividend_dtype`).
 
     ``rowsum[S]``, filled by doubling in row order (``rowsum[S | 1 << r] =
     rowsum[S] + value_r`` for S < 2^r), is the sum of the values of the
-    first chunk's row subset S, added in row order from 0.0; a step's worth
+    first chunk's row subset S, added in row order from 0; a step's worth
     is ``rowsum`` of the first chunk's rows it holds (see
     :func:`_held_rows`). The rows of later chunks are added on top, row by
-    row, at the steps that hold them. These are the float additions
-    :func:`edgeshapley.edgegame._dividend_worths` makes on the prefix masks,
-    in the same order, so the worths are bit-identical to it.
+    row, at the steps that hold them. These are the additions
+    :func:`_dividend_worths` makes on the prefix masks, in the same order,
+    so float worths are bit-identical to it and exact ones equal.
     """
+    dtype = _dividend_dtype(rows, exact)
     chunks = []
     # a game without rows still gets one empty chunk, worth 0 at every step
     for start in range(0, max(len(rows), 1), _ROW_CHUNK):
@@ -606,7 +636,7 @@ def _completion_worths(rows: tuple[tuple[int, Value], ...], n: int):
             bits[indices_of(mask)] |= np.uint16(1 << r)
         chunks.append((bits, (1 << len(chunk)) - 1, [val for _, val in chunk]))
     head = chunks[0][2]
-    rowsum = np.zeros(1 << len(head))
+    rowsum = np.zeros(1 << len(head), dtype=dtype)
     for r, val in enumerate(head):
         low = 1 << r
         np.add(rowsum[:low], val, out=rowsum[low : 2 * low])
@@ -635,16 +665,16 @@ def shapley_sampled(
     bit-identical output on every run. Permutations are drawn in blocks of
     ``_SAMPLE_BLOCK`` rows by ``rng.permuted(block, axis=1)``, whose rows
     must equal successive ``rng.permutation(n)`` draws, so the stream does
-    not depend on the block size. An approx game that declares its dividends
-    reads every prefix worth from the steps at which each row completes (see
-    :func:`_completion_worths`); every other game from
+    not depend on the block size. A game that declares its dividends, in
+    either domain, reads every prefix worth from the steps at which each
+    row completes (see :func:`_completion_worths`); every other game from
     :meth:`NodeCharacteristic.evaluate_many` of the prefix masks, which
     gives the same worths. Marginals are added in sample order into float64
     (approx) or, exact, into Python-int numerators over one denominator:
     each block's worths are brought to numerators over the lcm of the
     denominators seen so far (see :func:`_numerators`; the accumulator is
     rescaled when the lcm grows), and each player gets one `Fraction` at
-    the end. Exact dividends that sum in int64 hand out int64 worths, which
+    the end. Exact dividends that sum in int64 give int64 worths, which
     are their own numerators with no type scan. Exact sums do not depend on
     their order, so this equals adding the game's own ints and Fractions.
     """
@@ -654,8 +684,8 @@ def shapley_sampled(
     n = v.n
     rng = np.random.default_rng(seed)
     completion_worths = None
-    if v.dividends is not None and not v.exact:
-        completion_worths = _completion_worths(v.dividends, n)
+    if v.dividends is not None:
+        completion_worths = _completion_worths(v.dividends, n, v.exact)
     acc = np.zeros(n, dtype=object if v.exact else np.float64)
     denom = 1  # exact: acc holds numerators over denom
     remaining = samples
@@ -666,15 +696,15 @@ def shapley_sampled(
         # a named block outlives the next block's allocations; freeing it
         # at once measured 15-20% slower on 32-48-player route games
         if completion_worths is not None:
-            vals = completion_worths(perms)
+            vals, prefixes = completion_worths(perms), None
         else:
             prefixes = np.bitwise_or.accumulate(np.int64(1) << perms, axis=1)
             vals = v.evaluate_many(prefixes.ravel()).reshape(perms.shape)
-            if v.exact:
-                vals, lcm = _numerators(vals, denom, object, prefixes)
-                if lcm != denom:
-                    acc *= lcm // denom
-                    denom = lcm
+        if v.exact:
+            vals, lcm = _numerators(vals, denom, object, prefixes)
+            if lcm != denom:
+                acc *= lcm // denom
+                denom = lcm
         marginals = np.diff(vals, axis=1, prepend=0)
         np.add.at(acc, perms.ravel(), marginals.ravel())
         remaining -= k

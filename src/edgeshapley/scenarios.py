@@ -73,7 +73,7 @@ class PowerModel:
 @dataclass(frozen=True)
 class TableModel:
     #: (edge mask, worth) entries over the scenario graph's edge order.
-    entries: tuple[tuple[int, Fraction], ...]
+    entries: tuple[tuple[int, int | Fraction], ...]
 
 
 Model = Union[SupplyModel, ContractModel, PowerModel, TableModel]
@@ -138,11 +138,13 @@ def _require(doc: dict, key: str, kind, location: str):
 _EXACT_VALUE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def _parse_exact_value(raw, location: str) -> Fraction:
+def _parse_exact_value(raw, location: str) -> int | Fraction:
+    """A whole number as a Python int (the engines' integer paths), else a Fraction."""
     if isinstance(raw, int) and not isinstance(raw, bool):
-        return Fraction(raw)
+        return raw
     if isinstance(raw, str) and _EXACT_VALUE.match(raw):
-        return Fraction(raw)
+        value = Fraction(raw)
+        return value.numerator if value.denominator == 1 else value
     raise _fail(
         f'exact values must be integer or "p/q" fraction strings, got {raw!r}',
         location,
@@ -351,7 +353,7 @@ def _parse_model(raw: dict, mtype: str, graph: Graph) -> Model:
     if mtype == "explicit_table":
         check_keys({"table"})
         raw_table = _require(raw, "table", list, loc)
-        entries: dict[int, Fraction] = {}
+        entries: dict[int, int | Fraction] = {}
         for k, item in enumerate(raw_table):
             eloc = f"{loc}.table[{k}]"
             if not isinstance(item, dict):

@@ -192,6 +192,26 @@ def test_incompatible_method_exits_64(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("model, domain", [
+    ({"type": "supply_cost_decay", "alpha": 0.1}, "approx"),
+    ({"type": "contract"}, "exact"),
+])
+def test_closed_form_refuses_strict_equality(tmp_path, capsys, model, domain):
+    doc = {
+        "nodes": ["A", "B", "C"],
+        "edges": [{"from": "A", "to": "B"}, {"from": "B", "to": "C"}],
+        "model": {**model, "semantics": "strict-equality"},
+        "routes": [{"nodes": ["A", "B", "C"], "quantity": 2}],
+        "domain": domain,
+    }
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", "--input", str(path), "--method", "closed_form"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "edgeshapley: error: closed_form requires containment semantics\n"
+
+
 def test_oversize_exact_exits_64(capsys):
     assert main(["compute", "--input", SMARTPHONE, "--limit", "10"]) == 64
     capsys.readouterr()

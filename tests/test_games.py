@@ -421,6 +421,78 @@ def test_exact_sampler_on_fraction_table_equals_per_sample_oracle():
         assert got == per_sample_shapley(v, samples, 8)
 
 
+def exact_dividend_game(n, rows):
+    """An exact n-player game declared by its ``(node_mask, value)`` rows,
+    with no ``fn_many``; its scalar worth sums the rows inside a coalition."""
+    return NodeCharacteristic(
+        n, lambda m: sum((val for r, val in rows if m & r == r), 0), dividends=tuple(rows)
+    )
+
+
+def exact_row_values(kind, rng):
+    """A row value: an int that sums in int64, an int beyond 2^62, or a
+    Fraction over a non-unit denominator."""
+    if kind == "int64":
+        return int(rng.integers(-50, 50))
+    if kind == "huge":
+        return int(rng.choice([-1, 1])) * (int(rng.integers(1, 99)) << 62)
+    return Fraction(int(rng.integers(-50, 50)), int(rng.integers(2, 13)))
+
+
+@pytest.mark.parametrize("kind, count, dtype", [
+    ("int64", 40, np.int64),  # three 16-row chunks, the last one partial
+    ("huge", 17, object),  # a full chunk of 16, then one of 4 with the repeats
+    ("fraction", 17, object),
+])
+def test_exact_sampler_on_completion_steps_equals_per_sample_oracle(
+    kind, count, dtype, monkeypatch
+):
+    rng = np.random.default_rng(17)
+    n = 7
+    rows = [(int(rng.integers(1, 1 << n)), exact_row_values(kind, rng)) for _ in range(count)]
+    rows += rows[:3]  # repeated rows are kept, not merged
+    v = exact_dividend_game(n, rows)
+    assert games._dividend_dtype(v.dividends, True) is dtype
+
+    # every prefix worth comes from the completion steps, none from batches
+    def no_batches(self, masks):
+        raise AssertionError("the sampler evaluated prefix masks")
+
+    monkeypatch.setattr(NodeCharacteristic, "evaluate_many", no_batches)
+    for samples in (1, 4097):
+        got = shapley_sampled(v, samples, 23).values
+        assert all(type(x) is Fraction for x in got)
+        assert got == per_sample_shapley(v, samples, 23)
+
+
+def test_exact_dividend_row_that_is_no_rational_breaks_the_contract():
+    # the coalition named is the float row's own node mask, which holds it
+    v = exact_dividend_game(3, [(0b1, 2), (0b11, 0.5), (0b110, 1)])
+    calls = (
+        lambda: shapley_sampled(v, 10, 0),
+        lambda: shapley_exact(v),
+        lambda: v.evaluate_many(all_masks(3)),
+    )
+    for call in calls:
+        with pytest.raises(CharacteristicContractError,
+                           match=r"dividend 0\.5 on coalition 0b11, which is not an int"):
+            call()
+
+
+def test_exact_dividend_game_evaluates_its_own_rows():
+    rows = [(0b11, 3), (0b110, -2), (0b111, 5), (0b11, 4)]
+    v = exact_dividend_game(3, rows)
+    assert v.has_vector_path
+    masks = all_masks(3)
+    got = v.evaluate_many(masks)
+    assert got.dtype == np.int64
+    assert got.tolist() == [v(m) for m in range(8)]
+    # a sum of two dividend games declares no rows but keeps a batch path
+    total = v + exact_dividend_game(3, [(0b101, 1 << 70)])
+    assert total.dividends is None and total.has_vector_path
+    assert total.evaluate_many(masks).tolist() == [total(m) for m in range(8)]
+
+
 def test_fractions_of_numpy_ints_keep_exact_numerators():
     # a Fraction built from numpy ints holds numpy ints; scaled to the
     # common denominator 3 in numpy arithmetic, 2^62 would wrap

@@ -33,8 +33,7 @@ from edgeshapley import (
     shapley_sampled,
     supply_weight_fn,
 )
-from edgeshapley.edgegame import _dividend_worths
-from edgeshapley.games import _reduce, _ReduceTables, _table
+from edgeshapley.games import _dividend_worths, _reduce, _ReduceTables, _table
 from edgeshapley.masks import all_masks
 
 from conftest import permutation_shapley
@@ -248,7 +247,7 @@ def table_dtype(rows, exact, n):
     dtype = fill_dtype(rows, exact)
     if dtype is not object:
         return dtype, 1
-    worths = _dividend_worths(tuple(rows), exact)(all_masks(n))
+    worths = _dividend_worths(tuple(rows), exact, all_masks(n))
     return table_form(worths.tolist(), n)
 
 
@@ -258,10 +257,9 @@ def assert_fill_equals_mask_path(n, rows, exact, chunk=1 << 20):
     numerators equal to the worths over the table's denominator."""
     table, denom = _table(dividend_game(n, rows, exact), None)
     assert (table.dtype, denom) == table_dtype(rows, exact, n)
-    worths = _dividend_worths(tuple(rows), exact)
     for start in range(0, 1 << n, chunk):
         masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        assert_numerators(table[masks], denom, worths(masks))
+        assert_numerators(table[masks], denom, _dividend_worths(tuple(rows), exact, masks))
 
 
 @st.composite

@@ -182,6 +182,29 @@ def test_round_trip_minimal():
     assert parse_scenario(serialize_scenario(s)) == s
 
 
+def test_whole_exact_values_parse_as_ints():
+    # whole numbers, written as ints or strings, parse as Python ints, so
+    # exact tables of them take the engines' integer numerator paths
+    values = [6, "6", "12/2", "1/3"]
+    doc = json.loads(MINIMAL)
+    doc["nodes"] += ["X", "Y"]
+    doc["edges"] += [{"from": "L", "to": "X"}, {"from": "L", "to": "Y"}]
+    # edge masks 0b1, 0b10, 0b11, 0b100: the order the entries are kept in
+    subsets = [[["L", "R"]], [["L", "X"]], [["L", "R"], ["L", "X"]], [["L", "Y"]]]
+    doc["model"]["table"] = [{"edges": e, "value": v} for e, v in zip(subsets, values)]
+    doc["expected"] = dict(zip(doc["nodes"], values))
+    doc["expected_status"] = UNVERIFIED
+    s = parse_scenario(json.dumps(doc))
+    want = [(int, 6), (int, 6), (int, 6), (Fraction, Fraction(1, 3))]
+    assert [mask for mask, _ in s.model.entries] == [0b1, 0b10, 0b11, 0b100]
+    assert [(type(x), x) for _, x in s.model.entries] == want
+    assert [(type(x), x) for _, x in s.expected] == want
+    again = parse_scenario(serialize_scenario(s))
+    assert again == s
+    assert [(type(x), x) for _, x in again.model.entries] == want
+    assert [(type(x), x) for _, x in again.expected] == want
+
+
 # ---------------------------------------------------------------------------
 # Fixture regression
 # ---------------------------------------------------------------------------
