@@ -10,6 +10,7 @@ from .edgegame import (
     ComponentEfficiencyReport,
     EdgeCharacteristic,
     EdgeGame,
+    audit,
     component_efficiency_check,
     delete_edge,
     edge_shapley,

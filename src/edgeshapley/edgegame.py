@@ -6,6 +6,9 @@ edges it fully contains. The Shapley value of that lifted game is the
 edge-based allocation this library exists to compute. The lift forces a few
 identities worth knowing: singletons are always worth 0, the grand coalition
 is worth w(all edges), and a player with no incident edges is a null player.
+:func:`audit` checks the allocation's properties (efficiency, symmetry, the
+null player, fairness under edge deletion, component efficiency) on one
+coalition table of the lifted game plus one per deleted edge.
 
 Neighborhood pruning: a player's marginal against a coalition that misses its
 entire neighborhood is zero (adding the player completes no edge), so the
@@ -27,10 +30,14 @@ from .errors import CharacteristicContractError, ZeroNormalizationError
 from .games import (
     DEFAULT_ENUMERATION_LIMIT,
     Allocation,
+    AxiomReport,
+    CheckResult,
     EngineStats,
     GraphGame,
     NodeCharacteristic,
     Value,
+    _axiom_check,
+    _check_capacity,
     _component_table,
     _reduce,
     _ReduceTables,
@@ -354,33 +361,31 @@ def fairness_delta(
     they are equal, which makes this a handy self-check. Each endpoint's two
     values are reductions of a whole coalition table for the two endpoints
     only: the game's own, then the edge-deleted game's own (see
-    :func:`_deleted_endpoint_values`). They equal those players'
+    :func:`_endpoint_values`). They equal those players'
     :func:`edge_shapley` values bit for bit. ``threads`` has no effect.
     """
     g = eg.graph
     edge = g.edges[_resolve_edge(g, e)]
     v = lift(eg)
-    table, denom = _table(v, limit)
+    _check_capacity(v, limit)  # before the per-n tables are built
     tables = _ReduceTables(v.n, v.exact)
-    ends = (g.index(edge.src), g.index(edge.dst))
-    before = _reduce(table, denom, v.n, None, None, v.exact, players=ends, tables=tables)
-    del table  # before the deleted game's table is built
-    after = _deleted_endpoint_values(eg, edge, limit, tables)
+    before = _endpoint_values(eg, edge, limit, tables)
+    after = _endpoint_values(delete_edge(eg, edge), edge, limit, tables)
     return before[0] - after[0], before[1] - after[1]
 
 
-def _deleted_endpoint_values(
+def _endpoint_values(
     eg: EdgeGame,
     edge: Edge,
     limit: int | None,
     tables: _ReduceTables,
 ) -> tuple[Value, Value]:
-    """The (src, dst) values of ``edge``'s endpoints in the game without it:
-    the coalition table of ``lift(delete_edge(eg, edge))``, built whole and
-    reduced for those two players only, on ``tables`` (the per-n tables of
-    ``eg``'s player count and domain, which deletion keeps)."""
+    """The (src, dst) values of ``edge``'s endpoints in ``eg``: the coalition
+    table of ``lift(eg)``, built whole and reduced for those two players
+    only, on ``tables`` (the per-n tables of ``eg``'s player count and
+    domain, which edge deletion keeps)."""
     g = eg.graph
-    v = lift(delete_edge(eg, edge))
+    v = lift(eg)
     table, denom = _table(v, limit)
     ends = (g.index(edge.src), g.index(edge.dst))
     return _reduce(table, denom, v.n, None, None, v.exact, players=ends, tables=tables)
@@ -488,3 +493,61 @@ def _component_report(
     t = int(rest[s])
     witness = (g.labels_of(s ^ t), g.labels_of(t))
     return ComponentEfficiencyReport(tuple(entries), False, witness)
+
+
+# ---------------------------------------------------------------------------
+# The axiom audit
+# ---------------------------------------------------------------------------
+
+def audit(eg: EdgeGame, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> AxiomReport:
+    """The checks the CLI's ``axioms`` command prints, in order: efficiency,
+    symmetry and null-player (see :func:`games.axiom_check`), fairness over
+    every edge deletion up to the first unequal pair, one
+    component-efficiency check per component and the component-additivity
+    hypothesis (see :func:`component_efficiency_check`); the last two are
+    informational. One coalition table of ``lift(eg)`` serves the
+    allocation and every check but fairness, whose deletions each build
+    their own (see :func:`_endpoint_values`), so the audit enumerates
+    |E| + 1 games. Float values compare to a relative 1e-9.
+    """
+    g = eg.graph
+    v = lift(eg)
+    table, denom = _table(v, limit)
+    tables = _ReduceTables(v.n, v.exact)
+    values = _reduce(table, denom, v.n, None, None, v.exact, tables=tables)
+    alloc = Allocation(values, v.exact, g.nodes)
+    checks = list(_axiom_check(v, alloc, "all", (), limit, 1e-9, table))
+
+    witness = ""
+    for edge in g.edges:
+        after_src, after_dst = _endpoint_values(delete_edge(eg, edge), edge, limit, tables)
+        d_src = alloc[edge.src] - after_src
+        d_dst = alloc[edge.dst] - after_dst
+        if not values_close(d_src, d_dst, v.exact, 1e-9):
+            witness = f"; unequal deltas on ({edge.src}, {edge.dst}): {d_src} vs {d_dst}"
+            break
+    checks.append(
+        CheckResult("fairness", not witness, f"{len(g.edges)} edge deletion(s){witness}")
+    )
+    del tables  # before the component check allocates its own tables
+
+    comp = _component_report(eg, v, table, alloc, 1e-9)
+    for entry in comp.components:
+        checks.append(
+            CheckResult(
+                "component-efficiency",
+                entry.matches,
+                f"{{{', '.join(entry.nodes)}}}: allocation sum {entry.allocation_sum} "
+                f"vs worth {entry.worth}",
+            )
+        )
+    checks.append(
+        CheckResult(
+            "component-additivity-hypothesis",
+            comp.additive_hypothesis,
+            f"held on all {1 << g.n} coalitions"
+            if comp.additive_hypothesis
+            else f"failed on {comp.hypothesis_witness}",
+        )
+    )
+    return AxiomReport(tuple(checks))

@@ -14,7 +14,7 @@ table into marginal sums, for every player or for a chosen few; symmetry and
 null-player detection are views of the same table, and fairness deltas a
 two-player view (each edge-deleted game's own table, reduced for the edge's
 two endpoints on per-n size tables built once, see
-:func:`edgeshapley.edgegame.fairness_delta`). :func:`_table` runs the
+:func:`edgeshapley.edgegame.audit`). :func:`_table` runs the
 capacity and grounding checks before it allocates anything and hands out
 one representation per domain: float64 for approx games, integer
 numerators over one common denominator for exact games (int64 when a bound

@@ -89,7 +89,6 @@ class Graph:
         "_edge_pair_masks",
         "_incident",
         "_pair_to_edge",
-        "_costs",
     )
 
     def __init__(self, nodes: Iterable[NodeId], edges: Iterable[Edge | tuple] = ()):
@@ -136,7 +135,6 @@ class Graph:
         self._edge_pair_masks = tuple(pair_masks)
         self._incident = tuple(incident)
         self._pair_to_edge = pair_to_edge
-        self._costs = np.array([e.cost for e in edge_list], dtype=np.float64)
 
     # -- identity ---------------------------------------------------------
 

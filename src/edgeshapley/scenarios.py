@@ -54,10 +54,8 @@ VERIFIED = "verified"
 UNVERIFIED = "unverified"
 
 
-@dataclass(frozen=True)
-class SupplyModel:
-    alpha: float = 0.1
-    semantics: str = CONTAINMENT
+#: A supply model is the cost decay of its routes.
+SupplyModel = CostDecayParams
 
 
 @dataclass(frozen=True)
@@ -99,11 +97,7 @@ class Scenario:
 
     def characteristic(self) -> EdgeCharacteristic:
         if isinstance(self.model, SupplyModel):
-            return supply_weight_fn(
-                self.graph,
-                self.routes,
-                CostDecayParams(self.model.alpha, self.model.semantics),
-            )
+            return supply_weight_fn(self.graph, self.routes, self.model)
         if isinstance(self.model, ContractModel):
             return contract_weight_fn(self.graph, self.routes, self.model.semantics)
         if isinstance(self.model, PowerModel):

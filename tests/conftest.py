@@ -150,3 +150,22 @@ def random_route_game(
         quantity = float(np.round(rng.uniform(1.0, 20.0), 3))
         routes.append(Route(nodes, quantity))
     return g, routes, CostDecayParams(alpha=0.1)
+
+
+def drop_one_more_row(monkeypatch):
+    """Plant a ``delete_edge`` bug: the deleted game also loses its first
+    remaining dividend row, which does not hold the deleted edge."""
+    from edgeshapley import cli, edgegame
+
+    real = edgegame.delete_edge
+
+    def buggy(eg, e):
+        deleted = real(eg, e)
+        w = deleted.characteristic
+        rows = w.dividends[1:]
+        worth = lambda m: sum((val for em, val in rows if m & em == em), 0.0)
+        return EdgeGame(deleted.graph,
+                        EdgeCharacteristic(w.edges, worth, exact=w.exact, dividends=rows))
+
+    for module in (edgegame, cli):
+        monkeypatch.setattr(module, "delete_edge", buggy)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -13,6 +14,8 @@ from edgeshapley.cli import main
 from edgeshapley.edgegame import edge_shapley
 from edgeshapley.models import CostDecayParams, route_closed_form
 from edgeshapley.scenarios import load_scenario
+
+from conftest import drop_one_more_row
 
 def fixture_path(name: str) -> str:
     return str(resources.files("edgeshapley") / "fixtures" / f"{name}.json")
@@ -413,26 +416,6 @@ def test_whatif_sampled_fairness_is_informational(capsys):
     assert d["gap"] == d["delta"][0] - d["delta"][1]
 
 
-def drop_one_more_row(monkeypatch):
-    """Plant a ``delete_edge`` bug: the deleted game also loses its first
-    remaining dividend row, which does not hold the deleted edge."""
-    from edgeshapley import cli, edgegame
-    from edgeshapley.edgegame import EdgeCharacteristic, EdgeGame
-
-    real = edgegame.delete_edge
-
-    def buggy(eg, e):
-        deleted = real(eg, e)
-        w = deleted.characteristic
-        rows = w.dividends[1:]
-        worth = lambda m: sum((val for em, val in rows if m & em == em), 0.0)
-        return EdgeGame(deleted.graph,
-                        EdgeCharacteristic(w.edges, worth, exact=w.exact, dividends=rows))
-
-    for module in (edgegame, cli):
-        monkeypatch.setattr(module, "delete_edge", buggy)
-
-
 @pytest.mark.parametrize("method", ["edge_shapley", "edge_shapley_pruned", "myerson", "shapley"])
 def test_whatif_deterministic_method_fails_on_unequal_deltas(capsys, monkeypatch, method):
     # chain-suppliers without A-C keeps only the route B-C-D-E, which the
@@ -537,7 +520,7 @@ def test_axioms_builds_and_reduces_the_base_table_once(capsys, monkeypatch, name
     # one base table, reduced for every player, serves the allocation, the
     # symmetry and null-player views and the component check; each edge
     # deletion builds its own table and reduces the edge's two endpoints
-    from edgeshapley import cli, edgegame, games
+    from edgeshapley import edgegame, games
 
     built, reduced = [], []
     table, reduce = games._table, games._reduce
@@ -546,7 +529,7 @@ def test_axioms_builds_and_reduces_the_base_table_once(capsys, monkeypatch, name
         reduced.append(None if players is None else tuple(players))
         return reduce(*args, players=players, **kwargs)
 
-    for module in (games, edgegame, cli):
+    for module in (games, edgegame):
         monkeypatch.setattr(module, "_table",
                             lambda v, *args: built.append(v.n) or table(v, *args))
         monkeypatch.setattr(module, "_reduce", count_reduce)
@@ -570,7 +553,7 @@ def test_axioms_fails_on_a_planted_deletion_bug(capsys, monkeypatch):
 
 def test_axioms_fails_on_swapped_endpoint_values(capsys, monkeypatch):
     # the deleted game's endpoint values handed back in the wrong order
-    from edgeshapley import cli, edgegame, games
+    from edgeshapley import edgegame, games
 
     reduce = games._reduce
 
@@ -578,8 +561,23 @@ def test_axioms_fails_on_swapped_endpoint_values(capsys, monkeypatch):
         out = reduce(*args, players=players, **kwargs)
         return out[::-1] if players is not None else out
 
-    for module in (games, edgegame, cli):
+    for module in (games, edgegame):
         monkeypatch.setattr(module, "_reduce", swapped)
     code, out = run(capsys, "axioms", "--input", CHAIN)
     assert code == 1
     assert "[FAIL] fairness" in out
+
+
+def test_cli_imports_no_engine_private():
+    # the CLI reaches the engines through their public names only, so no
+    # table format or reduction detail leaks into it
+    tree = ast.parse(Path(edgeshapley.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "edgeshapley")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

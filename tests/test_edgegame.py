@@ -14,6 +14,7 @@ from edgeshapley import (
     GraphGame,
     NodeCharacteristic,
     ZeroNormalizationError,
+    audit,
     build_graph,
     component_efficiency_check,
     delete_edge,
@@ -34,6 +35,7 @@ from edgeshapley import (
 
 from conftest import (
     H_ALLOCATION,
+    drop_one_more_row,
     random_connected_graph,
     random_graph,
     random_route_game,
@@ -361,18 +363,56 @@ def test_myerson_and_component_check_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(games, "all_masks", no_table)
     for module in (games, edgegame):
         monkeypatch.setattr(module, "_component_table", no_table)
+    # the audit and fairness deltas build no per-n reduction tables either
+    monkeypatch.setattr(edgegame, "_ReduceTables", no_table)
     labels = [f"v{i}" for i in range(30)]
     g = build_graph(labels, list(zip(labels, labels[1:])))
     eg = EdgeGame(g, power_weight_fn(g, 2))
-    with pytest.raises(CapacityError, match="enumeration limit 24"):
-        myerson(GraphGame(g, lift(eg)))
-    with pytest.raises(CapacityError, match="enumeration limit 24"):
-        component_efficiency_check(eg)
+    engines = (
+        lambda **kw: myerson(GraphGame(g, lift(eg)), **kw),
+        lambda **kw: component_efficiency_check(eg, **kw),
+        lambda **kw: audit(eg, **kw),
+        lambda **kw: fairness_delta(eg, ("v0", "v1"), **kw),
+    )
+    for engine in engines:
+        with pytest.raises(CapacityError, match="enumeration limit 24"):
+            engine()
     monkeypatch.setattr(games, "_physical_memory", lambda: 1 << 30)
-    with pytest.raises(CapacityError, match="GiB"):
-        myerson(GraphGame(g, lift(eg)), limit=None)
-    with pytest.raises(CapacityError, match="GiB"):
-        component_efficiency_check(eg, limit=None)
+    for engine in engines:
+        with pytest.raises(CapacityError, match="GiB"):
+            engine(limit=None)
+
+
+# ---------------------------------------------------------------------------
+# The axiom audit
+# ---------------------------------------------------------------------------
+
+def test_audit_reports_the_h_component_mismatch_and_witness(h_game):
+    report = audit(h_game)
+    assert [(c.name, c.passed) for c in report] == [
+        ("efficiency", True),
+        ("symmetry", True),
+        ("null-player", True),
+        ("fairness", True),
+        ("component-efficiency", False),
+        ("component-efficiency", False),
+        ("component-additivity-hypothesis", False),
+    ]
+    details = [c.detail for c in report]
+    assert details[3] == "3 edge deletion(s)"
+    assert details[5] == "{C, E}: allocation sum 3 vs worth 1"
+    assert details[6] == "failed on (('A', 'D'), ('C', 'E'))"
+
+
+def test_audit_fails_fairness_on_a_planted_deletion_bug(monkeypatch):
+    # the dropped row lies outside the coalitions holding both endpoints,
+    # so only a table built whole from the deleted game shows it
+    drop_one_more_row(monkeypatch)
+    report = audit(load_fixture("chain-suppliers").edge_game())
+    fairness = next(c for c in report if c.name == "fairness")
+    assert not fairness.passed
+    assert fairness.detail.startswith("4 edge deletion(s); unequal deltas on (A, C): ")
+    assert [c.passed for c in report if c.name != "fairness"] == [True] * 5
 
 
 @pytest.mark.parametrize("worth", [lambda m: Fraction(m, 7), lambda m: 1000 * m],
