@@ -14,17 +14,24 @@ Exit codes follow a scriptable convention:
   game on a graph with more than 63 edges whose worth declares no dividends,
   such as a strict-equality supply game, ``whatif --remove-node`` of a
   scenario's only node);
-* 65 -- the input failed to load, the output could not be written, or a
-  what-if target does not exist.
+* 65 -- the input failed to load (a non-finite number, or a number beyond
+  the float range in a field read as a float, among the reasons), the output
+  could not be written, or a what-if target does not exist.
 
-Output is byte-deterministic for a given (input file, flags, seed); wall-time
-measurement is therefore opt-in via ``--timing``.
+Every value is rendered by two helpers: :func:`_json_value` (the exact
+string, a finite float, or null when no float holds the value) and
+:func:`_text_value` (the exact string, 6 significant digits, or ``-``), so an
+exact value beyond the float range prints its exact string and a JSON report
+never holds ``NaN`` or ``Infinity``. Output is byte-deterministic for a given
+(input file, flags, seed); wall-time measurement is therefore opt-in via
+``--timing``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -101,8 +108,42 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _fmt6(x: float) -> str:
-    return f"{float(x):.6g}"
+def _json_value(x: Value | None, exact: bool = False):
+    """A value's JSON form: its exact string, else a float, or None when a
+    float cannot hold it (no value, a value beyond the float range, or one
+    that is not finite)."""
+    if x is None:
+        return None
+    if exact:
+        return str(x)
+    try:
+        x = float(x)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _text_value(x: Value | None, exact: bool = False) -> str:
+    """A value's text form: its exact string (a float's shortest repr), else
+    6 significant digits, or ``-`` when a float cannot hold it."""
+    value = _json_value(x, exact)
+    if value is None:
+        return "-"
+    return value if exact else f"{value:.6g}"
+
+
+#: ``axioms`` checks reported as information, not failures: component
+#: efficiency needs an additivity hypothesis many interesting games break.
+INFORMATIONAL_CHECKS = ("component-efficiency", "component-additivity-hypothesis")
+
+
+def _check_doc(c: CheckResult) -> dict:
+    return {"name": c.name, "passed": c.passed, "detail": c.detail}
+
+
+def _check_line(c: CheckResult) -> str:
+    flag = "pass" if c.passed else ("info" if c.name in INFORMATIONAL_CHECKS else "FAIL")
+    return f"[{flag}] {c.name}: {c.detail}"
 
 
 def _allocate(
@@ -146,27 +187,21 @@ class RunReport:
     checks: list[CheckResult]
     elapsed_ms: float | None = None
 
-    def allocation_rows(self) -> list[dict]:
-        rows = []
-        for label in self.allocation.nodes:
-            value = self.allocation[label]
-            row: dict = {"node": label}
-            if self.allocation.exact:
-                row["exact"] = str(value)
-            row["decimal"] = float(value)
-            rows.append(row)
-        return rows
-
     def to_doc(self) -> dict:
+        exact = self.allocation.exact
+        rows = []
+        for label, value in self.allocation.as_dict().items():
+            row: dict = {"node": label}
+            if exact:
+                row["exact"] = _json_value(value, exact=True)
+            row["decimal"] = _json_value(value)
+            rows.append(row)
         doc = {
             "scenario": self.scenario,
             "method": self.method,
-            "allocations": self.allocation_rows(),
-            "total": float(self.total),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "allocations": rows,
+            "total": _json_value(self.total),
+            "checks": [_check_doc(c) for c in self.checks],
         }
         if self.elapsed_ms is not None:
             doc["elapsed_ms"] = self.elapsed_ms
@@ -174,29 +209,24 @@ class RunReport:
 
     def to_csv(self) -> str:
         lines = ["node,value"]
-        for row in self.allocation_rows():
-            value = row["exact"] if "exact" in row else repr(row["decimal"])
-            lines.append(f"{row['node']},{value}")
+        for label, value in self.allocation.as_dict().items():
+            lines.append(f"{label},{_text_value(value, exact=True)}")
         return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
+        exact = self.allocation.exact
+        rows = [["node", "exact", "value"] if exact else ["node", "value"]]
+        for label, value in self.allocation.as_dict().items():
+            exact_cell = [_text_value(value, exact=True)] if exact else []
+            rows.append([label, *exact_cell, _text_value(value)])
+        # every column but the last is padded to its widest cell
+        widths = [max(len(row[k]) for row in rows) for k in range(len(rows[0]) - 1)]
         lines = [f"scenario: {self.scenario}", f"method: {self.method}", ""]
-        width = max(4, max(len(n) for n in self.allocation.nodes))
-        if self.allocation.exact:
-            ew = max(5, max(len(str(v)) for v in self.allocation.values))
-            lines.append(f"{'node':<{width}}  {'exact':<{ew}}  value")
-            for label in self.allocation.nodes:
-                v = self.allocation[label]
-                lines.append(f"{label:<{width}}  {str(v):<{ew}}  {_fmt6(v)}")
-        else:
-            lines.append(f"{'node':<{width}}  value")
-            for label in self.allocation.nodes:
-                lines.append(f"{label:<{width}}  {_fmt6(self.allocation[label])}")
-        lines.append("")
-        total = str(self.total) if self.allocation.exact else _fmt6(self.total)
-        lines.append(f"total: {total}")
-        for c in self.checks:
-            lines.append(f"[{'pass' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
+        for row in rows:
+            padded = [cell.ljust(width) for cell, width in zip(row, widths)]
+            lines.append("  ".join([*padded, row[-1]]))
+        lines += ["", f"total: {_text_value(self.total, exact)}"]
+        lines += map(_check_line, self.checks)
         if self.elapsed_ms is not None:
             lines.append(f"elapsed_ms: {self.elapsed_ms:.1f}")
         return "\n".join(lines) + "\n"
@@ -210,15 +240,10 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _render(doc_or_report, fmt: str, output: str | None):
-    if fmt == "json":
-        if isinstance(doc_or_report, RunReport):
-            doc_or_report = doc_or_report.to_doc()
-        _emit(json.dumps(doc_or_report, indent=2) + "\n", output)
-    elif fmt == "csv":
-        _emit(doc_or_report.to_csv(), output)
-    else:
-        _emit(doc_or_report.to_table(), output)
+def _emit_json(doc: dict, output: str | None):
+    # a NaN or Infinity that bypassed _json_value raises here instead of
+    # printing a token strict JSON parsers refuse
+    _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", output)
 
 
 def _build_report(scenario, eg, method, args) -> RunReport:
@@ -232,19 +257,19 @@ def _build_report(scenario, eg, method, args) -> RunReport:
         limit=args.limit,
     )
     elapsed = (time.perf_counter() - started) * 1000.0
-    total_worth = eg.total_worth
+    total, got = eg.total_worth, alloc.total()
     checks = [
         CheckResult(
             "efficiency",
-            values_close(alloc.total(), total_worth, alloc.exact, 1e-9),
-            f"sum {alloc.total()} vs total worth {total_worth}",
+            values_close(got, total, alloc.exact, 1e-9),
+            f"sum {_text_value(got, exact=True)} vs total worth {_text_value(total, exact=True)}",
         )
     ]
     return RunReport(
         scenario=scenario.name or "<unnamed>",
         method=method,
         allocation=alloc,
-        total=total_worth,
+        total=total,
         checks=checks,
         elapsed_ms=elapsed if args.timing else None,
     )
@@ -281,70 +306,19 @@ def cmd_compute(args) -> int:
             detail = "allocation matches expected vector"
             if mismatches:
                 label = mismatches[0]
+                computed, want = report.allocation[label], expected[label]
                 detail = (
-                    f"mismatch at {label}: computed {report.allocation[label]} "
-                    f"vs expected {expected[label]}"
+                    f"mismatch at {label}: computed {_text_value(computed, exact=True)} "
+                    f"vs expected {_text_value(want, exact=True)}"
                 )
             report.checks.append(CheckResult("expected", ok, detail))
             if not ok:
                 status = 2
-    _render(report, args.format, args.output)
-    return status
-
-
-def _whatif_doc(args, scenario: Scenario):
-    eg = scenario.edge_game()
-    base_report = _build_report(scenario, eg, args.method, args)
-    fairness = None
-    if args.remove_node is not None:
-        modified = remove_node(scenario, args.remove_node)
-        mod_report = _build_report(modified, modified.edge_game(), args.method, args)
-        removed = {args.remove_node}
+    if args.format == "json":
+        _emit_json(report.to_doc(), args.output)
     else:
-        u, v = args.remove_edge
-        j = eg.graph.edge_index(u, v)  # raises UnknownEdgeError -> 65
-        edge = eg.graph.edges[j]
-        deleted = delete_edge(eg, (u, v))
-        started = time.perf_counter()
-        alloc = _allocate(
-            scenario,
-            deleted,
-            args.method,
-            samples=args.samples,
-            seed=args.seed,
-            limit=args.limit,
-        )
-        elapsed = (time.perf_counter() - started) * 1000.0
-        mod_report = RunReport(
-            scenario=f"{base_report.scenario} minus edge {u}-{v}",
-            method=args.method,
-            allocation=alloc,
-            total=deleted.total_worth,
-            checks=[],
-            elapsed_ms=elapsed if args.timing else None,
-        )
-        removed = set()
-        d_src = base_report.allocation[edge.src] - alloc[edge.src]
-        d_dst = base_report.allocation[edge.dst] - alloc[edge.dst]
-        fairness = {"edge": [edge.src, edge.dst], "delta": [d_src, d_dst]}
-        if args.method == "sampled":
-            # two Monte-Carlo estimates differ by their sampling error, so
-            # their gap is reported without a verdict
-            fairness["gap"] = d_src - d_dst
-        else:
-            fairness["equal"] = values_close(d_src, d_dst, base_report.allocation.exact, 1e-9)
-
-    deltas = []
-    for label in scenario.graph.nodes:
-        before = base_report.allocation[label]
-        if label in removed:
-            deltas.append({"node": label, "before": before, "after": None,
-                           "delta": -before, "removed": True})
-        else:
-            after = mod_report.allocation[label]
-            deltas.append({"node": label, "before": before, "after": after,
-                           "delta": after - before})
-    return base_report, mod_report, deltas, fairness
+        _emit(report.to_csv() if args.format == "csv" else report.to_table(), args.output)
+    return status
 
 
 def cmd_whatif(args) -> int:
@@ -353,83 +327,79 @@ def cmd_whatif(args) -> int:
         raise UsageError("closed_form cannot run on an edge-deleted game")
     if args.remove_node is not None and scenario.graph.nodes == (args.remove_node,):
         raise UsageError(f"removing {args.remove_node} leaves no players")
-    base_report, mod_report, deltas, fairness = _whatif_doc(args, scenario)
-    exact = base_report.allocation.exact
+    eg = scenario.edge_game()
+    base = _build_report(scenario, eg, args.method, args)
+    edge = None
+    if args.remove_node is not None:
+        modified = remove_node(scenario, args.remove_node)
+        mod = _build_report(modified, modified.edge_game(), args.method, args)
+    else:
+        u, v = args.remove_edge
+        edge = eg.graph.edges[eg.graph.edge_index(u, v)]  # raises UnknownEdgeError -> 65
+        mod = _build_report(scenario, delete_edge(eg, (u, v)), args.method, args)
+        mod.scenario, mod.checks = f"{base.scenario} minus edge {u}-{v}", []
+    exact = base.allocation.exact
 
-    def num(x):
-        if x is None:
-            return None
-        return str(x) if exact else float(x)
+    rows = []  # (node, before, after, delta); after is None for the removed node
+    for label in scenario.graph.nodes:
+        before = base.allocation[label]
+        after = None if label == args.remove_node else mod.allocation[label]
+        rows.append((label, before, after, -before if after is None else after - before))
+    equal = None  # the endpoint verdict; sampled estimates get none
+    if edge is not None:
+        d_src = base.allocation[edge.src] - mod.allocation[edge.src]
+        d_dst = base.allocation[edge.dst] - mod.allocation[edge.dst]
+        # two Monte-Carlo estimates differ by their sampling error, so their
+        # gap is reported without a verdict
+        if args.method != "sampled":
+            equal = values_close(d_src, d_dst, exact, 1e-9)
 
     if args.format == "json":
-        doc = {
-            "baseline": base_report.to_doc(),
-            "modified": mod_report.to_doc(),
-            "deltas": [
-                {k: (num(v) if k in ("before", "after", "delta") else v) for k, v in row.items()}
-                for row in deltas
-            ],
-        }
-        if fairness is not None:
-            doc["fairness"] = {
-                "edge": fairness["edge"],
-                "delta": [num(d) for d in fairness["delta"]],
-            }
-            if "equal" in fairness:
-                doc["fairness"]["equal"] = fairness["equal"]
+        doc = {"baseline": base.to_doc(), "modified": mod.to_doc(), "deltas": []}
+        for label, before, after, delta in rows:
+            row = {"node": label, "before": _json_value(before, exact),
+                   "after": _json_value(after, exact), "delta": _json_value(delta, exact)}
+            if after is None:
+                row["removed"] = True
+            doc["deltas"].append(row)
+        if edge is not None:
+            fairness = {"edge": [edge.src, edge.dst],
+                        "delta": [_json_value(d_src, exact), _json_value(d_dst, exact)]}
+            if equal is None:
+                fairness["gap"] = _json_value(d_src - d_dst, exact)
             else:
-                doc["fairness"]["gap"] = num(fairness["gap"])
-        _render(doc, "json", args.output)
+                fairness["equal"] = equal
+            doc["fairness"] = fairness
+        _emit_json(doc, args.output)
     else:
-        lines = ["# baseline", base_report.to_table(), "# modified", mod_report.to_table()]
-        width = max(4, max(len(r["node"]) for r in deltas))
-        rows = [f"{'node':<{width}}  before        after         delta"]
-        for r in deltas:
-            before = str(r["before"]) if exact else _fmt6(r["before"])
-            after = "-" if r["after"] is None else (str(r["after"]) if exact else _fmt6(r["after"]))
-            delta = str(r["delta"]) if exact else _fmt6(r["delta"])
-            rows.append(f"{r['node']:<{width}}  {before:<12}  {after:<12}  {delta}")
-        lines.append("# deltas\n" + "\n".join(rows) + "\n")
-        if fairness is not None:
-            u, v = fairness["edge"]
-            d_src, d_dst = fairness["delta"]
-            ds = str(d_src) if exact else _fmt6(d_src)
-            dd = str(d_dst) if exact else _fmt6(d_dst)
-            if "equal" in fairness:
-                verdict = "-> equal" if fairness["equal"] else "-> UNEQUAL"
+        lines = ["# baseline", base.to_table(), "# modified", mod.to_table()]
+        width = max(4, max(len(row[0]) for row in rows))
+        table = [f"{'node':<{width}}  before        after         delta"]
+        for label, *values in rows:
+            before, after, delta = (_text_value(x, exact) for x in values)
+            table.append(f"{label:<{width}}  {before:<12}  {after:<12}  {delta}")
+        lines.append("# deltas\n" + "\n".join(table) + "\n")
+        if edge is not None:
+            if equal is None:
+                verdict = f"(sampled estimates, gap {_text_value(d_src - d_dst, exact)}, no verdict)"
             else:
-                gap = str(fairness["gap"]) if exact else _fmt6(fairness["gap"])
-                verdict = f"(sampled estimates, gap {gap}, no verdict)"
-            lines.append(f"# fairness\nendpoint deltas {u}: {ds}, {v}: {dd} {verdict}\n")
+                verdict = "-> equal" if equal else "-> UNEQUAL"
+            lines.append(
+                f"# fairness\nendpoint deltas {edge.src}: {_text_value(d_src, exact)}, "
+                f"{edge.dst}: {_text_value(d_dst, exact)} {verdict}\n"
+            )
         _emit("\n".join(lines), args.output)
-
-    if fairness is not None and not fairness.get("equal", True):
-        return 1
-    return 0
-
-
-#: ``axioms`` checks reported as information, not failures: component
-#: efficiency needs an additivity hypothesis many interesting games break.
-INFORMATIONAL_CHECKS = ("component-efficiency", "component-additivity-hypothesis")
+    return 1 if equal is False else 0
 
 
 def cmd_axioms(args) -> int:
     scenario = load_scenario(args.input)
     checks = audit(scenario.edge_game(), limit=args.limit).checks
-    doc = {
-        "scenario": scenario.name or "<unnamed>",
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ],
-    }
+    name = scenario.name or "<unnamed>"
     if args.format == "json":
-        _render(doc, "json", args.output)
+        _emit_json({"scenario": name, "checks": [_check_doc(c) for c in checks]}, args.output)
     else:
-        lines = [f"scenario: {doc['scenario']}"]
-        for c in checks:
-            flag = "pass" if c.passed else ("info" if c.name in INFORMATIONAL_CHECKS else "FAIL")
-            lines.append(f"[{flag}] {c.name}: {c.detail}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join([f"scenario: {name}", *map(_check_line, checks)]) + "\n", args.output)
     hard = [c for c in checks if c.name not in INFORMATIONAL_CHECKS]
     return 0 if all(c.passed for c in hard) else 1
 

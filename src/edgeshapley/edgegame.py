@@ -48,7 +48,7 @@ from .games import (
     values_close,
 )
 from .graph import MAX_EDGE_BITS, Edge, Graph, NodeId
-from .masks import all_masks, subsets_of
+from .masks import all_masks, squeeze, subsets_of
 
 
 class EdgeCharacteristic:
@@ -63,6 +63,10 @@ class EdgeCharacteristic:
     are not merged, so a float sum keeps the order ``fn`` adds in. The
     declaration must agree with ``fn``; :func:`lift` evaluates it on node
     masks, without edge masks, and so on any number of edges.
+
+    ``fn_many``, when given in either domain, maps an int64 edge-mask array
+    to the worth array :class:`games.NodeCharacteristic` describes, and must
+    agree with ``fn``.
     """
 
     __slots__ = ("edges", "exact", "dividends", "_fn", "_fn_many")
@@ -80,7 +84,7 @@ class EdgeCharacteristic:
         self.exact = exact
         self.dividends = None if dividends is None else tuple(dividends)
         self._fn = fn
-        self._fn_many = fn_many if not exact else None
+        self._fn_many = fn_many
 
     def __call__(self, edge_mask: int) -> Value:
         return self._fn(edge_mask)
@@ -142,8 +146,8 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
     rows and nothing else (:class:`games.NodeCharacteristic` reads them),
     on any number of edges. Otherwise batch evaluation (what fills
     the engines' coalition table) builds the induced edge masks of the
-    coalitions as int64, which holds at most ``MAX_EDGE_BITS`` edges: an
-    approx worth with a vector path evaluates them as one array (and
+    coalitions as int64, which holds at most ``MAX_EDGE_BITS`` edges: a
+    worth with a vector path evaluates them as one array (and
     refuses more edges with `CapacityError`); any other worth, in either
     domain, is evaluated once per distinct induced edge set and the results
     are gathered back per coalition; such games on more edges are evaluated
@@ -333,7 +337,7 @@ def delete_edge(eg: EdgeGame, e: Edge | tuple[NodeId, NodeId]) -> EdgeGame:
     dividends = None
     if w.dividends is not None:
         dividends = tuple(
-            ((em & low) | ((em >> 1) & ~low), val)
+            (squeeze(em, 1 << j), val)
             for em, val in w.dividends
             if not (em >> j) & 1
         )

@@ -65,16 +65,13 @@ import numpy as np
 
 from .errors import CapacityError, CharacteristicContractError
 from .graph import Graph
-from .masks import all_masks, indices_of, superset_view
+from .masks import MAX_ENUMERATION_PLAYERS, all_masks, indices_of, squeeze, superset_view
 
 Coalition = int
 Value = Union[Fraction, int, float]
 
 #: Hard bound imposed by the bit-mask coalition encoding.
 MAX_PLAYERS = 63
-
-#: The coalition table indexes 0 .. 2^n - 1 as int64, which caps it here.
-MAX_ENUMERATION_PLAYERS = 62
 
 #: Full 2^n enumeration is refused above this many players unless the caller
 #: explicitly raises the limit.
@@ -445,12 +442,6 @@ def _int64_reducible(table: np.ndarray, n: int) -> bool:
     return -bound < int(table.min()) and int(table.max()) < bound
 
 
-def _squeeze(mask: int, i: int) -> int:
-    """``mask`` without bit i, the higher bits moved down by one: the mask
-    read on the index of the coalitions that avoid player i."""
-    return (mask & ((1 << i) - 1)) | ((mask >> (i + 1)) << i)
-
-
 class _ReduceTables:
     """The per-n tables every reduction of n-player tables in one domain
     reads: the half-size coalition index, its popcounts (the coalition
@@ -492,9 +483,9 @@ def _reduce(
     Reshaped to (2^(n-1-i), 2, 2^i), the table's ``[:, 0, :]`` rows are the
     coalitions avoiding i and its ``[:, 1, :]`` rows the same coalitions with
     i added, both in ascending mask order. Position k of that order is the
-    coalition whose mask with bit i squeezed out (see :func:`_squeeze`) is k,
-    so it has popcount(k) members: one half-size table of sizes (and of
-    float weights) serves every player. ``tables`` holds these per-n tables
+    coalition whose mask with bit i squeezed out (see :func:`masks.squeeze`)
+    is k, so it has popcount(k) members: one half-size table of sizes (and
+    of float weights) serves every player. ``tables`` holds these per-n tables
     (see :class:`_ReduceTables`); they are built here when not given. Each
     player's marginals are subtracted into one reused half-size buffer, and
     a player's sum reads only the table and that player's view of it, so a
@@ -524,7 +515,7 @@ def _reduce(
             diff *= weights
         terms, size = diff, sizes
         if member_masks is not None:
-            keep = (index & _squeeze(member_masks[i], i)) != 0
+            keep = (index & squeeze(member_masks[i], 1 << i)) != 0
             terms = diff[keep]
             if exact:
                 size = sizes[keep]

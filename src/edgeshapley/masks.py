@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import CapacityError
 
+#: The coalition table indexes 0 .. 2^n - 1 as int64, which caps it here.
+MAX_ENUMERATION_PLAYERS = 62
+
 
 def indices_of(mask: int) -> list[int]:
     """Set bit positions of ``mask``, ascending."""
@@ -22,6 +25,15 @@ def indices_of(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def squeeze(mask: int, drop: int) -> int:
+    """``mask`` without the bits set in ``drop``, each kept bit moved down by
+    the number of dropped bits below it: the mask renumbered for a player or
+    edge set that has lost the members in ``drop``."""
+    for i in reversed(indices_of(drop)):
+        mask = (mask & ((1 << i) - 1)) | ((mask >> (i + 1)) << i)
+    return mask
 
 
 def subsets_of(mask: int) -> Iterator[int]:
@@ -61,7 +73,10 @@ def superset_view(table: np.ndarray, mask: int) -> np.ndarray:
 
 
 def all_masks(n: int) -> np.ndarray:
-    """0 .. 2^n - 1 as an int64 array; n above 62 raises `CapacityError`."""
-    if n > 62:
-        raise CapacityError(f"all 2^{n} masks do not fit an int64 array (n <= 62)")
+    """0 .. 2^n - 1 as an int64 array; n above ``MAX_ENUMERATION_PLAYERS``
+    raises `CapacityError`."""
+    if n > MAX_ENUMERATION_PLAYERS:
+        raise CapacityError(
+            f"all 2^{n} masks do not fit an int64 array (n <= {MAX_ENUMERATION_PLAYERS})"
+        )
     return np.arange(1 << n, dtype=np.int64)

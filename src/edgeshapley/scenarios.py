@@ -21,12 +21,16 @@ fraction strings. Optional metadata fields: ``name``, ``notes``, and
 for reference but skipped by regression).
 
 Loading is strict: every structural problem is reported with the offending
-field's path. Loaded scenarios are immutable and shareable across threads.
+field's path. Numbers must be finite, and those read as floats (``alpha``,
+edge ``cost``, supply ``quantity``, approx expected values) must fit in one;
+contract counts and exact values keep integers of any size. Loaded scenarios
+are immutable and shareable across threads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +42,7 @@ from .edgegame import EdgeCharacteristic, EdgeGame
 from .errors import ScenarioError
 from .games import Allocation, Value
 from .graph import MAX_NODES, Edge, Graph, Route
+from .masks import squeeze
 from .models import (
     CONTAINMENT,
     STRICT_EQUALITY,
@@ -145,13 +150,28 @@ def _parse_exact_value(raw, location: str) -> int | Fraction:
     )
 
 
-def _parse_approx_value(raw, location: str) -> float:
-    if isinstance(raw, bool):
-        raise _fail(f"cannot parse numeric value {raw!r}", location)
+def _number(raw, location: str, what: str, *, any_int: bool = False) -> int | float:
+    """``raw`` if it is a JSON number (not a bool) that is finite and that a
+    float can hold; with ``any_int``, an int of any size passes too."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise _fail(f"{what} must be a number, got {raw!r}", location)
+    if any_int and isinstance(raw, int):
+        return raw
     try:
-        return float(raw)
-    except (ValueError, TypeError):
-        raise _fail(f"cannot parse numeric value {raw!r}", location) from None
+        if math.isfinite(raw):
+            return raw
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise _fail(f"{what} must be a finite number that a float can hold", location)
+
+
+def _parse_approx_value(raw, location: str) -> float:
+    if isinstance(raw, str):
+        try:
+            raw = float(raw)
+        except ValueError:
+            raise _fail(f"cannot parse numeric value {raw!r}", location) from None
+    return float(_number(raw, location, "an approx value"))
 
 
 _TOP_KEYS = {"nodes", "edges", "model", "routes", "domain", "expected",
@@ -201,9 +221,7 @@ def parse_scenario(text: str, *, name_hint: str | None = None) -> Scenario:
                 raise _fail(f"unknown node {end!r}", loc)
         if src == dst:
             raise _fail(f"self-loop on {src!r}", loc)
-        cost = item.get("cost", 1.0)
-        if isinstance(cost, bool) or not isinstance(cost, (int, float)):
-            raise _fail("cost must be a number", f"{loc}.cost")
+        cost = _number(item.get("cost", 1.0), f"{loc}.cost", "cost")
         if cost < 0:
             raise _fail(f"cost must be >= 0, got {cost}", f"{loc}.cost")
         pair = frozenset((src, dst))
@@ -245,10 +263,13 @@ def parse_scenario(text: str, *, name_hint: str | None = None) -> Scenario:
                 raise _fail(f"unknown node {label!r}", f"{loc}.nodes")
         if len(set(labels)) < 2:
             raise _fail("a route needs at least two distinct nodes", f"{loc}.nodes")
+        # contract counts are exact, so an int of any size is kept
+        contract = isinstance(model, ContractModel)
         quantity = _require(item, "quantity", (int, float), loc)
-        if isinstance(quantity, bool) or quantity < 0:
+        quantity = _number(quantity, f"{loc}.quantity", "quantity", any_int=contract)
+        if quantity < 0:
             raise _fail(f"quantity must be a number >= 0, got {quantity!r}", f"{loc}.quantity")
-        if isinstance(model, ContractModel) and quantity != int(quantity):
+        if contract and quantity != int(quantity):
             raise _fail(f"contract counts must be integers, got {quantity}", f"{loc}.quantity")
         route = Route(labels, quantity)
         if graph.route_edge_mask(route) == 0:
@@ -325,8 +346,8 @@ def _parse_model(raw: dict, mtype: str, graph: Graph) -> Model:
 
     if mtype == "supply_cost_decay":
         check_keys({"alpha", "semantics"})
-        alpha = raw.get("alpha", 0.1)
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not alpha > 0:
+        alpha = _number(raw.get("alpha", 0.1), f"{loc}.alpha", "alpha")
+        if not alpha > 0:
             raise _fail(f"alpha must be a number > 0, got {alpha!r}", f"{loc}.alpha")
         semantics = raw.get("semantics", CONTAINMENT)
         if semantics not in (CONTAINMENT, STRICT_EQUALITY):
@@ -431,14 +452,6 @@ def serialize_scenario(s: Scenario) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _compress_mask(mask: int, kept: list[int]) -> int:
-    out = 0
-    for new_i, old_i in enumerate(kept):
-        if (mask >> old_i) & 1:
-            out |= 1 << new_i
-    return out
-
-
 def remove_node(s: Scenario, u: str) -> Scenario:
     """What-if transform: drop a node, its incident edges, and every route
     through it; model parameters survive, any expected vector does not."""
@@ -448,9 +461,8 @@ def remove_node(s: Scenario, u: str) -> Scenario:
     routes = tuple(r for r in s.routes if u not in r.nodes)
     model = s.model
     if isinstance(model, TableModel):
-        kept = [j for j in range(len(old.edges)) if not (removed_edges >> j) & 1]
         entries = tuple(
-            (_compress_mask(mask, kept), value)
+            (squeeze(mask, removed_edges), value)
             for mask, value in model.entries
             if not mask & removed_edges
         )

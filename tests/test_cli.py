@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -375,6 +376,26 @@ def test_whatif_removing_the_only_node_exits_64(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("token", ["NaN", "1" + "0" * 400], ids=["NaN", "1e400-int"])
+def test_scenario_number_no_float_holds_exits_65(tmp_path, capsys, token):
+    path = tmp_path / "supply.json"
+    path.write_text(
+        '{"nodes": ["A", "B"], "edges": [{"from": "A", "to": "B"}], '
+        '"model": {"type": "supply_cost_decay"}, '
+        f'"routes": [{{"nodes": ["A", "B"], "quantity": {token}}}], "domain": "approx"}}'
+    )
+    assert main(["compute", "--input", str(path)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("edgeshapley: error: $.routes[0].quantity: ")
+    assert err.count("\n") == 1
+
+
+def test_whatif_closed_form_refuses_an_edge_deletion(capsys):
+    assert main(["whatif", "--input", CHAIN, "--method", "closed_form",
+                 "--remove-edge", "A", "C"]) == 64
+    assert_one_error_line(capsys)
+
+
 def test_directory_as_input_or_output_exits_65(tmp_path, capsys):
     assert main(["compute", "--input", str(tmp_path)]) == 65
     assert_one_error_line(capsys)
@@ -468,6 +489,86 @@ def test_whatif_table_output(capsys):
     assert code == 0
     assert "# fairness" in out
     assert "equal" in out
+
+
+# ---------------------------------------------------------------------------
+# exact values beyond the float range
+# ---------------------------------------------------------------------------
+
+BIG = 10**400
+
+
+@pytest.fixture
+def big_contract(tmp_path) -> str:
+    """Path A-B-C with contract routes {A,B} (count 10^400) and {A,B,C} (3)."""
+    path = tmp_path / "big-contract.json"
+    path.write_text(json.dumps({
+        "nodes": ["A", "B", "C"],
+        "edges": [{"from": "A", "to": "B"}, {"from": "B", "to": "C"}],
+        "model": {"type": "contract"},
+        "routes": [{"nodes": ["A", "B"], "quantity": BIG},
+                   {"nodes": ["A", "B", "C"], "quantity": 3}],
+        "domain": "exact",
+    }))
+    return str(path)
+
+
+def strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("method", ["edge_shapley", "sampled", "closed_form"])
+def test_compute_renders_values_beyond_the_float_range(capsys, big_contract, method):
+    argv = ("compute", "--input", big_contract, "--method", method, "--samples", "1000")
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = strict_json(out)
+    exact = {row["node"]: row["exact"] for row in doc["allocations"]}
+    if method != "sampled":  # sampled estimates are exact fractions of their own
+        want = edge_shapley(load_scenario(big_contract).edge_game())
+        assert exact == {label: str(x) for label, x in want.as_dict().items()}
+    assert sum(Fraction(x) for x in exact.values()) == BIG + 3
+    # a float holds C's share but neither A's nor B's, nor the total
+    decimal = [row["decimal"] for row in doc["allocations"]]
+    assert decimal[:2] == [None, None] and isinstance(decimal[2], float)
+    assert doc["total"] is None
+    assert doc["checks"][0]["passed"] is True
+
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == "node,value\n" + "".join(f"{k},{v}\n" for k, v in exact.items())
+
+    code, out = run(capsys, *argv, "--format", "table")
+    assert code == 0
+    lines = out.splitlines()
+    rows = lines[lines.index("") + 1:][1:4]
+    assert [row.split()[:2] for row in rows] == [list(item) for item in exact.items()]
+    assert [row.split()[2] for row in rows[:2]] == ["-", "-"]
+    assert f"total: {BIG + 3}" in lines
+
+
+def test_whatif_renders_values_beyond_the_float_range(capsys, big_contract):
+    argv = ("whatif", "--input", big_contract, "--remove-edge", "B", "C")
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["fairness"] == {"edge": ["B", "C"], "delta": ["1", "1"], "equal": True}
+    assert doc["baseline"]["total"] is None and doc["modified"]["total"] is None
+    assert doc["modified"]["scenario"] == "big-contract minus edge B-C"
+    assert doc["modified"]["checks"] == []
+    rows = {row["node"]: (row["before"], row["after"], row["delta"]) for row in doc["deltas"]}
+    half = BIG // 2
+    assert rows == {"A": (str(half + 1), str(half), "-1"),
+                    "B": (str(half + 1), str(half), "-1"),
+                    "C": ("1", "0", "-1")}
+
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert f"total: {BIG + 3}" in out and f"total: {BIG}" in out
+    assert "endpoint deltas B: 1, C: 1 -> equal" in out
 
 
 # ---------------------------------------------------------------------------

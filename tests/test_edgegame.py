@@ -254,6 +254,25 @@ def test_delete_edge_h_game(h_game):
     assert lift(smaller)(smaller.graph.full_node_mask) == 4
 
 
+def test_exact_worth_keeps_its_vector_path(h_game):
+    # an exact worth's fn_many is what fills the table, in the base game and
+    # in an edge-deleted one, and it gives the scalar path's values
+    w = h_game.characteristic
+    batches = []
+
+    def many(edge_masks):
+        batches.append(edge_masks.size)
+        return np.array([w(m) for m in edge_masks.tolist()], dtype=object)
+
+    vector = EdgeGame(h_game.graph, EdgeCharacteristic(w.edges, w, exact=True, fn_many=many))
+    assert vector.characteristic.has_vector_path
+    assert edge_shapley(vector).values == edge_shapley(h_game).values == H_ALLOCATION
+    assert batches == [32]
+    deleted = edge_shapley(delete_edge(vector, ("C", "E")))
+    assert deleted.values == edge_shapley(delete_edge(h_game, ("C", "E"))).values
+    assert batches == [32, 32]
+
+
 def test_delete_only_edge_zeroes_everything():
     g = build_graph(["L", "R"], [("L", "R")])
     eg = EdgeGame(g, EdgeCharacteristic.from_table(g.edges, {0b1: 5}))

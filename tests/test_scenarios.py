@@ -166,6 +166,62 @@ def test_route_validation():
     assert "unknown node" in str(exc.value)
 
 
+TWO_NODES = {"nodes": ["A", "B"], "edges": [{"from": "A", "to": "B", "cost": 1.0}]}
+SUPPLY = {**TWO_NODES, "model": {"type": "supply_cost_decay", "alpha": 0.1},
+          "routes": [{"nodes": ["A", "B"], "quantity": 8}], "domain": "approx",
+          "expected": {"A": 4, "B": 4}}
+CONTRACT = {**TWO_NODES, "model": {"type": "contract"},
+            "routes": [{"nodes": ["A", "B"], "quantity": 2}], "domain": "exact"}
+POWER = {**TWO_NODES, "model": {"type": "edge_count_power", "exponent": 2}, "domain": "exact"}
+TABLE = json.loads(MINIMAL)
+#: JSON number tokens no float holds: Python's json reads the first four as
+#: floats (1e999 as inf) and the last as an int
+NOT_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+def number_case(doc, path, token):
+    name = doc["model"]["type"]
+    label = "1e400-int" if token == BEYOND_FLOAT else token
+    return pytest.param(doc, path, token, id=f"{name}-{path[-1]}-{label}")
+
+
+@pytest.mark.parametrize("doc, path, token", [
+    *[number_case(SUPPLY, ("model", "alpha"), t) for t in [*NOT_FINITE, BEYOND_FLOAT]],
+    *[number_case(d, ("edges", 0, "cost"), t)
+      for d in (SUPPLY, CONTRACT, POWER, TABLE) for t in ["NaN", "Infinity", BEYOND_FLOAT]],
+    *[number_case(SUPPLY, ("routes", 0, "quantity"), t) for t in [*NOT_FINITE, BEYOND_FLOAT]],
+    *[number_case(CONTRACT, ("routes", 0, "quantity"), t) for t in NOT_FINITE],
+    *[number_case(SUPPLY, ("expected", "A"), t)
+      for t in [*NOT_FINITE, BEYOND_FLOAT, '"nan"', '"1e999"']],
+])
+def test_numbers_a_float_cannot_hold_fail_at_their_field(doc, path, token):
+    # non-finite numbers are refused everywhere, and numbers the approx
+    # model reads as floats must fit in one; the error names the field
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@"
+    text = json.dumps(doc).replace('"@"', token)
+    location = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert str(exc.value).startswith(f"{location}: ")
+
+
+def test_exact_numbers_keep_arbitrary_precision():
+    big = 10**400
+    doc = {**CONTRACT, "routes": [{"nodes": ["A", "B"], "quantity": big}],
+           "expected": {"A": big // 2, "B": str(big // 2)}}
+    s = parse_scenario(json.dumps(doc))
+    assert s.routes[0].quantity == big
+    assert dict(s.expected) == {"A": big // 2, "B": big // 2}
+    table = {**TABLE, "model": {"type": "explicit_table",
+                                "table": [{"edges": [["L", "R"]], "value": big}]}}
+    assert parse_scenario(json.dumps(table)).model.entries == ((0b1, big),)
+
+
 # ---------------------------------------------------------------------------
 # Round trip
 # ---------------------------------------------------------------------------
