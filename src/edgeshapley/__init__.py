@@ -27,7 +27,6 @@ from .errors import (
     DegenerateRouteError,
     GameError,
     GraphConstructionError,
-    RouteCoverageError,
     ScenarioError,
     UnknownEdgeError,
     UnknownNodeError,
@@ -42,6 +41,7 @@ from .games import (
     NodeCharacteristic,
     axiom_check,
     myerson,
+    shapley_dividends,
     shapley_exact,
     shapley_restricted,
     shapley_sampled,

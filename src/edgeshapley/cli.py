@@ -10,10 +10,11 @@ Exit codes follow a scriptable convention:
 * 2 -- an expected vector was present and the computed allocation mismatched
   (regression mode);
 * 64 -- usage error (bad flags, method incompatible with the scenario's
-  model, game too large for exact enumeration or for physical memory, approx
-  game on a graph with more than 63 edges whose worth declares no dividends,
-  such as a strict-equality supply game, ``whatif --remove-node`` of a
-  scenario's only node);
+  model, such as closed_form on a model other than a containment supply or
+  contract one, game too large for exact enumeration or for physical
+  memory, approx game on a graph with more than 63 edges whose worth
+  declares no dividends, such as a strict-equality supply game,
+  ``whatif --remove-node`` of a scenario's only node);
 * 65 -- the input failed to load (a non-finite number, or a number beyond
   the float range in a field read as a float, among the reasons), the output
   could not be written, or a what-if target does not exist.
@@ -21,10 +22,10 @@ Exit codes follow a scriptable convention:
 Every value is rendered by two helpers: :func:`_json_value` (the exact
 string, a finite float, or null when no float holds the value) and
 :func:`_text_value` (the exact string, 6 significant digits, or ``-``), so an
-exact value beyond the float range prints its exact string and a JSON report
-never holds ``NaN`` or ``Infinity``. Output is byte-deterministic for a given
-(input file, flags, seed); wall-time measurement is therefore opt-in via
-``--timing``.
+exact value beyond the float range prints its exact string, written at any
+size (see :func:`games.value_str`), and a JSON report never holds ``NaN`` or
+``Infinity``. Output is byte-deterministic for a given (input file, flags,
+seed); wall-time measurement is therefore opt-in via ``--timing``.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ from .games import (
     GraphGame,
     Value,
     myerson,
+    shapley_dividends,
     shapley_exact,
     shapley_sampled,
+    value_str,
     values_close,
 )
-from .models import CONTAINMENT, route_closed_form
+from .models import CONTAINMENT
 from .scenarios import (
     EXACT,
     ContractModel,
@@ -115,7 +118,7 @@ def _json_value(x: Value | None, exact: bool = False):
     if x is None:
         return None
     if exact:
-        return str(x)
+        return value_str(x)
     try:
         x = float(x)
     except OverflowError:
@@ -155,8 +158,9 @@ def _allocate(
     seed: int,
     limit: int | None,
 ) -> Allocation:
-    """The allocation ``method`` gives ``eg``; closed_form reads the
-    scenario's routes, so :func:`cmd_whatif` refuses it on a deleted edge."""
+    """The allocation ``method`` gives ``eg``, a game of ``scenario``'s
+    model; closed_form reads the dividend rows of ``lift(eg)``, which
+    :func:`delete_edge` carries over."""
     if method == "edge_shapley":
         return edge_shapley(eg, limit=limit)
     if method == "edge_shapley_pruned":
@@ -173,8 +177,7 @@ def _allocate(
             raise UsageError("closed_form requires a supply or contract route model")
         if model.semantics != CONTAINMENT:
             raise UsageError("closed_form requires containment semantics")
-        decay = model if isinstance(model, SupplyModel) else None
-        return route_closed_form(scenario.graph, scenario.routes, decay)
+        return shapley_dividends(lift(eg)).with_labels(eg.graph.nodes)
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -323,8 +326,6 @@ def cmd_compute(args) -> int:
 
 def cmd_whatif(args) -> int:
     scenario = load_scenario(args.input)
-    if args.method == "closed_form" and args.remove_edge is not None:
-        raise UsageError("closed_form cannot run on an edge-deleted game")
     if args.remove_node is not None and scenario.graph.nodes == (args.remove_node,):
         raise UsageError(f"removing {args.remove_node} leaves no players")
     eg = scenario.edge_game()

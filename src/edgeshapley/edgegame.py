@@ -45,6 +45,7 @@ from .games import (
     shapley_exact,
     shapley_restricted,
     shapley_weights,
+    value_str,
     values_close,
 )
 from .graph import MAX_EDGE_BITS, Edge, Graph, NodeId
@@ -528,7 +529,10 @@ def audit(eg: EdgeGame, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Axi
         d_src = alloc[edge.src] - after_src
         d_dst = alloc[edge.dst] - after_dst
         if not values_close(d_src, d_dst, v.exact, 1e-9):
-            witness = f"; unequal deltas on ({edge.src}, {edge.dst}): {d_src} vs {d_dst}"
+            witness = (
+                f"; unequal deltas on ({edge.src}, {edge.dst}): "
+                f"{value_str(d_src)} vs {value_str(d_dst)}"
+            )
             break
     checks.append(
         CheckResult("fairness", not witness, f"{len(g.edges)} edge deletion(s){witness}")
@@ -541,8 +545,8 @@ def audit(eg: EdgeGame, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Axi
             CheckResult(
                 "component-efficiency",
                 entry.matches,
-                f"{{{', '.join(entry.nodes)}}}: allocation sum {entry.allocation_sum} "
-                f"vs worth {entry.worth}",
+                f"{{{', '.join(entry.nodes)}}}: allocation sum "
+                f"{value_str(entry.allocation_sum)} vs worth {value_str(entry.worth)}",
             )
         )
     checks.append(

@@ -35,10 +35,6 @@ class DegenerateRouteError(GameError, ValueError):
     """A route's node set induces no edges, so it has no traversal cost."""
 
 
-class RouteCoverageError(GameError, ValueError):
-    """A route node touches no induced edge, breaking the closed-form shortcut."""
-
-
 class CapacityError(GameError, ValueError):
     """The player count exceeds an enumeration bound."""
 

@@ -29,7 +29,8 @@ game does) fills its table by adding each row onto the view of the supersets
 of its node mask: float64 when approx, int64 numerators when exact and the
 rows' magnitudes sum below 2^62, the rows' own ints and Fractions (then
 brought to numerators) otherwise. Only this module reads dividend rows:
-the fill, the sampler's completion steps and, for other mask arrays,
+the fill, the sampler's completion steps, :func:`shapley_dividends` (the
+closed form, read off the rows with no table) and, for other mask arrays,
 :func:`_dividend_worths`. Other games fill the table through
 :meth:`NodeCharacteristic.evaluate_many`; lifted edge games whose worth
 has no vector path call it once per distinct induced edge set (see
@@ -58,6 +59,7 @@ import numbers
 import operator
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -552,6 +554,24 @@ def shapley_exact(
     return Allocation(_reduce(table, denom, v.n, None, stats, v.exact), v.exact)
 
 
+def shapley_dividends(v: NodeCharacteristic) -> Allocation:
+    """Shapley value of a game that declares its dividends, read off the
+    rows with no enumeration: each member of a row's node mask gets
+    value/|mask| of it, added in row order onto 0 (a `Fraction` for exact
+    rows, binary64 for float rows). Refuses what :func:`_table` refuses of
+    the rows: v(empty) != 0, an exact row that is not a rational."""
+    if v.dividends is None:
+        raise ValueError("the game declares no dividends")
+    _check_grounded(v)
+    _dividend_dtype(v.dividends, v.exact)
+    totals: list[Value] = [Fraction(0) if v.exact else 0.0] * v.n
+    for mask, value in v.dividends:
+        members = indices_of(mask)
+        for i in members:
+            totals[i] += Fraction(value, len(members)) if v.exact else value / len(members)
+    return Allocation(tuple(totals), v.exact)
+
+
 def shapley_restricted(
     v: NodeCharacteristic,
     member_masks: Sequence[int],
@@ -816,6 +836,17 @@ def null_players(table: np.ndarray, n: int) -> list[int]:
     return out
 
 
+def value_str(x: Value) -> str:
+    """``str(x)``, with the digits of an int or a Fraction written through
+    `decimal.Decimal`, which the interpreter's limit on int-to-str
+    conversion (4300 digits by default) does not cover: an exact value of
+    any size prints."""
+    if not isinstance(x, numbers.Rational):
+        return str(x)
+    num = str(Decimal(int(x.numerator)))
+    return num if x.denominator == 1 else f"{num}/{Decimal(int(x.denominator))}"
+
+
 def values_close(a: Value, b: Value, exact: bool, tol: float = 1e-9) -> bool:
     """Domain-aware comparison: identity for exact values, relative tolerance
     (floored at absolute ``tol``) for floats."""
@@ -883,7 +914,9 @@ def _axiom_check(
             grand = v((1 << v.n) - 1)
             ok = values_close(total, grand, allocation.exact, tol)
             checks.append(
-                CheckResult("efficiency", ok, f"sum {total} vs v(N) {grand}")
+                CheckResult(
+                    "efficiency", ok, f"sum {value_str(total)} vs v(N) {value_str(grand)}"
+                )
             )
         elif name == "symmetry":
             pairs = interchangeable_pairs(table, v.n)
@@ -895,14 +928,17 @@ def _axiom_check(
             detail = f"{len(pairs)} interchangeable pair(s)"
             if bad:
                 i, j = bad[0]
-                detail += f"; mismatch at ({i}, {j}): {allocation[i]} vs {allocation[j]}"
+                detail += (
+                    f"; mismatch at ({i}, {j}): "
+                    f"{value_str(allocation[i])} vs {value_str(allocation[j])}"
+                )
             checks.append(CheckResult("symmetry", not bad, detail))
         elif name == "null-player":
             nulls = null_players(table, v.n)
             bad = [i for i in nulls if allocation[i] != 0]
             detail = f"null players {nulls}"
             if bad:
-                detail += f"; nonzero value {allocation[bad[0]]} at player {bad[0]}"
+                detail += f"; nonzero value {value_str(allocation[bad[0]])} at player {bad[0]}"
             checks.append(CheckResult("null-player", not bad, detail))
         elif name == "additivity":
             if not game_pairs:

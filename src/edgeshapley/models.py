@@ -12,25 +12,23 @@ Route-based worth functions come in two semantics. "containment" counts a
 route whenever all of its edges are present in the evaluated edge set;
 "strict-equality" counts it only when the edge set is exactly the route's
 edge set. Containment is the default: it makes the lifted game a sum of
-unanimity games on route node sets, which is what the closed form below
-exploits and what reproduces the reference allocations. Strict equality is
-kept for fidelity experiments.
+unanimity games on the endpoint sets of the route edges, whose dividend
+rows the closed form below reads, and it reproduces the reference
+allocations. Strict equality is kept for fidelity experiments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .edgegame import EdgeCharacteristic
-from .errors import DegenerateRouteError, RouteCoverageError
-from .games import Allocation
+from .edgegame import EdgeCharacteristic, EdgeGame, lift
+from .errors import DegenerateRouteError
+from .games import Allocation, shapley_dividends
 from .graph import Graph, Route
-from .masks import indices_of
 
 CONTAINMENT = "containment"
 STRICT_EQUALITY = "strict-equality"
@@ -156,30 +154,15 @@ def route_closed_form(
 
     The worth (:func:`supply_weight_fn` or :func:`contract_weight_fn`, which
     validate the routes and compute their values) declares one dividend row
-    (H, value) per route, H the route's edges. The lifted game is the sum of
-    the unanimity games on the endpoints V(H), so each endpoint receives
-    value/|V(H)| of every row, in row order. This equals the full
-    enumeration provided each route's node set coincides with V(H)
-    (checked).
+    per route, and the lifted game one row (V(H), value) per route, V(H) the
+    endpoints of the route's edges H: a sum of unanimity games, whose value
+    :func:`games.shapley_dividends` reads off the rows with no enumeration.
+    A route node that touches none of H is a null player of its row.
 
     ``decay`` selects the supply model (float values); without it, route
     quantities are taken as integer contract counts (exact values).
     """
     if decay is not None and decay.semantics != CONTAINMENT:
         raise ValueError("the closed form only applies to containment semantics")
-    exact = decay is None
-    w = contract_weight_fn(g, routes) if exact else supply_weight_fn(g, routes, decay)
-    totals: list = [Fraction(0) if exact else 0.0] * g.n
-    for r, (em, value) in zip(routes, w.dividends):
-        endpoints = g.endpoint_mask(em)
-        uncovered = g.node_mask(r.nodes) & ~endpoints
-        if uncovered:
-            raise RouteCoverageError(
-                f"route node(s) {list(g.labels_of(uncovered))} touch no induced edge; "
-                "the closed form needs node sets equal to their induced-edge endpoints"
-            )
-        size = endpoints.bit_count()
-        share = Fraction(value, size) if exact else value / size
-        for i in indices_of(endpoints):
-            totals[i] += share
-    return Allocation(tuple(totals), exact, g.nodes)
+    w = contract_weight_fn(g, routes) if decay is None else supply_weight_fn(g, routes, decay)
+    return shapley_dividends(lift(EdgeGame(g, w))).with_labels(g.nodes)

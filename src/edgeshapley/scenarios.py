@@ -33,6 +33,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -40,7 +41,7 @@ from typing import Union
 
 from .edgegame import EdgeCharacteristic, EdgeGame
 from .errors import ScenarioError
-from .games import Allocation, Value
+from .games import Allocation, Value, value_str
 from .graph import MAX_NODES, Edge, Graph, Route
 from .masks import squeeze
 from .models import (
@@ -137,12 +138,20 @@ def _require(doc: dict, key: str, kind, location: str):
 _EXACT_VALUE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
+def _parse_int(text: str) -> int:
+    """``int(text)`` through `decimal.Decimal`, which the interpreter's limit
+    on str-to-int conversion (4300 digits by default) does not cover: an
+    integer of any size parses."""
+    return int(Decimal(text))
+
+
 def _parse_exact_value(raw, location: str) -> int | Fraction:
     """A whole number as a Python int (the engines' integer paths), else a Fraction."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str) and _EXACT_VALUE.match(raw):
-        value = Fraction(raw)
+        num, _, den = raw.partition("/")
+        value = Fraction(_parse_int(num), _parse_int(den or "1"))
         return value.numerator if value.denominator == 1 else value
     raise _fail(
         f'exact values must be integer or "p/q" fraction strings, got {raw!r}',
@@ -181,7 +190,7 @@ _TOP_KEYS = {"nodes", "edges", "model", "routes", "domain", "expected",
 def parse_scenario(text: str, *, name_hint: str | None = None) -> Scenario:
     """Parse and fully validate a scenario JSON document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as e:
         raise ScenarioError(e.msg, location=f"line {e.lineno}, column {e.colno}") from None
     if not isinstance(doc, dict):
@@ -268,7 +277,9 @@ def parse_scenario(text: str, *, name_hint: str | None = None) -> Scenario:
         quantity = _require(item, "quantity", (int, float), loc)
         quantity = _number(quantity, f"{loc}.quantity", "quantity", any_int=contract)
         if quantity < 0:
-            raise _fail(f"quantity must be a number >= 0, got {quantity!r}", f"{loc}.quantity")
+            raise _fail(
+                f"quantity must be a number >= 0, got {value_str(quantity)}", f"{loc}.quantity"
+            )
         if contract and quantity != int(quantity):
             raise _fail(f"contract counts must be integers, got {quantity}", f"{loc}.quantity")
         route = Route(labels, quantity)

@@ -216,6 +216,29 @@ def test_closed_form_refuses_strict_equality(tmp_path, capsys, model, domain):
     assert captured.err == "edgeshapley: error: closed_form requires containment semantics\n"
 
 
+def test_closed_form_on_a_route_node_that_touches_no_route_edge(tmp_path, capsys):
+    # {A, B, C} induces only A-B: C is a null player of that route's row
+    path = tmp_path / "uncovered.json"
+    path.write_text(json.dumps({
+        "nodes": ["A", "B", "C", "D"],
+        "edges": [{"from": "A", "to": "B", "cost": 1.0},
+                  {"from": "B", "to": "D", "cost": 2.0},
+                  {"from": "C", "to": "D", "cost": 1.0}],
+        "model": {"type": "supply_cost_decay", "alpha": 0.1},
+        "routes": [{"nodes": ["A", "B", "C"], "quantity": 6},
+                   {"nodes": ["A", "B", "D"], "quantity": 4}],
+        "domain": "approx",
+    }))
+    values = {}
+    for method in ("closed_form", "edge_shapley"):
+        code, out = run(capsys, "compute", "--input", str(path), "--method", method,
+                        "--format", "json")
+        assert code == 0
+        values[method] = [row["decimal"] for row in json.loads(out)["allocations"]]
+    assert values["closed_form"] == pytest.approx(values["edge_shapley"], rel=1e-9, abs=1e-9)
+    assert values["closed_form"] == pytest.approx([3.70227, 3.70227, 0, 0.987758], abs=1e-5)
+
+
 def test_oversize_exact_exits_64(capsys):
     assert main(["compute", "--input", SMARTPHONE, "--limit", "10"]) == 64
     capsys.readouterr()
@@ -390,10 +413,17 @@ def test_scenario_number_no_float_holds_exits_65(tmp_path, capsys, token):
     assert err.count("\n") == 1
 
 
-def test_whatif_closed_form_refuses_an_edge_deletion(capsys):
-    assert main(["whatif", "--input", CHAIN, "--method", "closed_form",
-                 "--remove-edge", "A", "C"]) == 64
-    assert_one_error_line(capsys)
+def test_whatif_closed_form_on_an_edge_deletion(capsys):
+    # the deleted game carries the dividend rows the closed form reads
+    modified = {}
+    for method in ("closed_form", "edge_shapley"):
+        code, out = run(capsys, "whatif", "--input", CHAIN, "--method", method,
+                        "--remove-edge", "A", "C", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fairness"]["equal"] is True
+        modified[method] = [row["decimal"] for row in doc["modified"]["allocations"]]
+    assert modified["closed_form"] == pytest.approx(modified["edge_shapley"], rel=1e-9, abs=1e-9)
 
 
 def test_directory_as_input_or_output_exits_65(tmp_path, capsys):
@@ -569,6 +599,71 @@ def test_whatif_renders_values_beyond_the_float_range(capsys, big_contract):
     assert code == 0
     assert f"total: {BIG + 3}" in out and f"total: {BIG}" in out
     assert "endpoint deltas B: 1, C: 1 -> equal" in out
+
+
+# ---------------------------------------------------------------------------
+# exact values beyond the interpreter's 4300-digit int-to-str limit
+# ---------------------------------------------------------------------------
+
+SEVENS, NINES = "7" * 5001, "9" * 4300
+
+#: Scenario text (the counts written as digits, since the json module would
+#: refuse to write them), then the exact strings of the allocation and of
+#: v(N). A count of 5001 digits on one edge, with an exact expected vector
+#: of the same size; two legal 4300-digit counts on path A-B-C, whose v(N)
+#: has 4301 digits.
+HUGE_COUNTS = {
+    "count-5001": (
+        '{"nodes": ["A", "B"], "edges": [{"from": "A", "to": "B"}], '
+        '"model": {"type": "contract"}, '
+        f'"routes": [{{"nodes": ["A", "B"], "quantity": {SEVENS}}}], "domain": "exact", '
+        f'"expected": {{"A": "{SEVENS}/2", "B": "{SEVENS}/2"}}}}',
+        {"A": f"{SEVENS}/2", "B": f"{SEVENS}/2"},
+        SEVENS,
+    ),
+    "path-4300": (
+        '{"nodes": ["A", "B", "C"], '
+        '"edges": [{"from": "A", "to": "B"}, {"from": "B", "to": "C"}], '
+        '"model": {"type": "contract"}, '
+        f'"routes": [{{"nodes": ["A", "B"], "quantity": {NINES}}}, '
+        f'{{"nodes": ["B", "C"], "quantity": {NINES}}}], "domain": "exact"}}',
+        {"A": f"{NINES}/2", "B": NINES, "C": f"{NINES}/2"},
+        "1" + "9" * 4299 + "8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_COUNTS)
+def test_exact_values_beyond_the_digit_limit_parse_and_print(tmp_path, capsys, name):
+    text, want, grand = HUGE_COUNTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    path = str(path)
+    for method in ("edge_shapley", "shapley", "closed_form", "sampled"):
+        argv = ("compute", "--input", path, "--method", method, "--samples", "100")
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["total"] is None
+        code, csv_out = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        code, table = run(capsys, *argv, "--format", "table")
+        assert code == 0
+        assert f"total: {grand}" in table.splitlines()
+        if method == "sampled":  # estimates, exact fractions of their own
+            continue
+        assert {row["node"]: row["exact"] for row in doc["allocations"]} == want
+        assert csv_out == "node,value\n" + "".join(f"{k},{v}\n" for k, v in want.items())
+    code, _ = run(capsys, "compute", "--input", path, "--check-expected")
+    assert code == 0
+    for method in ("closed_form", "edge_shapley"):
+        code, out = run(capsys, "whatif", "--input", path, "--method", method,
+                        "--remove-edge", "A", "B", "--format", "json")
+        assert code == 0
+        assert strict_json(out)["fairness"]["equal"] is True
+    code, out = run(capsys, "axioms", "--input", path)
+    assert code == 0
+    assert f"[pass] efficiency: sum {grand} vs v(N) {grand}" in out.splitlines()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from edgeshapley import (
     load_fixture,
     myerson,
     myerson_bridge,
+    neighborhood_restricted_allocation,
     power_weight_fn,
     remove_node,
     restricted_sum_report,
@@ -204,6 +205,24 @@ def test_restricted_sum_disagrees_on_h(h_game):
     assert by_node["C"].full == Fraction(3, 2)
     assert not report.all_agree
 
+
+
+def test_restricted_sum_on_a_path_and_a_single_edge():
+    sixth, half = Fraction(1, 6), Fraction(1, 2)
+    path = build_graph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    game = EdgeGame(path, power_weight_fn(path, 1))  # worth |F|
+    assert neighborhood_restricted_allocation(game).values == (sixth, 1, sixth)
+    report = restricted_sum_report(game)
+    assert [e.node for e in report.entries] == ["A", "B", "C"]
+    assert [e.restricted for e in report.entries] == [sixth, 1, sixth]
+    assert [e.full for e in report.entries] == [half, 1, half]
+    assert [e.agrees for e in report.entries] == [False, True, False]
+    assert not report.all_agree
+
+    edge = build_graph(["A", "B"], [("A", "B")])
+    report = restricted_sum_report(EdgeGame(edge, power_weight_fn(edge, 1)))
+    assert [(e.restricted, e.full) for e in report.entries] == [(half, half)] * 2
+    assert report.all_agree
 
 # ---------------------------------------------------------------------------
 # Myerson bridge

@@ -13,7 +13,6 @@ from edgeshapley import (
     EdgeGame,
     NodeCharacteristic,
     Route,
-    RouteCoverageError,
     build_graph,
     contract_weight_fn,
     edge_shapley,
@@ -243,9 +242,12 @@ def test_closed_form_preconditions():
     g = chain_graph()
     with pytest.raises(DegenerateRouteError):
         route_closed_form(g, [Route(["A", "B"], 1)], ALPHA)
-    with pytest.raises(RouteCoverageError):
-        # E touches no edge induced by {A, C, E}
-        route_closed_form(g, [Route(["A", "C", "E"], 1)], ALPHA)
+    # E touches no edge induced by {A, C, E}: a null player of the route's row
+    uncovered = [Route(["A", "C", "E"], 1)]
+    alloc = route_closed_form(g, uncovered, ALPHA)
+    assert alloc["E"] == 0
+    engine = edge_shapley(EdgeGame(g, supply_weight_fn(g, uncovered, ALPHA)))
+    assert alloc.values == pytest.approx(engine.values, rel=1e-12, abs=1e-12)
     with pytest.raises(ValueError):
         route_closed_form(g, chain_routes(), CostDecayParams(0.1, STRICT_EQUALITY))
 

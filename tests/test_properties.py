@@ -29,9 +29,11 @@ from edgeshapley import (
     myerson,
     myerson_bridge,
     route_closed_form,
+    shapley_dividends,
     shapley_exact,
     shapley_sampled,
     supply_weight_fn,
+    values_close,
 )
 from edgeshapley.games import _dividend_worths, _reduce, _ReduceTables, _table
 from edgeshapley.masks import all_masks
@@ -333,13 +335,13 @@ def test_exact_contract_game_beyond_63_edges_equals_closed_form(routes):
 
 
 @st.composite
-def route_games(draw, exact=False):
-    """A containment route game on at most 9 nodes: a supply game with float
-    quantities, or a contract game with counts that may exceed 2^62. Each
-    route is the endpoint set of a nonempty edge subset, sometimes with an
-    extra node that may add no edge (so two routes can share an edge mask),
-    and routes are drawn with repetition."""
-    g = draw(graphs(min_nodes=2, max_edges=12, max_nodes=9).filter(lambda g: g.edges))
+def route_games(draw, exact=False, max_nodes=9):
+    """A containment route game on at most ``max_nodes`` nodes and 12 edges:
+    a supply game with float quantities, or a contract game with counts that
+    may exceed 2^62. Each route is the endpoint set of a nonempty edge
+    subset, sometimes with an extra node that may add no edge (so two routes
+    can share an edge mask), and routes are drawn with repetition."""
+    g = draw(graphs(min_nodes=2, max_edges=12, max_nodes=max_nodes).filter(lambda g: g.edges))
     m = len(g.edges)
     sets = []
     for _ in range(draw(st.integers(1, 4))):
@@ -414,6 +416,31 @@ def test_deleted_game_keeps_dividends(exact, data):
         table, denom = _table(v, None)
         assert (table.dtype, denom) == table_dtype(v.dividends, exact, v.n)
         assert_numerators(table, denom, want)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_dividend_rows_give_edge_shapley_and_fairness_deltas(exact, data):
+    """The row oracle: read off the lifted rows, a containment route game's
+    value equals the enumeration's, on the game and on each edge deletion,
+    and each endpoint of an edge e loses value/|R| of every row whose edges
+    hold e, R the endpoints of those edges."""
+    eg = data.draw(route_games(exact, max_nodes=12))
+    g = eg.graph
+    for game in (eg, *(delete_edge(eg, edge) for edge in g.edges)):
+        got, want = shapley_dividends(lift(game)), edge_shapley(game)
+        assert got.exact == exact
+        assert all(values_close(a, b, exact) for a, b in zip(got, want))
+
+    def share(em, val):
+        size = g.endpoint_mask(em).bit_count()
+        return Fraction(val, size) if exact else val / size
+
+    for j, edge in enumerate(g.edges):
+        held = [share(em, val) for em, val in eg.characteristic.dividends if em >> j & 1]
+        lost = sum(held, Fraction(0) if exact else 0.0)
+        assert all(values_close(delta, lost, exact) for delta in fairness_delta(eg, edge))
 
 
 def test_sampled_dividends_equal_edge_mask_sampler():

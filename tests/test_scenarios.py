@@ -222,6 +222,25 @@ def test_exact_numbers_keep_arbitrary_precision():
     assert parse_scenario(json.dumps(table)).model.entries == ((0b1, big),)
 
 
+
+def test_exact_numbers_beyond_the_int_str_digit_limit():
+    # 5001 digits, past the interpreter's 4300-digit limit on int <-> str
+    # conversion; the json module cannot write them, so they are spliced in
+    digits, big = "1" + "0" * 5000, 10**5000
+    doc = {**CONTRACT, "routes": [{"nodes": ["A", "B"], "quantity": "#"}],
+           "expected": {"A": "@/3", "B": "@"}}
+    text = json.dumps(doc).replace("@", digits)
+    s = parse_scenario(text.replace('"#"', digits))
+    assert s.routes[0].quantity == big
+    assert dict(s.expected) == {"A": Fraction(big, 3), "B": big}
+    table = {**TABLE, "model": {"type": "explicit_table",
+                                "table": [{"edges": [["L", "R"]], "value": "#"}]}}
+    assert parse_scenario(json.dumps(table).replace('"#"', digits)).model.entries == (
+        (0b1, big),)
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text.replace('"#"', "-" + digits))
+    assert str(exc.value) == f"$.routes[0].quantity: quantity must be a number >= 0, got -{digits}"
+
 # ---------------------------------------------------------------------------
 # Round trip
 # ---------------------------------------------------------------------------
