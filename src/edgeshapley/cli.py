@@ -16,8 +16,9 @@ Exit codes follow a scriptable convention:
   declares no dividends, such as a strict-equality supply game,
   ``whatif --remove-node`` of a scenario's only node);
 * 65 -- the input failed to load (a non-finite number, or a number beyond
-  the float range in a field read as a float, among the reasons), the output
-  could not be written, or a what-if target does not exist.
+  the float range in a field read as a float, among the reasons), a supply
+  game's route values sum beyond the float range, the output could not be
+  written, or a what-if target does not exist.
 
 Every value is rendered by two helpers: :func:`_json_value` (the exact
 string, a finite float, or null when no float holds the value) and

@@ -65,12 +65,18 @@ class EdgeCharacteristic:
     declaration must agree with ``fn``; :func:`lift` evaluates it on node
     masks, without edge masks, and so on any number of edges.
 
+    ``of_count``, when given, declares that the worth depends only on the
+    number of edges: w(F) = of_count(|F|), mapping an int64 array of edge
+    counts to the worth array :class:`games.NodeCharacteristic` describes.
+    It must agree with ``fn``; :func:`lift` evaluates it on the induced-edge
+    counts of node masks, without edge masks, and so on any number of edges.
+
     ``fn_many``, when given in either domain, maps an int64 edge-mask array
     to the worth array :class:`games.NodeCharacteristic` describes, and must
     agree with ``fn``.
     """
 
-    __slots__ = ("edges", "exact", "dividends", "_fn", "_fn_many")
+    __slots__ = ("edges", "exact", "dividends", "of_count", "_fn", "_fn_many")
 
     def __init__(
         self,
@@ -80,10 +86,12 @@ class EdgeCharacteristic:
         exact: bool = True,
         fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
         dividends: tuple[tuple[int, Value], ...] | None = None,
+        of_count: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self.edges = tuple(edges)
         self.exact = exact
         self.dividends = None if dividends is None else tuple(dividends)
+        self.of_count = of_count
         self._fn = fn
         self._fn_many = fn_many
 
@@ -145,14 +153,17 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
     edges of a dividend row are all induced by S exactly when their
     endpoints R lie inside S, so the lifted game declares these node-mask
     rows and nothing else (:class:`games.NodeCharacteristic` reads them),
-    on any number of edges. Otherwise batch evaluation (what fills
-    the engines' coalition table) builds the induced edge masks of the
-    coalitions as int64, which holds at most ``MAX_EDGE_BITS`` edges: a
-    worth with a vector path evaluates them as one array (and
-    refuses more edges with `CapacityError`); any other worth, in either
-    domain, is evaluated once per distinct induced edge set and the results
-    are gathered back per coalition; such games on more edges are evaluated
-    coalition by coalition.
+    on any number of edges. A worth that declares ``of_count`` (a function
+    of the edge count, such as |F|^k) is batch-evaluated (what fills the
+    engines' coalition table and the sampler's prefix blocks) on the
+    coalitions' induced-edge counts (:meth:`Graph.induced_edge_counts`),
+    also on any number of edges. Otherwise batch evaluation builds the
+    induced edge masks of the coalitions as int64, which holds at most
+    ``MAX_EDGE_BITS`` edges: a worth with a vector path evaluates them as
+    one array (and refuses more edges with `CapacityError`); any other
+    worth, in either domain, is evaluated once per distinct induced edge
+    set and the results are gathered back per coalition; such games on
+    more edges are evaluated coalition by coalition.
     """
     g = eg.graph
     w = eg.characteristic
@@ -164,7 +175,9 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
         rows = tuple((g.endpoint_mask(em), val) for em, val in w.dividends)
         return NodeCharacteristic(g.n, fn, exact=w.exact, dividends=rows)
     fn_many = None
-    if w.has_vector_path:
+    if w.of_count is not None:
+        fn_many = lambda masks: w.of_count(g.induced_edge_counts(masks))
+    elif w.has_vector_path:
         fn_many = lambda masks: w.evaluate_many(g.induced_edge_masks(masks))
     elif len(g.edges) <= MAX_EDGE_BITS:
 
@@ -318,7 +331,8 @@ def delete_edge(eg: EdgeGame, e: Edge | tuple[NodeId, NodeId]) -> EdgeGame:
 
     Declared dividends carry over: the rows holding ``e`` can never be
     contained again and are dropped, and the rest are renumbered to the new
-    edge indices, in their order.
+    edge indices, in their order. A declared ``of_count`` carries over as it
+    is, since renumbering keeps every edge count.
     """
     g = eg.graph
     w = eg.characteristic
@@ -349,6 +363,7 @@ def delete_edge(eg: EdgeGame, e: Edge | tuple[NodeId, NodeId]) -> EdgeGame:
         exact=w.exact,
         fn_many=fn_many,
         dividends=dividends,
+        of_count=w.of_count,
     )
     return EdgeGame(new_graph, new_w)
 

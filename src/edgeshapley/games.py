@@ -33,13 +33,14 @@ the fill, the sampler's completion steps, :func:`shapley_dividends` (the
 closed form, read off the rows with no table) and, for other mask arrays,
 :func:`_dividend_worths`. Other games fill the table through
 :meth:`NodeCharacteristic.evaluate_many`; lifted edge games whose worth
-has no vector path call it once per distinct induced edge set (see
-:func:`edgeshapley.edgegame.lift`). One helper, :func:`_numerators`, turns
-exact worths into integer numerators over one denominator, for the table,
-for the reduction's Python-int fallback and for the sampler; an int64
-array is its own numerators over 1. The domain is the game's ``exact`` flag,
-never the table's dtype. The float reduction weights the marginals from one
-half-size table of size weights. The exact reduction sums the numerators
+depends only on the edge count (the power games) evaluate it on induced-edge
+counts, and those whose worth has no vector path call it once per distinct
+induced edge set (see :func:`edgeshapley.edgegame.lift`). One helper,
+:func:`_numerators`, turns exact worths into integer numerators over one
+denominator, for the table, for the reduction's Python-int fallback and for
+the sampler; an int64 array is its own numerators over 1. The domain is
+the game's ``exact`` flag, never the table's dtype. The float reduction
+weights the marginals from one half-size table of size weights. The exact reduction sums the numerators
 (as Python ints where the int64 bound does not cover them) and forms one
 `Fraction` per player at the end. The sampler reads a block of
 permutations' prefix worths at once, a dividend game's straight from its
@@ -84,13 +85,15 @@ DEFAULT_ENUMERATION_LIMIT = 24
 #: n = 16-20, for edge_shapley / edge_shapley_pruned / myerson /
 #: component_efficiency_check, read 21-23 / 26 / 49 / 49 on approx supply
 #: games and 18 / 22 / 49 / 41 on exact contract games (counts above 256,
-#: an int64 dividend table). Games whose edge worth has no vector path (the
-#: unique pass of the batch path) read 57-58 for all four: exact ones on
-#: ints above 256 and on Fractions alike, since the table build hands out
-#: int64 numerators, and approx tables and Myerson bridges on 16-18-node
-#: paths. Worths beyond 2^62 stay one Python int per coalition and
-#: read 58 / 58 / 90-91 / 73-74 on a path game and 71 / 74 / 126 / 109 on a
-#: 16-player contract game: myerson and the component check exceed the
+#: an int64 dividend table), and 25 / 25 / 49 / 41 on an 18-player |F|^2
+#: power game (the induced-edge count path). Games whose edge worth has no
+#: vector path (the unique pass of the batch path) read 57-58 for all four:
+#: exact ones on ints above 256 and on Fractions alike, since the table
+#: build hands out int64 numerators, and approx tables and Myerson bridges
+#: on 16-18-node paths. Worths beyond 2^62 stay one Python int per
+#: coalition and read 58 / 58 / 90-91 / 73-74 on a path game, 71 / 74 /
+#: 126 / 109 on a 16-player contract game and 39 / 43 / 93 / 76 on an
+#: 18-player |F|^40 power game: myerson and the component check exceed the
 #: budget there. 2^n times this must fit in physical memory.
 _COALITION_BYTES = 64
 
@@ -105,9 +108,9 @@ class NodeCharacteristic:
     must agree with ``fn``. The engines and the sampler evaluate through
     :meth:`evaluate_many`: ``fn_many`` when given, else the declared
     ``dividends`` (see :func:`_dividend_worths`), else ``fn`` once per mask;
-    :func:`edgeshapley.edgegame.lift` gives edge games whose worth has no
-    vector path a ``fn_many`` that calls it once per distinct induced edge
-    set.
+    :func:`edgeshapley.edgegame.lift` gives edge games whose worth declares
+    ``of_count`` a ``fn_many`` on induced-edge counts, and those whose worth
+    has no vector path one that calls it once per distinct induced edge set.
 
     ``dividends``, when given, declares the game as a sum of unanimity games:
     ``(node_mask, value)`` rows, where S is worth the sum of ``value`` over
@@ -308,8 +311,20 @@ def _dividend_dtype(rows: tuple[tuple[int, Value], ...], exact: bool):
     """Dtype that sums of the dividend ``rows`` accumulate in: float64 for
     approx rows; int64 for exact rows of Python ints whose magnitudes sum
     below 2^62; object (the rows' own arithmetic) for other exact rows. An
-    exact row that is not a rational breaks the contract, named by its mask."""
+    exact row that is not a rational breaks the contract, named by its mask.
+    So do approx rows whose magnitudes, summed in row order, are not finite
+    (named by the row where the sum left the float range): they bound every
+    worth and every partial sum of the rows, so finite magnitudes keep every
+    table entry and sampled worth finite."""
     if not exact:
+        total = 0.0
+        for mask, val in rows:
+            total += abs(val)
+            if not math.isfinite(total):
+                raise CharacteristicContractError(
+                    f"approx dividends sum beyond the float range: the magnitudes of the "
+                    f"rows up to the one on coalition {mask:#b} add to {total!r}"
+                )
         return np.float64
     for mask, val in rows:
         if not isinstance(val, numbers.Rational):

@@ -237,6 +237,19 @@ class Graph:
             out |= np.where((node_masks & pair) == pair, np.int64(1 << j), np.int64(0))
         return out
 
+    def induced_edge_counts(self, node_masks: np.ndarray) -> np.ndarray:
+        """Number of edges with both endpoints inside each coalition of an
+        int64 array, as int64. No edge masks are built, so any number of
+        edges works."""
+        out = np.zeros(node_masks.shape, dtype=np.int64)
+        held = np.empty_like(node_masks)
+        hit = np.empty(node_masks.shape, dtype=bool)
+        for pair in self._edge_pair_masks:
+            np.bitwise_and(node_masks, pair, out=held)
+            np.equal(held, pair, out=hit)
+            out += hit
+        return out
+
     def induced_edges(self, s: Iterable[NodeId]) -> tuple[Edge, ...]:
         """Edges with both endpoints in ``s``, in canonical edge order."""
         return self.edges_of_mask(self.induced_edge_mask(self.node_mask(s)))

@@ -6,7 +6,9 @@ Three families:
   in total route cost (approx/float domain);
 * contract games -- routes with integer contract counts, no cost decay
   (exact domain);
-* edge-count power games -- worth = |F|^k (exact domain).
+* edge-count power games -- worth = |F|^k (exact domain), declared as a
+  function of the edge count, so the lifted game is evaluated on
+  induced-edge counts.
 
 Route-based worth functions come in two semantics. "containment" counts a
 route whenever all of its edges are present in the evaluated edge set;
@@ -138,11 +140,21 @@ def contract_weight_fn(
 
 
 def power_weight_fn(g: Graph, exponent: int) -> EdgeCharacteristic:
-    """Edge worth |F|^exponent (exact integers)."""
+    """Edge worth |F|^exponent (exact integers).
+
+    The worth depends only on |F|, so it declares ``of_count``: a lookup of
+    c^exponent for c = 0..|E|, int64 when |E|^exponent < 2^62 and Python
+    ints otherwise, so no worth wraps. Lifted, it is evaluated on
+    induced-edge counts, with no edge masks (see :func:`edgegame.lift`).
+    """
     if exponent < 1 or exponent != int(exponent):
         raise ValueError(f"exponent must be a positive integer, got {exponent}")
     k = int(exponent)
-    return EdgeCharacteristic(g.edges, lambda m: m.bit_count() ** k, exact=True)
+    powers = [c**k for c in range(len(g.edges) + 1)]
+    table = np.array(powers, dtype=np.int64 if powers[-1] < 1 << 62 else object)
+    return EdgeCharacteristic(
+        g.edges, lambda m: m.bit_count() ** k, exact=True, of_count=table.__getitem__
+    )
 
 
 def route_closed_form(

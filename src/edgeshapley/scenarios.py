@@ -429,12 +429,21 @@ def _model_doc(s: Scenario) -> dict:
     table = []
     for mask, value in m.entries:
         refs = [[e.src, e.dst] for e in s.graph.edges_of_mask(mask)]
-        table.append({"edges": refs, "value": str(value)})
+        table.append({"edges": refs, "value": value_str(value)})
     return {"type": "explicit_table", "table": table}
 
 
+#: A JSON string or the literal ``null``: the nulls this finds are outside strings.
+_JSON_STRING_OR_NULL = re.compile(r'"(?:[^"\\]|\\.)*"|null')
+
+
 def serialize_scenario(s: Scenario) -> str:
-    """Canonical JSON for a scenario; reparsing yields an equivalent one."""
+    """Canonical JSON for a scenario; reparsing yields an equivalent one.
+
+    Exact values are written through `decimal` (see :func:`games.value_str`),
+    so an integer of any size is written digit for digit. The json module
+    cannot write such an int, so each int route quantity is dumped as a
+    ``null`` (the document holds no other) that its digits then replace."""
     doc: dict = {}
     if s.name is not None:
         doc["name"] = s.name
@@ -446,21 +455,28 @@ def serialize_scenario(s: Scenario) -> str:
     if s.routes:
         index = {label: i for i, label in enumerate(s.graph.nodes)}
         doc["routes"] = [
-            {"nodes": sorted(r.nodes, key=index.__getitem__), "quantity": r.quantity}
+            {
+                "nodes": sorted(r.nodes, key=index.__getitem__),
+                "quantity": None if isinstance(r.quantity, int) else r.quantity,
+            }
             for r in s.routes
         ]
     doc["domain"] = s.domain
     if s.expected is not None:
         by_node = dict(s.expected)
         if s.domain == EXACT:
-            doc["expected"] = {label: str(by_node[label]) for label in s.graph.nodes}
+            doc["expected"] = {label: value_str(by_node[label]) for label in s.graph.nodes}
         else:
             doc["expected"] = {label: repr(float(by_node[label])) for label in s.graph.nodes}
     if s.expected_status != VERIFIED:
         doc["expected_status"] = s.expected_status
     if s.notes is not None:
         doc["notes"] = s.notes
-    return json.dumps(doc, indent=2) + "\n"
+    digits = (value_str(r.quantity) for r in s.routes if isinstance(r.quantity, int))
+    text = _JSON_STRING_OR_NULL.sub(
+        lambda m: next(digits) if m.group() == "null" else m.group(), json.dumps(doc, indent=2)
+    )
+    return text + "\n"
 
 
 def remove_node(s: Scenario, u: str) -> Scenario:

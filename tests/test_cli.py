@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import edgeshapley
-from edgeshapley.cli import main
+from edgeshapley.cli import METHODS, main
 from edgeshapley.edgegame import edge_shapley
 from edgeshapley.models import CostDecayParams, route_closed_form
 from edgeshapley.scenarios import load_scenario
@@ -410,6 +411,32 @@ def test_scenario_number_no_float_holds_exits_65(tmp_path, capsys, token):
     assert main(["compute", "--input", str(path)]) == 65
     err = capsys.readouterr().err
     assert err.startswith("edgeshapley: error: $.routes[0].quantity: ")
+    assert err.count("\n") == 1
+
+
+#: Two zero-cost routes of quantity 1e308: each fits a float, their sum does not.
+OVERFLOW = (
+    '{"nodes": ["A", "B", "C"], "edges": [{"from": "A", "to": "B", "cost": 0}, '
+    '{"from": "B", "to": "C", "cost": 0}], "model": {"type": "supply_cost_decay"}, '
+    '"routes": [{"nodes": ["A", "B"], "quantity": 1e308}, '
+    '{"nodes": ["B", "C"], "quantity": 1e308}], "domain": "approx"}'
+)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["compute", "--method", method] for method in METHODS),
+    ["axioms"],
+    ["whatif", "--remove-edge", "A", "B"],
+    ["whatif", "--remove-edge", "B", "C", "--method", "closed_form"],
+], ids=lambda argv: "-".join(argv))
+def test_approx_dividends_beyond_the_float_range_exit_65(tmp_path, capsys, argv):
+    path = tmp_path / "overflow.json"
+    path.write_text(OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert main([*argv, "--input", str(path), "--samples", "10"]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("edgeshapley: error: approx dividends sum beyond the float range")
     assert err.count("\n") == 1
 
 

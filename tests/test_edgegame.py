@@ -1,4 +1,5 @@
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from edgeshapley import (
     EdgeCharacteristic,
     EdgeGame,
     EngineStats,
+    Graph,
     GraphGame,
     NodeCharacteristic,
     ZeroNormalizationError,
@@ -31,8 +33,10 @@ from edgeshapley import (
     restricted_sum_report,
     route_closed_form,
     shapley_exact,
+    shapley_sampled,
     supply_weight_fn,
 )
+from edgeshapley.cli import main
 
 from conftest import (
     H_ALLOCATION,
@@ -111,6 +115,43 @@ def test_edge_game_validation(h_graph):
     bad = EdgeCharacteristic(h_graph.edges, lambda m: 1)
     with pytest.raises(CharacteristicContractError):
         EdgeGame(h_graph, bad)
+
+
+# ---------------------------------------------------------------------------
+# Power games on induced-edge counts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [2, 3, 11])
+def test_power_game_beyond_63_edges_equals_per_coalition_evaluation(k):
+    # K12 has 66 edges; 66^11 >= 2^62, so k = 11 takes the Python-int count
+    # table; the reference evaluates the lift once per coalition
+    labels = [f"v{i:02d}" for i in range(12)]
+    g = build_graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
+    v = lift(EdgeGame(g, power_weight_fn(g, k)))
+    assert v.has_vector_path
+    scalar = NodeCharacteristic(g.n, v, exact=True)
+    assert shapley_exact(v).values == shapley_exact(scalar).values
+    assert shapley_sampled(v, 50, 3).values == shapley_sampled(scalar, 50, 3).values
+
+
+def test_power_games_build_no_edge_masks(h_game, monkeypatch, capsys):
+    def refuse(self, node_masks):
+        raise AssertionError("a power game built induced edge masks")
+
+    monkeypatch.setattr(Graph, "induced_edge_masks", refuse)
+    g = h_game.graph
+    assert edge_shapley(h_game).values == H_ALLOCATION
+    assert edge_shapley_pruned(h_game).values == H_ALLOCATION
+    assert shapley_exact(lift(h_game)).values == H_ALLOCATION
+    scalar = NodeCharacteristic(g.n, lift(h_game), exact=True)
+    assert myerson(GraphGame(g, lift(h_game))) == myerson(GraphGame(g, scalar))
+    shapley_sampled(lift(h_game), 100, 1)
+    assert audit(h_game).checks[0].passed
+    h = str(resources.files("edgeshapley") / "fixtures" / "counterexample-H.json")
+    for method in ("edge_shapley", "sampled"):
+        assert main(["whatif", "--input", h, "--method", method, "--remove-edge", "A", "D",
+                     "--samples", "100"]) == 0
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,26 @@ def test_induced_edge_masks_limited_to_63_edges():
     assert int(g63.induced_edge_masks(full)[0]) == g63.full_edge_mask == (1 << 63) - 1
 
 
+def test_induced_edge_counts_equal_popcount_of_edge_masks():
+    rng = np.random.default_rng(18)
+    labels = [f"v{i:02d}" for i in range(12)]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    for g in [random_graph(rng, 8, p=0.5), build_graph(["x"], []), build_graph(labels, pairs[:63])]:
+        masks = np.arange(1 << g.n, dtype=np.int64)
+        counts = g.induced_edge_counts(masks)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.bitwise_count(g.induced_edge_masks(masks)))
+
+
+def test_induced_edge_counts_beyond_63_edges():
+    labels = [f"v{i:02d}" for i in range(12)]
+    k12 = build_graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
+    masks = np.arange(1 << k12.n, dtype=np.int64)
+    counts = k12.induced_edge_counts(masks)
+    assert counts.tolist() == [k12.induced_edge_mask(m).bit_count() for m in range(1 << k12.n)]
+    assert counts[-1] == 66
+
+
 def test_edge_component_masks(h_graph):
     full = h_graph.full_edge_mask
     groups = h_graph.edge_component_masks(full)

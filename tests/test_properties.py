@@ -28,6 +28,7 @@ from edgeshapley import (
     lift,
     myerson,
     myerson_bridge,
+    power_weight_fn,
     route_closed_form,
     shapley_dividends,
     shapley_exact,
@@ -195,6 +196,23 @@ def test_batch_table_equals_scalar_table(eg):
     table, denom = _table(v, None)
     if v.exact:
         assert (table.dtype, denom) == table_form(scalar.tolist(), v.n)
+    assert_numerators(table, denom, scalar)
+
+
+@PROPERTY_SETTINGS
+@given(graphs(max_nodes=10, max_edges=20), st.one_of(st.integers(1, 4), st.just(62)))
+def test_power_count_table_equals_scalar_worth(g, k):
+    # the count path against the scalar |F|^k: int64 below 2^62, Python
+    # ints (no wrap) from there, e.g. k = 62 on two or more edges
+    w = power_weight_fn(g, k)
+    v = lift(EdgeGame(g, w))
+    masks = all_masks(g.n)
+    batch = v.evaluate_many(masks)
+    assert batch.dtype == (np.int64 if len(g.edges) ** k < 1 << 62 else object)
+    assert batch.tolist() == [w(g.induced_edge_mask(m)) for m in range(1 << g.n)]
+    scalar = NodeCharacteristic(v.n, v, exact=True).evaluate_many(masks)
+    table, denom = _table(v, None)
+    assert (table.dtype, denom) == table_form(scalar.tolist(), v.n)
     assert_numerators(table, denom, scalar)
 
 

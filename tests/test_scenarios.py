@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,26 @@ def test_round_trip_all_fixtures():
 
 def test_round_trip_minimal():
     s = parse_scenario(MINIMAL)
+    assert parse_scenario(serialize_scenario(s)) == s
+
+
+def test_round_trip_beyond_the_int_str_digit_limit():
+    # a 5001-digit contract count, expected values and a table value, all
+    # written digit for digit; a name holding "null" stays a string
+    digits, big = "7" * 5001, int(Decimal("7" * 5001))
+    doc = {**CONTRACT, "name": 'null "null"',
+           "routes": [{"nodes": ["A", "B"], "quantity": "#"}],
+           "expected": {"A": f"{digits}/2", "B": f"{digits}/2"}}
+    s = parse_scenario(json.dumps(doc).replace('"#"', digits))
+    text = serialize_scenario(s)
+    assert f'"quantity": {digits}' in text
+    again = parse_scenario(text)
+    assert again == s
+    assert again.routes[0].quantity == big and again.name == 'null "null"'
+    assert dict(again.expected) == {"A": Fraction(big, 2), "B": Fraction(big, 2)}
+    table = {**TABLE, "model": {"type": "explicit_table",
+                                "table": [{"edges": [["L", "R"]], "value": "#"}]}}
+    s = parse_scenario(json.dumps(table).replace('"#"', digits))
     assert parse_scenario(serialize_scenario(s)) == s
 
 
