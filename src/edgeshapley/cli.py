@@ -12,12 +12,11 @@ Exit codes follow a scriptable convention:
 * 64 -- usage error (bad flags, method incompatible with the scenario's
   model, such as closed_form on a model other than a containment supply or
   contract one, game too large for exact enumeration or for physical
-  memory, approx game on a graph with more than 63 edges whose worth
-  declares no dividends, such as a strict-equality supply game,
-  ``whatif --remove-node`` of a scenario's only node);
+  memory, ``whatif --remove-node`` of a scenario's only node);
 * 65 -- the input failed to load (a non-finite number, or a number beyond
   the float range in a field read as a float, among the reasons), a supply
-  game's route values sum beyond the float range, the output could not be
+  game's route values, a strict-equality supply game's worth or a sampled
+  estimate's marginal sums leave the float range, the output could not be
   written, or a what-if target does not exist.
 
 Every value is rendered by two helpers: :func:`_json_value` (the exact

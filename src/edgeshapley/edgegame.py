@@ -20,9 +20,10 @@ does not agree with the full value and is kept solely as a diagnostic
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .games import (
     _axiom_check,
     _check_capacity,
     _component_table,
+    _INT64_DIVIDEND_BOUND,
     _reduce,
     _ReduceTables,
     _table,
@@ -65,18 +67,25 @@ class EdgeCharacteristic:
     declaration must agree with ``fn``; :func:`lift` evaluates it on node
     masks, without edge masks, and so on any number of edges.
 
-    ``of_count``, when given, declares that the worth depends only on the
-    number of edges: w(F) = of_count(|F|), mapping an int64 array of edge
-    counts to the worth array :class:`games.NodeCharacteristic` describes.
-    It must agree with ``fn``; :func:`lift` evaluates it on the induced-edge
-    counts of node masks, without edge masks, and so on any number of edges.
+    ``by_count``, when given, declares the worth as ``(edge_mask, values)``
+    count rows: w(F) is the sum of ``values[|F|]`` over the rows whose edge
+    mask lies inside F, added in row order from 0. ``values`` holds one
+    value per edge count 0..|E|. A worth of the edge count alone is one row
+    on mask 0 (the power games); a worth that takes value v exactly on the
+    edge set H is the row on H whose values are 0 but for v at |H| (the
+    explicit tables, strict-equality routes; see :func:`_equality_rows`),
+    since F = H exactly when H lies inside F and |F| = |H|. It must agree
+    with ``fn``; :func:`lift` evaluates it on node masks (see
+    :func:`_count_worths`), without edge masks, and so on any number of
+    edges.
 
     ``fn_many``, when given in either domain, maps an int64 edge-mask array
     to the worth array :class:`games.NodeCharacteristic` describes, and must
-    agree with ``fn``.
+    agree with ``fn``. Without it, :meth:`evaluate_many` calls ``fn`` once
+    per distinct edge mask.
     """
 
-    __slots__ = ("edges", "exact", "dividends", "of_count", "_fn", "_fn_many")
+    __slots__ = ("edges", "exact", "dividends", "by_count", "_fn", "_fn_many")
 
     def __init__(
         self,
@@ -86,12 +95,14 @@ class EdgeCharacteristic:
         exact: bool = True,
         fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
         dividends: tuple[tuple[int, Value], ...] | None = None,
-        of_count: Callable[[np.ndarray], np.ndarray] | None = None,
+        by_count: tuple[tuple[int, Sequence[Value]], ...] | None = None,
     ):
         self.edges = tuple(edges)
         self.exact = exact
         self.dividends = None if dividends is None else tuple(dividends)
-        self.of_count = of_count
+        self.by_count = (
+            None if by_count is None else tuple((em, tuple(values)) for em, values in by_count)
+        )
         self._fn = fn
         self._fn_many = fn_many
 
@@ -105,8 +116,10 @@ class EdgeCharacteristic:
     def evaluate_many(self, edge_masks: np.ndarray) -> np.ndarray:
         if self._fn_many is not None:
             return self._fn_many(edge_masks)
+        edge_sets, inverse = np.unique(edge_masks, return_inverse=True)
         dtype = object if self.exact else np.float64
-        return np.fromiter(map(self._fn, edge_masks.tolist()), dtype=dtype, count=edge_masks.size)
+        worths = np.fromiter(map(self._fn, edge_sets.tolist()), dtype=dtype, count=edge_sets.size)
+        return worths[inverse].reshape(edge_masks.shape)
 
     @classmethod
     def from_table(
@@ -116,13 +129,135 @@ class EdgeCharacteristic:
         *,
         exact: bool = True,
     ) -> "EdgeCharacteristic":
-        """Explicit edge-subset table; missing subsets are worth 0."""
-        snapshot = dict(table)
+        """Explicit edge-subset table; missing subsets are worth 0. It
+        declares one count row per entry (see :func:`_equality_rows`)."""
+        # adding 0 keeps every value but -0.0, which reads 0.0 as the count
+        # rows' sum from 0 does
+        snapshot = {em: val + 0 for em, val in table.items()}
         if snapshot.get(0, 0) != 0:
             raise CharacteristicContractError(
                 f"table assigns {snapshot[0]!r} to the empty edge set"
             )
-        return cls(edges, lambda m: snapshot.get(m, 0), exact=exact)
+        return cls(
+            edges,
+            lambda m: snapshot.get(m, 0),
+            exact=exact,
+            by_count=_equality_rows(snapshot.items(), len(edges)),
+        )
+
+
+def _equality_rows(
+    entries: Iterable[tuple[int, Value]], n_edges: int
+) -> tuple[tuple[int, tuple[Value, ...]], ...]:
+    """Count rows of the worth that is ``value`` on each entry's edge mask H
+    and 0 elsewhere: the row on H whose values are 0 but for ``value`` at
+    |H|, one per entry, in entry order (see :class:`EdgeCharacteristic`).
+    An entry on edges outside the universe equals no edge set and is left
+    out."""
+    rows = []
+    for em, val in entries:
+        if em >> n_edges:
+            continue
+        values = [0] * (n_edges + 1)
+        values[em.bit_count()] = val
+        rows.append((em, tuple(values)))
+    return tuple(rows)
+
+
+def _count_dtype(rows: tuple[tuple[int, tuple[Value, ...]], ...], exact: bool):
+    """Dtype that sums of the count ``rows`` accumulate in: float64 for
+    approx rows; for exact rows the rule of :func:`games._dividend_dtype`,
+    with each row bounded by its largest magnitude, since a worth adds one
+    value of each row: int64 when every value is a Python int and those
+    bounds sum below 2^62, object otherwise. An exact value that is not a
+    rational breaks the contract, named by its row's edge mask."""
+    if not exact:
+        return np.float64
+    for em, values in rows:
+        for val in values:
+            if not isinstance(val, numbers.Rational):
+                raise CharacteristicContractError(
+                    f"exact characteristic declares the count value {val!r} on edge set "
+                    f"{em:#b}, which is not an int or Fraction"
+                )
+    if all(type(val) is int for _, values in rows for val in values) and (
+        sum(max(map(abs, values)) for _, values in rows) < _INT64_DIVIDEND_BOUND
+    ):
+        return np.int64
+    return object
+
+
+def _count_worths(
+    g: Graph, rows: tuple[tuple[int, tuple[Value, ...]], ...], exact: bool
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch worths of the lifted game of count ``rows`` on coalition
+    arrays, in the rows' dtype (:func:`_count_dtype`; exact int64 worths are
+    numerators over 1): coalition S, with c its induced-edge count
+    (:meth:`Graph.induced_edge_counts`), gains ``values[c]`` of each row
+    whose endpoints R lie inside S, in row order from 0. A row on mask 0 is
+    one gather; a row whose values are 0 but at |H|, H its edge mask, is an
+    equality row; any other row is added where ``S & R == R``.
+
+    An equality row adds a value only where S induces exactly H, that is
+    where R is the endpoint set of the edges S induces
+    (:meth:`Graph.induced_endpoint_masks`) and H is the edge set R induces
+    (otherwise it never adds one). So a run of equality rows is read as
+    one lookup of each coalition's endpoint set among the rows' R, and a
+    repeated R as one more lookup per repeat, which keeps the row order;
+    what the run leaves out adds only zeros. The cost of a run does not
+    grow with its length. An approx worth that is not finite breaks the
+    contract, named by its coalition, with no float warning."""
+    dtype = _count_dtype(rows, exact)
+    steps = []  # ("count", R, values by count) or ("key", sorted R array, their values)
+    run: dict[int, list[Value]] = {}  # R -> values of the run's equality rows on R
+
+    def close_run():
+        for k in range(max(map(len, run.values()), default=0)):
+            keys = sorted(r for r, vals in run.items() if len(vals) > k)
+            steps.append(("key", np.array(keys, dtype=np.int64),
+                          np.array([run[r][k] for r in keys], dtype=dtype)))
+        run.clear()
+
+    for em, values in rows:
+        r, size = g.endpoint_mask(em), em.bit_count()
+        if em and not any(val for c, val in enumerate(values) if c != size):
+            if g.induced_edge_mask(r) == em:
+                run.setdefault(r, []).append(values[size])
+        else:
+            close_run()
+            steps.append(("count", r, np.array(values, dtype=dtype)))
+    close_run()
+
+    def fn_many(masks: np.ndarray) -> np.ndarray:
+        out = np.zeros(masks.shape, dtype=dtype)
+        counts = ends = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for kind, r, values in steps:
+                if kind == "key":
+                    if ends is None:
+                        ends = g.induced_endpoint_masks(masks)
+                    pos = np.minimum(np.searchsorted(r, ends), r.size - 1)
+                    hit = np.nonzero(r[pos] == ends)
+                    out[hit] += values[pos[hit]]
+                    continue
+                if counts is None:
+                    counts = g.induced_edge_counts(masks)
+                if r == 0:
+                    out += values[counts]
+                else:
+                    hit = np.nonzero((masks & r) == r)
+                    out[hit] += values[counts[hit]]
+        if not exact:
+            bad = np.flatnonzero(~np.isfinite(out))
+            if bad.size:
+                s = int(masks.flat[bad[0]])
+                raise CharacteristicContractError(
+                    f"approx worth of coalition {{{', '.join(g.labels_of(s))}}} is "
+                    f"{float(out.flat[bad[0]])!r}: its count rows sum beyond the float range"
+                )
+        return out
+
+    return fn_many
 
 
 @dataclass(frozen=True)
@@ -149,21 +284,19 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
     """Node game induced by an edge game: a coalition is worth the worth of
     the edges both of whose endpoints it contains.
 
-    A worth that declares its dividends is evaluated on node masks: the
-    edges of a dividend row are all induced by S exactly when their
-    endpoints R lie inside S, so the lifted game declares these node-mask
-    rows and nothing else (:class:`games.NodeCharacteristic` reads them),
-    on any number of edges. A worth that declares ``of_count`` (a function
-    of the edge count, such as |F|^k) is batch-evaluated (what fills the
-    engines' coalition table and the sampler's prefix blocks) on the
-    coalitions' induced-edge counts (:meth:`Graph.induced_edge_counts`),
-    also on any number of edges. Otherwise batch evaluation builds the
-    induced edge masks of the coalitions as int64, which holds at most
-    ``MAX_EDGE_BITS`` edges: a worth with a vector path evaluates them as
-    one array (and refuses more edges with `CapacityError`); any other
-    worth, in either domain, is evaluated once per distinct induced edge
-    set and the results are gathered back per coalition; such games on
-    more edges are evaluated coalition by coalition.
+    Batch evaluation (what fills the engines' coalition table and the
+    sampler's prefix blocks) takes one of three paths. A worth that declares
+    its dividends is evaluated on node masks: the edges of a dividend row
+    are all induced by S exactly when their endpoints R lie inside S, so the
+    lifted game declares these node-mask rows and nothing else
+    (:class:`games.NodeCharacteristic` reads them). A worth that declares
+    count rows (power games, explicit tables, strict-equality routes) is
+    evaluated on node masks too, from the coalitions' induced-edge counts
+    and endpoint sets (see :func:`_count_worths`). Both hold any number of
+    edges. Any other worth is evaluated on the coalitions' induced edge
+    masks, built as int64, by :meth:`EdgeCharacteristic.evaluate_many`; on
+    more than ``MAX_EDGE_BITS`` edges, which int64 masks do not hold, such
+    games are evaluated coalition by coalition.
     """
     g = eg.graph
     w = eg.characteristic
@@ -175,16 +308,10 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
         rows = tuple((g.endpoint_mask(em), val) for em, val in w.dividends)
         return NodeCharacteristic(g.n, fn, exact=w.exact, dividends=rows)
     fn_many = None
-    if w.of_count is not None:
-        fn_many = lambda masks: w.of_count(g.induced_edge_counts(masks))
-    elif w.has_vector_path:
-        fn_many = lambda masks: w.evaluate_many(g.induced_edge_masks(masks))
+    if w.by_count is not None:
+        fn_many = _count_worths(g, w.by_count, w.exact)
     elif len(g.edges) <= MAX_EDGE_BITS:
-
-        def fn_many(masks: np.ndarray) -> np.ndarray:
-            edge_sets, inverse = np.unique(g.induced_edge_masks(masks), return_inverse=True)
-            return w.evaluate_many(edge_sets)[inverse]
-
+        fn_many = lambda masks: w.evaluate_many(g.induced_edge_masks(masks))
     return NodeCharacteristic(g.n, fn, exact=w.exact, fn_many=fn_many)
 
 
@@ -325,14 +452,22 @@ def _resolve_edge(g: Graph, e: Edge | tuple[NodeId, NodeId]) -> int:
     return g.edge_index(*e)
 
 
+def _rows_without_edge(rows, j: int):
+    """``(edge_mask, value)`` rows of a worth on the game without edge
+    ``j``: the rows holding j can never be contained again and are dropped,
+    and the rest are renumbered to the new edge indices, in their order."""
+    if rows is None:
+        return None
+    return tuple((squeeze(em, 1 << j), val) for em, val in rows if not (em >> j) & 1)
+
+
 def delete_edge(eg: EdgeGame, e: Edge | tuple[NodeId, NodeId]) -> EdgeGame:
     """The game that ignores edge ``e``: the graph loses the edge and the
     characteristic evaluates as if ``e`` were never present.
 
-    Declared dividends carry over: the rows holding ``e`` can never be
-    contained again and are dropped, and the rest are renumbered to the new
-    edge indices, in their order. A declared ``of_count`` carries over as it
-    is, since renumbering keeps every edge count.
+    Declared dividends and count rows carry over (see
+    :func:`_rows_without_edge`); a count row keeps its values, since
+    renumbering keeps every edge count.
     """
     g = eg.graph
     w = eg.characteristic
@@ -349,21 +484,13 @@ def delete_edge(eg: EdgeGame, e: Edge | tuple[NodeId, NodeId]) -> EdgeGame:
     if w.has_vector_path:
         fn_many = lambda masks: w.evaluate_many(embed(masks))
 
-    dividends = None
-    if w.dividends is not None:
-        dividends = tuple(
-            (squeeze(em, 1 << j), val)
-            for em, val in w.dividends
-            if not (em >> j) & 1
-        )
-
     new_w = EdgeCharacteristic(
         new_graph.edges,
         lambda m: w(embed(m)),
         exact=w.exact,
         fn_many=fn_many,
-        dividends=dividends,
-        of_count=w.of_count,
+        dividends=_rows_without_edge(w.dividends, j),
+        by_count=_rows_without_edge(w.by_count, j),
     )
     return EdgeGame(new_graph, new_w)
 

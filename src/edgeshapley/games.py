@@ -24,21 +24,21 @@ on a graph is one more table, :func:`_component_table`: the component of
 each coalition's lowest member. The Myerson value reduces the
 graph-restricted table folded from it, and
 :func:`edgeshapley.edgegame.component_efficiency_check` reads its additivity
-hypothesis from it. A game that declares its dividends (as a lifted route
-game does) fills its table by adding each row onto the view of the supersets
-of its node mask: float64 when approx, int64 numerators when exact and the
-rows' magnitudes sum below 2^62, the rows' own ints and Fractions (then
-brought to numerators) otherwise. Only this module reads dividend rows:
+hypothesis from it. A game that declares its dividends (as a lifted
+containment route game does) fills its table by adding each row onto the
+view of the supersets of its node mask: float64 when approx, int64
+numerators when exact and the rows' magnitudes sum below 2^62, the rows'
+own ints and Fractions (then brought to numerators) otherwise. Only this module reads dividend rows:
 the fill, the sampler's completion steps, :func:`shapley_dividends` (the
 closed form, read off the rows with no table) and, for other mask arrays,
 :func:`_dividend_worths`. Other games fill the table through
 :meth:`NodeCharacteristic.evaluate_many`; lifted edge games whose worth
-depends only on the edge count (the power games) evaluate it on induced-edge
-counts, and those whose worth has no vector path call it once per distinct
-induced edge set (see :func:`edgeshapley.edgegame.lift`). One helper,
-:func:`_numerators`, turns exact worths into integer numerators over one
-denominator, for the table, for the reduction's Python-int fallback and for
-the sampler; an int64 array is its own numerators over 1. The domain is
+declares count rows (power games, explicit tables, strict-equality routes)
+evaluate them on node masks, and other lifted edge games evaluate their
+worth on induced edge masks (see :func:`edgeshapley.edgegame.lift`). One
+helper, :func:`_numerators`, turns exact worths into integer numerators
+over one denominator, for the table, for the reduction's Python-int
+fallback and for the sampler; an int64 array is its own numerators over 1. The domain is
 the game's ``exact`` flag, never the table's dtype. The float reduction
 weights the marginals from one half-size table of size weights. The exact reduction sums the numerators
 (as Python ints where the int64 bound does not cover them) and forms one
@@ -85,12 +85,17 @@ DEFAULT_ENUMERATION_LIMIT = 24
 #: n = 16-20, for edge_shapley / edge_shapley_pruned / myerson /
 #: component_efficiency_check, read 21-23 / 26 / 49 / 49 on approx supply
 #: games and 18 / 22 / 49 / 41 on exact contract games (counts above 256,
-#: an int64 dividend table), and 25 / 25 / 49 / 41 on an 18-player |F|^2
-#: power game (the induced-edge count path). Games whose edge worth has no
-#: vector path (the unique pass of the batch path) read 57-58 for all four:
-#: exact ones on ints above 256 and on Fractions alike, since the table
-#: build hands out int64 numerators, and approx tables and Myerson bridges
-#: on 16-18-node paths. Worths beyond 2^62 stay one Python int per
+#: an int64 dividend table). Games on the count-row path read 25 / 25 / 49
+#: / 41 on an 18-player |F|^2 power game, 35 / 35 / 49 / 41 on 24-entry
+#: exact explicit tables at n = 16, 18 and 20 (36 / 36 / 53 / 42 with
+#: values beyond 2^62), 33 / 33 / 49 / 49 on approx ones on 16-18-node
+#: paths, 33 / 33 / 49-50 / 41 on a 17-player strict-equality contract
+#: game (counts small or beyond 2^62) and 33 / 33 / 49 / 49 on
+#: strict-equality supply games at n = 16 and 20. Games whose edge worth
+#: declares neither dividends nor count rows (the unique pass of the batch
+#: path), such as Myerson bridges on 16-18-node paths, read 57-58 for all
+#: four, exact ones on ints and Fractions alike, since the table build
+#: hands out int64 numerators. Worths beyond 2^62 stay one Python int per
 #: coalition and read 58 / 58 / 90-91 / 73-74 on a path game, 71 / 74 /
 #: 126 / 109 on a 16-player contract game and 39 / 43 / 93 / 76 on an
 #: 18-player |F|^40 power game: myerson and the component check exceed the
@@ -109,8 +114,8 @@ class NodeCharacteristic:
     :meth:`evaluate_many`: ``fn_many`` when given, else the declared
     ``dividends`` (see :func:`_dividend_worths`), else ``fn`` once per mask;
     :func:`edgeshapley.edgegame.lift` gives edge games whose worth declares
-    ``of_count`` a ``fn_many`` on induced-edge counts, and those whose worth
-    has no vector path one that calls it once per distinct induced edge set.
+    count rows a ``fn_many`` on node masks, and other edge games on at most
+    63 edges one on induced edge masks.
 
     ``dividends``, when given, declares the game as a sum of unanimity games:
     ``(node_mask, value)`` rows, where S is worth the sum of ``value`` over
@@ -248,9 +253,10 @@ class Allocation:
 class EngineStats:
     """Work counters an engine fills in when handed to it: coalition table
     entries filled (2^n per enumeration, as the table is always full) and
-    marginal terms summed. A lifted edge game whose worth has no vector path
-    fills its 2^n entries by the batch path, which calls the edge worth only
-    once per distinct induced edge set."""
+    marginal terms summed. A lifted edge game whose worth declares neither
+    dividends nor count rows nor a vector path fills its 2^n entries with
+    one call of the edge worth per distinct induced edge set (see
+    :meth:`edgeshapley.edgegame.EdgeCharacteristic.evaluate_many`)."""
 
     marginals: int = 0
     evaluations: int = 0
@@ -703,6 +709,8 @@ def shapley_sampled(
     the end. Exact dividends that sum in int64 give int64 worths, which
     are their own numerators with no type scan. Exact sums do not depend on
     their order, so this equals adding the game's own ints and Fractions.
+    An approx running sum that leaves the float range breaks the contract,
+    named by its player, with no float warning; finite sums are untouched.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -731,9 +739,16 @@ def shapley_sampled(
             if lcm != denom:
                 acc *= lcm // denom
                 denom = lcm
-        marginals = np.diff(vals, axis=1, prepend=0)
-        np.add.at(acc, perms.ravel(), marginals.ravel())
+        with np.errstate(over="ignore", invalid="ignore"):
+            marginals = np.diff(vals, axis=1, prepend=0)
+            np.add.at(acc, perms.ravel(), marginals.ravel())
         remaining -= k
+        if not v.exact and not np.isfinite(acc).all():
+            i = int(np.argmin(np.isfinite(acc)))
+            raise CharacteristicContractError(
+                f"approx marginals of player {i} sum to {float(acc[i])!r} over the first "
+                f"{samples - remaining} samples, beyond the float range"
+            )
     if v.exact:
         return Allocation(tuple(Fraction(t, denom * samples) for t in acc), True)
     return Allocation(tuple(float(x) for x in acc / samples), False)
@@ -864,11 +879,16 @@ def value_str(x: Value) -> str:
 
 def values_close(a: Value, b: Value, exact: bool, tol: float = 1e-9) -> bool:
     """Domain-aware comparison: identity for exact values, relative tolerance
-    (floored at absolute ``tol``) for floats."""
+    (floored at absolute ``tol``) for finite floats. A float that is not
+    finite is close only to an equal one, since the tolerance would scale
+    by infinity."""
     if exact:
         return a == b
-    scale = max(abs(float(a)), abs(float(b)), 1.0)
-    return abs(float(a) - float(b)) <= tol * scale
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a == b
+    scale = max(abs(a), abs(b), 1.0)
+    return abs(a - b) <= tol * scale
 
 
 def axiom_check(

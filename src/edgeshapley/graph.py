@@ -250,6 +250,18 @@ class Graph:
             out += hit
         return out
 
+    def induced_endpoint_masks(self, node_masks: np.ndarray) -> np.ndarray:
+        """Endpoints of the edges induced by each coalition of an int64
+        array (the members joined to another member), as int64 node masks:
+        :meth:`endpoint_mask` of the induced edge set, with no edge masks,
+        so any number of edges works."""
+        out = np.zeros(node_masks.shape, dtype=np.int64)
+        met = np.empty(node_masks.shape, dtype=bool)
+        for i, adj in enumerate(self._adj):
+            np.not_equal(node_masks & adj, 0, out=met)
+            out |= met.astype(np.int64) << i
+        return out & node_masks
+
     def induced_edges(self, s: Iterable[NodeId]) -> tuple[Edge, ...]:
         """Edges with both endpoints in ``s``, in canonical edge order."""
         return self.edges_of_mask(self.induced_edge_mask(self.node_mask(s)))

@@ -16,7 +16,10 @@ route whenever all of its edges are present in the evaluated edge set;
 edge set. Containment is the default: it makes the lifted game a sum of
 unanimity games on the endpoint sets of the route edges, whose dividend
 rows the closed form below reads, and it reproduces the reference
-allocations. Strict equality is kept for fidelity experiments.
+allocations. Strict equality is kept for fidelity experiments; it declares
+one count row per route (F is a route's edge set H exactly when H lies
+inside F and |F| = |H|), so its lifted game is evaluated on node masks
+too.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .edgegame import EdgeCharacteristic, EdgeGame, lift
+from .edgegame import EdgeCharacteristic, EdgeGame, _equality_rows, lift
 from .errors import DegenerateRouteError
 from .games import Allocation, shapley_dividends
 from .graph import Graph, Route
@@ -86,6 +89,8 @@ def _route_characteristic(
     def fn(edge_mask: int):
         return sum(val for care, em, val in rows if edge_mask & care == em)
 
+    # lift reads the declarations below; fn_many serves callers that hold
+    # int64 edge-mask arrays, such as perfbench's traced replay
     fn_many = None
     if not exact:
         def fn_many(edge_masks: np.ndarray) -> np.ndarray:
@@ -95,10 +100,13 @@ def _route_characteristic(
             return out
 
     # Under containment the worth is a sum of unanimity games on the route
-    # edge sets: one dividend per route, in route order, repeats kept.
-    dividends = tuple(entries) if semantics == CONTAINMENT else None
+    # edge sets: one dividend per route, in route order, repeats kept. Under
+    # strict equality it is one equality count row per route, in route order.
+    containment = semantics == CONTAINMENT
     return EdgeCharacteristic(
-        g.edges, fn, exact=exact, fn_many=fn_many, dividends=dividends
+        g.edges, fn, exact=exact, fn_many=fn_many,
+        dividends=tuple(entries) if containment else None,
+        by_count=None if containment else _equality_rows(entries, len(g.edges)),
     )
 
 
@@ -142,18 +150,17 @@ def contract_weight_fn(
 def power_weight_fn(g: Graph, exponent: int) -> EdgeCharacteristic:
     """Edge worth |F|^exponent (exact integers).
 
-    The worth depends only on |F|, so it declares ``of_count``: a lookup of
-    c^exponent for c = 0..|E|, int64 when |E|^exponent < 2^62 and Python
-    ints otherwise, so no worth wraps. Lifted, it is evaluated on
-    induced-edge counts, with no edge masks (see :func:`edgegame.lift`).
+    The worth depends only on |F|, so it declares one count row on mask 0,
+    c^exponent for c = 0..|E|: lifted, it is evaluated on induced-edge
+    counts, with no edge masks (see :func:`edgegame.lift`), in int64 when
+    |E|^exponent < 2^62 and as Python ints otherwise, so no worth wraps.
     """
     if exponent < 1 or exponent != int(exponent):
         raise ValueError(f"exponent must be a positive integer, got {exponent}")
     k = int(exponent)
-    powers = [c**k for c in range(len(g.edges) + 1)]
-    table = np.array(powers, dtype=np.int64 if powers[-1] < 1 << 62 else object)
+    powers = tuple(c**k for c in range(len(g.edges) + 1))
     return EdgeCharacteristic(
-        g.edges, lambda m: m.bit_count() ** k, exact=True, of_count=table.__getitem__
+        g.edges, lambda m: m.bit_count() ** k, exact=True, by_count=((0, powers),)
     )
 
 

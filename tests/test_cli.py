@@ -13,7 +13,8 @@ import pytest
 
 import edgeshapley
 from edgeshapley.cli import METHODS, main
-from edgeshapley.edgegame import edge_shapley
+from edgeshapley.edgegame import delete_edge, edge_shapley, lift
+from edgeshapley.games import NodeCharacteristic, shapley_exact, shapley_sampled
 from edgeshapley.models import CostDecayParams, route_closed_form
 from edgeshapley.scenarios import load_scenario
 
@@ -327,13 +328,36 @@ def _k12_route_scenario(tmp_path, semantics="containment", domain="approx") -> s
     return str(path)
 
 
-def test_approx_game_over_63_edges_exits_64(tmp_path, capsys):
-    # strict equality declares no dividends, so its worth still reads int64
-    # edge masks
-    path = _k12_route_scenario(tmp_path, "strict-equality")
-    assert main(["compute", "--input", path, "--method", "edge_shapley"]) == 64
-    assert main(["compute", "--input", path, "--method", "sampled", "--samples", "10"]) == 64
-    assert "63-edge limit" in capsys.readouterr().err
+@pytest.mark.parametrize("domain", ["approx", "exact"])
+def test_strict_equality_routes_beyond_63_edges(tmp_path, capsys, domain):
+    # strict equality declares count rows, read on node masks, so 66 edges
+    # run every method; the reference evaluates the lift once per coalition
+    path = _k12_route_scenario(tmp_path, "strict-equality", domain)
+    eg = load_scenario(path).edge_game()
+    exact = domain == "exact"
+
+    def per_coalition(game):
+        return NodeCharacteristic(game.graph.n, lift(game), exact=exact)
+
+    def allocation(doc):
+        return [row["exact" if exact else "decimal"] for row in doc["allocations"]]
+
+    def text(values):
+        return [str(x) if exact else float(x) for x in values]
+
+    want = shapley_exact(per_coalition(eg)).values
+    assert edge_shapley(eg).values == want
+    code, out = run(capsys, "compute", "--input", path, "--format", "json")
+    assert code == 0 and allocation(json.loads(out)) == text(want)
+    sampled = shapley_sampled(per_coalition(eg), 10, 42).values
+    assert shapley_sampled(lift(eg), 10, 42).values == sampled
+    code, out = run(capsys, "compute", "--input", path, "--method", "sampled",
+                    "--samples", "10", "--format", "json")
+    assert code == 0 and allocation(json.loads(out)) == text(sampled)
+    deleted = shapley_exact(per_coalition(delete_edge(eg, ("v09", "v10")))).values
+    code, out = run(capsys, "whatif", "--input", path, "--remove-edge", "v09", "v10",
+                    "--format", "json")
+    assert code == 0 and allocation(json.loads(out)["modified"]) == text(deleted)
 
 
 def test_containment_routes_beyond_63_edges(tmp_path, capsys):
@@ -438,6 +462,65 @@ def test_approx_dividends_beyond_the_float_range_exit_65(tmp_path, capsys, argv)
     err = capsys.readouterr().err
     assert err.startswith("edgeshapley: error: approx dividends sum beyond the float range")
     assert err.count("\n") == 1
+
+
+def huge_routes(semantics, routes):
+    """Supply scenario on the path A-B-C with zero-cost routes of quantity
+    1e308, each a string of node labels."""
+    return json.dumps({
+        "nodes": ["A", "B", "C"],
+        "edges": [{"from": "A", "to": "B", "cost": 0}, {"from": "B", "to": "C", "cost": 0}],
+        "model": {"type": "supply_cost_decay", "semantics": semantics},
+        "routes": [{"nodes": list(r), "quantity": 1e308} for r in routes],
+        "domain": "approx",
+    })
+
+
+def test_sampled_marginals_beyond_the_float_range_exit_65(tmp_path, capsys):
+    # one route of 1e308: every worth fits a float and edge_shapley gives
+    # 5e307 to A and B, but a sampled sum of 1e308 marginals does not fit
+    path = tmp_path / "huge.json"
+    path.write_text(huge_routes("containment", ["AB"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        code, out = run(capsys, "compute", "--input", str(path), "--format", "json")
+        assert code == 0
+        assert [row["decimal"] for row in json.loads(out)["allocations"]] == [5e307, 5e307, 0.0]
+        assert main(["compute", "--input", str(path), "--method", "sampled",
+                     "--samples", "100"]) == 65
+    err = capsys.readouterr().err
+    assert err == ("edgeshapley: error: approx marginals of player 0 sum to inf over the "
+                   "first 100 samples, beyond the float range\n")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["compute", "--method", method] for method in METHODS if method != "closed_form"),
+    ["axioms"],
+    ["whatif", "--remove-edge", "A", "B"],
+], ids=lambda argv: "-".join(argv))
+def test_strict_equality_worth_beyond_the_float_range_exit_65(tmp_path, capsys, argv):
+    # the grand coalition induces both edges, the edge set of the two A-B-C
+    # routes, whose 1e308 sum no float holds
+    path = tmp_path / "huge.json"
+    path.write_text(huge_routes("strict-equality", ["AB", "BC", "ABC", "ABC"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--input", str(path), "--samples", "10"]) == 65
+    err = capsys.readouterr().err
+    assert err == ("edgeshapley: error: approx worth of coalition {A, B, C} is inf: "
+                   "its count rows sum beyond the float range\n")
+
+
+def test_strict_equality_finite_worths_of_huge_routes_exit_0(tmp_path, capsys):
+    # A-B and B-C alone: no coalition induces the edge sets of both, so every
+    # worth is finite (the grand coalition's is 0)
+    path = tmp_path / "huge.json"
+    path.write_text(huge_routes("strict-equality", ["AB", "BC"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["compute"], ["axioms"], ["whatif", "--remove-edge", "A", "B"]):
+            assert main([*argv, "--input", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_whatif_closed_form_on_an_edge_deletion(capsys):

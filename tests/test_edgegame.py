@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from importlib import resources
 
@@ -15,10 +16,12 @@ from edgeshapley import (
     Graph,
     GraphGame,
     NodeCharacteristic,
+    Route,
     ZeroNormalizationError,
     audit,
     build_graph,
     component_efficiency_check,
+    contract_weight_fn,
     delete_edge,
     edge_shapley,
     edge_shapley_pruned,
@@ -33,6 +36,7 @@ from edgeshapley import (
     restricted_sum_report,
     route_closed_form,
     shapley_exact,
+    shapley_restricted,
     shapley_sampled,
     supply_weight_fn,
 )
@@ -118,8 +122,39 @@ def test_edge_game_validation(h_graph):
 
 
 # ---------------------------------------------------------------------------
-# Power games on induced-edge counts
+# Count rows: power games, explicit tables, strict-equality routes
 # ---------------------------------------------------------------------------
+
+def test_count_rows_add_in_row_order():
+    # 0.3 + 0.2 + 0.2 + 0.1 and 0.3 + 0.1 + 0.2 + 0.2 differ in binary64:
+    # the two equality rows on {A-B} (values 0 but at count 1) are added
+    # between the count rows around them
+    g = build_graph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    rows = [(0, (0, 0.3, 0.3)), (0b01, (0, 0.2, 0)), (0b01, (0, 0.2, 0)), (0, (0, 0.1, 0.1))]
+
+    def fn(edge_mask):
+        return sum((vals[edge_mask.bit_count()] for em, vals in rows if edge_mask & em == em), 0)
+
+    v = lift(EdgeGame(g, EdgeCharacteristic(g.edges, fn, exact=False, by_count=rows)))
+    assert v(0b011) == 0.3 + 0.2 + 0.2 + 0.1 != 0.3 + 0.1 + 0.2 + 0.2
+    scalar = NodeCharacteristic(g.n, v, exact=False)
+    masks = np.arange(8, dtype=np.int64)
+    assert v.evaluate_many(masks).tobytes() == scalar.evaluate_many(masks).tobytes()
+    assert shapley_sampled(v, 50, 2).values == shapley_sampled(scalar, 50, 2).values
+
+
+def test_table_entry_of_negative_zero_reads_zero():
+    # the count rows add a table's worths onto 0, where -0.0 reads 0.0, and
+    # the table's own worth agrees, so the batch and scalar paths give the
+    # same bits
+    g = build_graph(["L", "R"], [("L", "R")])
+    w = EdgeCharacteristic.from_table(g.edges, {0b1: -0.0}, exact=False)
+    assert str(w(0b1)) == "0.0"
+    v = lift(EdgeGame(g, w))
+    masks = np.arange(4, dtype=np.int64)
+    scalar = NodeCharacteristic(g.n, v, exact=False)
+    assert v.evaluate_many(masks).tobytes() == scalar.evaluate_many(masks).tobytes()
+
 
 @pytest.mark.parametrize("k", [2, 3, 11])
 def test_power_game_beyond_63_edges_equals_per_coalition_evaluation(k):
@@ -134,23 +169,53 @@ def test_power_game_beyond_63_edges_equals_per_coalition_evaluation(k):
     assert shapley_sampled(v, 50, 3).values == shapley_sampled(scalar, 50, 3).values
 
 
-def test_power_games_build_no_edge_masks(h_game, monkeypatch, capsys):
+def test_power_games_build_no_edge_masks(h_game, monkeypatch, capsys, tmp_path):
+    # power, explicit-table and strict-equality route games all declare count
+    # rows: no engine, sampler or CLI command builds edge masks for them
     def refuse(self, node_masks):
-        raise AssertionError("a power game built induced edge masks")
+        raise AssertionError("a scenario model built induced edge masks")
 
     monkeypatch.setattr(Graph, "induced_edge_masks", refuse)
     g = h_game.graph
     assert edge_shapley(h_game).values == H_ALLOCATION
     assert edge_shapley_pruned(h_game).values == H_ALLOCATION
     assert shapley_exact(lift(h_game)).values == H_ALLOCATION
-    scalar = NodeCharacteristic(g.n, lift(h_game), exact=True)
-    assert myerson(GraphGame(g, lift(h_game))) == myerson(GraphGame(g, scalar))
-    shapley_sampled(lift(h_game), 100, 1)
-    assert audit(h_game).checks[0].passed
+    routes = [Route(["A", "D"], 3), Route(["A", "B", "D"], 5), Route(["C", "E"], 2)]
+    strict = "strict-equality"
+    for eg in (
+        h_game,
+        EdgeGame(g, EdgeCharacteristic.from_table(g.edges, {0b011: 4, 0b100: Fraction(1, 3)})),
+        EdgeGame(g, contract_weight_fn(g, routes, strict)),
+        EdgeGame(g, supply_weight_fn(g, routes, CostDecayParams(0.1, strict))),
+    ):
+        # the reference evaluates the lift once per coalition, on scalar masks
+        v = lift(eg)
+        scalar = NodeCharacteristic(g.n, v, exact=v.exact)
+        assert edge_shapley(eg).values == shapley_exact(scalar).values
+        members = [g.adjacency_mask(i) for i in range(g.n)]
+        assert edge_shapley_pruned(eg).values == shapley_restricted(scalar, members).values
+        assert myerson(GraphGame(g, v)) == myerson(GraphGame(g, scalar))
+        assert shapley_sampled(v, 100, 1).values == shapley_sampled(scalar, 100, 1).values
+        assert audit(eg).checks[0].passed
+        fairness_delta(eg, ("A", "D"))
     h = str(resources.files("edgeshapley") / "fixtures" / "counterexample-H.json")
-    for method in ("edge_shapley", "sampled"):
-        assert main(["whatif", "--input", h, "--method", method, "--remove-edge", "A", "D",
-                     "--samples", "100"]) == 0
+    chain = json.loads(resources.files("edgeshapley").joinpath(
+        "fixtures", "chain-suppliers.json").read_text(encoding="utf-8"))
+    chain["model"]["semantics"] = strict
+    strict_chain = tmp_path / "chain-strict.json"
+    strict_chain.write_text(json.dumps(chain))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({
+        "nodes": ["A", "B", "C"], "edges": [{"from": "A", "to": "B"}, {"from": "B", "to": "C"}],
+        "model": {"type": "explicit_table", "table": [
+            {"edges": [["A", "B"]], "value": "2"}, {"edges": [["A", "B"], ["B", "C"]], "value": "7"}]},
+        "domain": "exact",
+    }))
+    for path, edge in ((h, ("A", "D")), (str(strict_chain), ("A", "C")), (str(table), ("A", "B"))):
+        for method in ("edge_shapley", "sampled"):
+            assert main(["whatif", "--input", path, "--method", method, "--remove-edge", *edge,
+                         "--samples", "100"]) == 0
+        assert main(["axioms", "--input", path]) in (0, 1)
     capsys.readouterr()
 
 

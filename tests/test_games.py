@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,6 +28,7 @@ from edgeshapley import (
     shapley_sampled,
     shapley_weights,
     supply_weight_fn,
+    values_close,
 )
 from edgeshapley.masks import all_masks
 
@@ -359,6 +362,28 @@ def test_sampled_deterministic():
 def test_sampled_rejects_zero_samples():
     with pytest.raises(ValueError):
         shapley_sampled(additive(3), 0, 1)
+
+
+def test_sampled_marginals_beyond_the_float_range_break_the_contract():
+    # every worth fits a float; 1e308 marginals summed over samples do not
+    v = NodeCharacteristic(2, lambda m: 1e308 if m == 0b11 else 0.0, exact=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        with pytest.raises(CharacteristicContractError,
+                           match="player 0 sum to inf over the first 10 samples"):
+            shapley_sampled(v, 10, 1)
+        # one sample's sum fits
+        assert sorted(shapley_sampled(v, 1, 1).values) == [0.0, 1e308]
+
+
+def test_values_close_on_floats_that_are_not_finite():
+    # the relative tolerance would scale by inf: (inf, 1e308) read as close
+    assert not values_close(math.inf, 1e308, False)
+    assert not values_close(1e308, -math.inf, False)
+    assert values_close(math.inf, math.inf, False)
+    assert not values_close(math.inf, -math.inf, False)
+    assert not values_close(math.nan, math.nan, False)
+    assert values_close(1e308, 1e308 * (1 + 1e-12), False)
 
 
 def oracle_sampler_games():

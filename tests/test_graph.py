@@ -229,6 +229,19 @@ def test_induced_edge_counts_beyond_63_edges():
     assert counts[-1] == 66
 
 
+def test_induced_endpoint_masks_equal_scalar_endpoints():
+    # on edge-free coalitions, the H graph, a random graph and K12 (66 edges)
+    rng = np.random.default_rng(19)
+    labels = [f"v{i:02d}" for i in range(12)]
+    k12 = build_graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
+    h = build_graph(["A", "B", "C", "D", "E"], [("A", "D"), ("B", "D"), ("C", "E")])
+    for g in [build_graph(["x"], []), h, random_graph(rng, 9, p=0.4), k12]:
+        masks = np.arange(1 << g.n, dtype=np.int64)
+        ends = g.induced_endpoint_masks(masks)
+        assert ends.dtype == np.int64
+        assert ends.tolist() == [g.endpoint_mask(g.induced_edge_mask(m)) for m in range(1 << g.n)]
+
+
 def test_edge_component_masks(h_graph):
     full = h_graph.full_edge_mask
     groups = h_graph.edge_component_masks(full)

@@ -191,8 +191,9 @@ def test_batch_table_equals_scalar_table(eg):
     masks = all_masks(v.n)
     batch = v.evaluate_many(masks)
     scalar = NodeCharacteristic(v.n, v, exact=v.exact).evaluate_many(masks)
-    assert batch.dtype == scalar.dtype == (object if v.exact else np.float64)
-    assert_same_values(batch, scalar)
+    assert scalar.dtype == (object if v.exact else np.float64)
+    assert batch.dtype == count_dtype(eg.characteristic.by_count, v.exact)
+    assert_same_values(batch.astype(object) if batch.dtype == np.int64 else batch, scalar)
     table, denom = _table(v, None)
     if v.exact:
         assert (table.dtype, denom) == table_form(scalar.tolist(), v.n)
@@ -214,6 +215,62 @@ def test_power_count_table_equals_scalar_worth(g, k):
     table, denom = _table(v, None)
     assert (table.dtype, denom) == table_form(scalar.tolist(), v.n)
     assert_numerators(table, denom, scalar)
+
+
+@st.composite
+def count_row_games(draw, exact):
+    """A graph on at most 10 nodes and 12 edges and a worth declared by up
+    to 8 count rows, drawn with repeats: rows of any values and equality
+    rows (values 0 but at |H|), on mask 0, on any edge mask (most are
+    induced by no coalition) or on one a coalition induces. Exact values
+    are small ints, negative ones too, or mixed with Fractions or with ints
+    beyond 2^62; approx values are floats. A row's value at count 0 is 0,
+    so w(empty) = 0."""
+    g = draw(graphs(max_nodes=10, max_edges=12))
+    m = len(g.edges)
+    small = st.integers(-20, 20)
+    if exact:
+        values = draw(st.sampled_from([small, st.one_of(small, FRACTIONS), st.one_of(small, HUGE)]))
+    else:
+        values = FLOATS
+    masks = st.one_of(st.just(0), st.integers(0, (1 << m) - 1),
+                      st.integers(0, (1 << g.n) - 1).map(g.induced_edge_mask))
+    any_row = st.tuples(masks, st.lists(values, min_size=m, max_size=m).map(lambda vs: [0, *vs]))
+    equality_row = st.tuples(masks, values).map(
+        lambda r: (r[0], [r[1] if c == r[0].bit_count() > 0 else 0 for c in range(m + 1)]))
+    picked = draw(st.lists(st.one_of(any_row, equality_row), min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(picked), max_size=8))
+
+    def fn(edge_mask):
+        return sum((vals[edge_mask.bit_count()] for em, vals in rows if edge_mask & em == em), 0)
+
+    return EdgeGame(g, EdgeCharacteristic(g.edges, fn, exact=exact, by_count=rows))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_count_rows_equal_scalar_worth(exact, data):
+    # the count-row table and the sampler against the worth evaluated once
+    # per coalition, on the game and on every edge deletion: bit-identical
+    # floats, equal exact values (a row whose values are 0 but at |H| adds
+    # none of its zeros, so an int 0 may stand where the scalar sum adds a
+    # Fraction 0)
+    eg = data.draw(count_row_games(exact))
+    for game in (eg, *(delete_edge(eg, edge) for edge in eg.graph.edges)):
+        v = lift(game)
+        scalar = NodeCharacteristic(v.n, v, exact=exact)
+        masks = all_masks(v.n)
+        want = scalar.evaluate_many(masks)
+        got = v.evaluate_many(masks)
+        assert got.dtype == count_dtype(game.characteristic.by_count, exact)
+        table, denom = _table(v, None)
+        if exact:
+            assert got.tolist() == want.tolist()
+            assert [Fraction(x, denom) for x in table.tolist()] == want.tolist()
+        else:
+            assert got.tobytes() == table.tobytes() == want.tobytes()
+        assert shapley_sampled(v, 60, 5).values == shapley_sampled(scalar, 60, 5).values
 
 
 def table_form(worths, n):
@@ -258,6 +315,16 @@ def fill_dtype(rows, exact):
         return np.float64
     small = all(type(val) is int for _, val in rows)
     return np.int64 if small and sum(abs(val) for _, val in rows) < 1 << 62 else object
+
+
+def count_dtype(rows, exact):
+    """The dtype the count-row evaluation must use: float64 when approx,
+    int64 for Python ints whose largest magnitudes per row sum below 2^62,
+    object otherwise."""
+    if not exact:
+        return np.float64
+    small = all(type(val) is int for _, values in rows for val in values)
+    return np.int64 if small and sum(max(map(abs, values)) for _, values in rows) < 1 << 62 else object
 
 
 def table_dtype(rows, exact, n):
