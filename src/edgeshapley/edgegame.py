@@ -20,7 +20,6 @@ does not agree with the full value and is kept solely as a diagnostic
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -169,17 +168,10 @@ def _count_dtype(rows: tuple[tuple[int, tuple[Value, ...]], ...], exact: bool):
     approx rows; for exact rows the rule of :func:`games._dividend_dtype`,
     with each row bounded by its largest magnitude, since a worth adds one
     value of each row: int64 when every value is a Python int and those
-    bounds sum below 2^62, object otherwise. An exact value that is not a
-    rational breaks the contract, named by its row's edge mask."""
+    bounds sum below 2^62, object otherwise (where a worth that is not a
+    rational is refused as the table or sampler brings it to numerators)."""
     if not exact:
         return np.float64
-    for em, values in rows:
-        for val in values:
-            if not isinstance(val, numbers.Rational):
-                raise CharacteristicContractError(
-                    f"exact characteristic declares the count value {val!r} on edge set "
-                    f"{em:#b}, which is not an int or Fraction"
-                )
     if all(type(val) is int for _, values in rows for val in values) and (
         sum(max(map(abs, values)) for _, values in rows) < _INT64_DIVIDEND_BOUND
     ):
