@@ -182,6 +182,7 @@ def test_power_games_build_no_edge_masks(h_game, monkeypatch, capsys, tmp_path):
     assert shapley_exact(lift(h_game)).values == H_ALLOCATION
     routes = [Route(["A", "D"], 3), Route(["A", "B", "D"], 5), Route(["C", "E"], 2)]
     strict = "strict-equality"
+    members = [g.adjacency_mask(i) for i in range(g.n)]
     for eg in (
         h_game,
         EdgeGame(g, EdgeCharacteristic.from_table(g.edges, {0b011: 4, 0b100: Fraction(1, 3)})),
@@ -192,7 +193,6 @@ def test_power_games_build_no_edge_masks(h_game, monkeypatch, capsys, tmp_path):
         v = lift(eg)
         scalar = NodeCharacteristic(g.n, v, exact=v.exact)
         assert edge_shapley(eg).values == shapley_exact(scalar).values
-        members = [g.adjacency_mask(i) for i in range(g.n)]
         assert edge_shapley_pruned(eg).values == shapley_restricted(scalar, members).values
         assert myerson(GraphGame(g, v)) == myerson(GraphGame(g, scalar))
         assert shapley_sampled(v, 100, 1).values == shapley_sampled(scalar, 100, 1).values
