@@ -39,7 +39,7 @@ from .games import (
     _axiom_check,
     _check_capacity,
     _component_table,
-    _INT64_DIVIDEND_BOUND,
+    _exact_row_dtype,
     _reduce,
     _ReduceTables,
     _table,
@@ -59,24 +59,20 @@ class EdgeCharacteristic:
     Edge subsets are bit masks over the universe's canonical edge order.
     ``fn(0)`` must be 0; evaluation must be deterministic and effect-free.
 
-    ``dividends``, when given, declares the worth's Harsanyi dividends as
-    ``(edge_mask, value)`` rows: w(F) is the sum of ``value`` over the rows
-    whose edge mask lies inside F, in row order. Rows may repeat a mask; they
-    are not merged, so a float sum keeps the order ``fn`` adds in. The
-    declaration must agree with ``fn``; :func:`lift` evaluates it on node
-    masks, without edge masks, and so on any number of edges.
-
     ``by_count``, when given, declares the worth as ``(edge_mask, values)``
     count rows: w(F) is the sum of ``values[|F|]`` over the rows whose edge
-    mask lies inside F, added in row order from 0. ``values`` holds one
-    value per edge count 0..|E|. A worth of the edge count alone is one row
-    on mask 0 (the power games); a worth that takes value v exactly on the
-    edge set H is the row on H whose values are 0 but for v at |H| (the
-    explicit tables, strict-equality routes; see :func:`_equality_rows`),
-    since F = H exactly when H lies inside F and |F| = |H|. It must agree
-    with ``fn``; :func:`lift` evaluates it on node masks (see
-    :func:`_count_worths`), without edge masks, and so on any number of
-    edges.
+    mask lies inside F, added in row order from 0. ``values`` holds a value
+    per edge count from 0 and may stop short of |E|: its last value then
+    holds for every larger count. Rows may repeat a mask; they are not
+    merged, so a float sum keeps the order ``fn`` adds in. A row of one
+    value m is the Harsanyi dividend m on its edge set (the containment
+    routes); a worth of the edge count alone is one row on mask 0 (the
+    power games); a worth that takes value v exactly on the edge set H is
+    the row on H whose values are 0 but for v at |H| (the explicit tables,
+    strict-equality routes; see :func:`_equality_rows`), since F = H exactly
+    when H lies inside F and |F| = |H|. It must agree with ``fn``;
+    :func:`lift` evaluates it on node masks, without edge masks, and so on
+    any number of edges.
 
     ``fn_many``, when given in either domain, maps an int64 edge-mask array
     to the worth array :class:`games.NodeCharacteristic` describes, and must
@@ -84,7 +80,7 @@ class EdgeCharacteristic:
     per distinct edge mask.
     """
 
-    __slots__ = ("edges", "exact", "dividends", "by_count", "_fn", "_fn_many")
+    __slots__ = ("edges", "exact", "by_count", "_fn", "_fn_many")
 
     def __init__(
         self,
@@ -93,12 +89,10 @@ class EdgeCharacteristic:
         *,
         exact: bool = True,
         fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
-        dividends: tuple[tuple[int, Value], ...] | None = None,
         by_count: tuple[tuple[int, Sequence[Value]], ...] | None = None,
     ):
         self.edges = tuple(edges)
         self.exact = exact
-        self.dividends = None if dividends is None else tuple(dividends)
         self.by_count = (
             None if by_count is None else tuple((em, tuple(values)) for em, values in by_count)
         )
@@ -150,44 +144,25 @@ def _equality_rows(
 ) -> tuple[tuple[int, tuple[Value, ...]], ...]:
     """Count rows of the worth that is ``value`` on each entry's edge mask H
     and 0 elsewhere: the row on H whose values are 0 but for ``value`` at
-    |H|, one per entry, in entry order (see :class:`EdgeCharacteristic`).
-    An entry on edges outside the universe equals no edge set and is left
-    out."""
-    rows = []
-    for em, val in entries:
-        if em >> n_edges:
-            continue
-        values = [0] * (n_edges + 1)
-        values[em.bit_count()] = val
-        rows.append((em, tuple(values)))
-    return tuple(rows)
-
-
-def _count_dtype(rows: tuple[tuple[int, tuple[Value, ...]], ...], exact: bool):
-    """Dtype that sums of the count ``rows`` accumulate in: float64 for
-    approx rows; for exact rows the rule of :func:`games._dividend_dtype`,
-    with each row bounded by its largest magnitude, since a worth adds one
-    value of each row: int64 when every value is a Python int and those
-    bounds sum below 2^62, object otherwise (where a worth that is not a
-    rational is refused as the table or sampler brings it to numerators)."""
-    if not exact:
-        return np.float64
-    if all(type(val) is int for _, values in rows for val in values) and (
-        sum(max(map(abs, values)) for _, values in rows) < _INT64_DIVIDEND_BOUND
-    ):
-        return np.int64
-    return object
+    |H| (and 0 above), one per entry, in entry order (see
+    :class:`EdgeCharacteristic`). An entry on edges outside the universe
+    equals no edge set and is left out."""
+    return tuple(
+        (em, (0,) * em.bit_count() + (val, 0)) for em, val in entries if not em >> n_edges
+    )
 
 
 def _count_worths(
     g: Graph, rows: tuple[tuple[int, tuple[Value, ...]], ...], exact: bool
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Batch worths of the lifted game of count ``rows`` on coalition
-    arrays, in the rows' dtype (:func:`_count_dtype`; exact int64 worths are
-    numerators over 1): coalition S, with c its induced-edge count
+    arrays, in the rows' dtype (float64 when approx, else
+    :func:`games._exact_row_dtype`; exact int64 worths are numerators over
+    1): coalition S, with c its induced-edge count
     (:meth:`Graph.induced_edge_counts`), gains ``values[c]`` of each row
-    whose endpoints R lie inside S, in row order from 0. A row on mask 0 is
-    one gather; a row whose values are 0 but at |H|, H its edge mask, is an
+    whose endpoints R lie inside S, in row order from 0, a short row's last
+    value standing for every count past its end. A row on mask 0 is one
+    gather; a row whose values are 0 but at |H|, H its edge mask, is an
     equality row; any other row is added where ``S & R == R``.
 
     An equality row adds a value only where S induces exactly H, that is
@@ -199,7 +174,7 @@ def _count_worths(
     what the run leaves out adds only zeros. The cost of a run does not
     grow with its length. An approx worth that is not finite breaks the
     contract, named by its coalition, with no float warning."""
-    dtype = _count_dtype(rows, exact)
+    dtype = _exact_row_dtype(values for _, values in rows) if exact else np.float64
     steps = []  # ("count", R, values by count) or ("key", sorted R array, their values)
     run: dict[int, list[Value]] = {}  # R -> values of the run's equality rows on R
 
@@ -211,6 +186,7 @@ def _count_worths(
         run.clear()
 
     for em, values in rows:
+        values += values[-1:] * (len(g.edges) + 1 - len(values))
         r, size = g.endpoint_mask(em), em.bit_count()
         if em and not any(val for c, val in enumerate(values) if c != size):
             if g.induced_edge_mask(r) == em:
@@ -277,31 +253,33 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
     the edges both of whose endpoints it contains.
 
     Batch evaluation (what fills the engines' coalition table and the
-    sampler's prefix blocks) takes one of three paths. A worth that declares
-    its dividends is evaluated on node masks: the edges of a dividend row
-    are all induced by S exactly when their endpoints R lie inside S, so the
-    lifted game declares these node-mask rows and nothing else
-    (:class:`games.NodeCharacteristic` reads them). A worth that declares
-    count rows (power games, explicit tables, strict-equality routes) is
-    evaluated on node masks too, from the coalitions' induced-edge counts
-    and endpoint sets (see :func:`_count_worths`). Both hold any number of
-    edges. Any other worth is evaluated on the coalitions' induced edge
-    masks, built as int64, by :meth:`EdgeCharacteristic.evaluate_many`; on
-    more than ``MAX_EDGE_BITS`` edges, which int64 masks do not hold, such
-    games are evaluated coalition by coalition.
+    sampler's prefix blocks) takes one of three paths. A worth whose count
+    rows each hold one value declares its Harsanyi dividends (containment
+    routes): the edges of a row are all induced by S exactly when their
+    endpoints R lie inside S, so the lifted game declares the node-mask
+    rows ``(R, value)`` and nothing else (:class:`games.NodeCharacteristic`
+    reads them). A worth with other count rows (power games, explicit
+    tables, strict-equality routes) is evaluated on node masks too, from the
+    coalitions' induced-edge counts and endpoint sets (see
+    :func:`_count_worths`). Both hold any number of edges. Any other worth
+    is evaluated on the coalitions' induced edge masks, built as int64, by
+    :meth:`EdgeCharacteristic.evaluate_many`; on more than ``MAX_EDGE_BITS``
+    edges, which int64 masks do not hold, such games are evaluated
+    coalition by coalition.
     """
     g = eg.graph
     w = eg.characteristic
+    rows = w.by_count
 
     def fn(node_mask: int) -> Value:
         return w(g.induced_edge_mask(node_mask))
 
-    if w.dividends is not None:
-        rows = tuple((g.endpoint_mask(em), val) for em, val in w.dividends)
-        return NodeCharacteristic(g.n, fn, exact=w.exact, dividends=rows)
+    if rows is not None and all(len(values) == 1 for _, values in rows):
+        dividends = tuple((g.endpoint_mask(em), val) for em, (val,) in rows)
+        return NodeCharacteristic(g.n, fn, exact=w.exact, dividends=dividends)
     fn_many = None
-    if w.by_count is not None:
-        fn_many = _count_worths(g, w.by_count, w.exact)
+    if rows is not None:
+        fn_many = _count_worths(g, rows, w.exact)
     elif len(g.edges) <= MAX_EDGE_BITS:
         fn_many = lambda masks: w.evaluate_many(g.induced_edge_masks(masks))
     return NodeCharacteristic(g.n, fn, exact=w.exact, fn_many=fn_many)
@@ -445,21 +423,21 @@ def _resolve_edge(g: Graph, e: Edge | tuple[NodeId, NodeId]) -> int:
 
 
 def _rows_without_edge(rows, j: int):
-    """``(edge_mask, value)`` rows of a worth on the game without edge
-    ``j``: the rows holding j can never be contained again and are dropped,
-    and the rest are renumbered to the new edge indices, in their order."""
+    """``(edge_mask, values)`` count rows of a worth on the game without
+    edge ``j``: the rows holding j can never be contained again and are
+    dropped, and the rest are renumbered to the new edge indices, in their
+    order. A row keeps its values, since renumbering keeps every edge
+    count."""
     if rows is None:
         return None
-    return tuple((squeeze(em, 1 << j), val) for em, val in rows if not (em >> j) & 1)
+    return tuple((squeeze(em, 1 << j), values) for em, values in rows if not (em >> j) & 1)
 
 
 def delete_edge(eg: EdgeGame, e: Edge | tuple[NodeId, NodeId]) -> EdgeGame:
     """The game that ignores edge ``e``: the graph loses the edge and the
     characteristic evaluates as if ``e`` were never present.
 
-    Declared dividends and count rows carry over (see
-    :func:`_rows_without_edge`); a count row keeps its values, since
-    renumbering keeps every edge count.
+    Declared count rows carry over (see :func:`_rows_without_edge`).
     """
     g = eg.graph
     w = eg.characteristic
@@ -481,7 +459,6 @@ def delete_edge(eg: EdgeGame, e: Edge | tuple[NodeId, NodeId]) -> EdgeGame:
         lambda m: w(embed(m)),
         exact=w.exact,
         fn_many=fn_many,
-        dividends=_rows_without_edge(w.dividends, j),
         by_count=_rows_without_edge(w.by_count, j),
     )
     return EdgeGame(new_graph, new_w)

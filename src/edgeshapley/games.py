@@ -24,18 +24,20 @@ on a graph is one more table, :func:`_component_table`: the component of
 each coalition's lowest member. The Myerson value reduces the
 graph-restricted table folded from it, and
 :func:`edgeshapley.edgegame.component_efficiency_check` reads its additivity
-hypothesis from it. A game that declares its dividends (as a lifted
-containment route game does) fills its table by adding each row onto the
-view of the supersets of its node mask: float64 when approx, int64
-numerators when exact and the rows' magnitudes sum below 2^62, the rows'
-own ints and Fractions (then brought to numerators) otherwise. Only this module reads dividend rows:
-the fill, the sampler's completion steps, :func:`shapley_dividends` (the
+hypothesis from it. A game that declares its dividends (as the lift of an
+edge worth whose count rows each hold one value, a containment route game,
+does) fills its table by adding each row onto the view of the supersets of
+its node mask: float64 when approx, int64 numerators when exact and the
+rows' magnitudes sum below 2^62, the rows' own ints and Fractions (then
+brought to numerators) otherwise (:func:`_exact_row_dtype`, which picks
+the dtype of count rows too). Only this module reads dividend rows: the
+fill, the sampler's completion steps, :func:`shapley_dividends` (the
 closed form, read off the rows with no table) and, for other mask arrays,
 :func:`_dividend_worths`. Other games fill the table through
 :meth:`NodeCharacteristic.evaluate_many`; lifted edge games whose worth
-declares count rows (power games, explicit tables, strict-equality routes)
-evaluate them on node masks, and other lifted edge games evaluate their
-worth on induced edge masks (see :func:`edgeshapley.edgegame.lift`). One
+declares other count rows (power games, explicit tables, strict-equality
+routes) evaluate them on node masks, and other lifted edge games evaluate
+their worth on induced edge masks (see :func:`edgeshapley.edgegame.lift`). One
 helper, :func:`_numerators`, turns exact worths into integer numerators
 over one denominator, for the table, for the reduction's Python-int
 fallback and for the sampler; an int64 array is its own numerators over 1. The domain is
@@ -113,9 +115,10 @@ class NodeCharacteristic:
     must agree with ``fn``. The engines and the sampler evaluate through
     :meth:`evaluate_many`: ``fn_many`` when given, else the declared
     ``dividends`` (see :func:`_dividend_worths`), else ``fn`` once per mask;
-    :func:`edgeshapley.edgegame.lift` gives edge games whose worth declares
-    count rows a ``fn_many`` on node masks, and other edge games on at most
-    63 edges one on induced edge masks.
+    :func:`edgeshapley.edgegame.lift` gives an edge game whose worth
+    declares count rows of one value each these rows' ``dividends``, one
+    whose worth declares other count rows a ``fn_many`` on node masks, and
+    other edge games on at most 63 edges one on induced edge masks.
 
     ``dividends``, when given, declares the game as a sum of unanimity games:
     ``(node_mask, value)`` rows, where S is worth the sum of ``value`` over
@@ -254,8 +257,8 @@ class EngineStats:
     """Work counters an engine fills in when handed to it: coalition table
     entries filled (2^n per enumeration, as the table is always full) and
     marginal terms summed. A lifted edge game whose worth declares neither
-    dividends nor count rows nor a vector path fills its 2^n entries with
-    one call of the edge worth per distinct induced edge set (see
+    count rows nor a vector path fills its 2^n entries with one call of the
+    edge worth per distinct induced edge set (see
     :meth:`edgeshapley.edgegame.EdgeCharacteristic.evaluate_many`)."""
 
     marginals: int = 0
@@ -308,20 +311,34 @@ def _check_grounded(v: NodeCharacteristic):
         )
 
 
-#: Exact dividends accumulate in int64 while the sum of their magnitudes,
-#: which bounds every worth, stays below this.
+#: Exact rows accumulate in int64 while the sum of their largest
+#: magnitudes, which bounds every worth, stays below this.
 _INT64_DIVIDEND_BOUND = 1 << 62
+
+
+def _exact_row_dtype(row_values: Iterable[Sequence[Value]]):
+    """Dtype that exact rows accumulate in, given each row's values: int64
+    when every value is a Python int and the rows' largest magnitudes sum
+    below 2^62, object (the rows' own arithmetic) otherwise. A worth adds at
+    most one value of each row, so that sum bounds every worth. It serves
+    dividend rows (one value each) and the count rows of
+    :func:`edgeshapley.edgegame.lift` alike."""
+    bound = 0
+    for values in row_values:
+        if any(type(val) is not int for val in values):
+            return object
+        bound += max(map(abs, values))
+    return np.int64 if bound < _INT64_DIVIDEND_BOUND else object
 
 
 def _dividend_dtype(rows: tuple[tuple[int, Value], ...], exact: bool):
     """Dtype that sums of the dividend ``rows`` accumulate in: float64 for
-    approx rows; int64 for exact rows of Python ints whose magnitudes sum
-    below 2^62; object (the rows' own arithmetic) for other exact rows. An
-    exact row that is not a rational breaks the contract, named by its mask.
-    So do approx rows whose magnitudes, summed in row order, are not finite
-    (named by the row where the sum left the float range): they bound every
-    worth and every partial sum of the rows, so finite magnitudes keep every
-    table entry and sampled worth finite."""
+    approx rows, :func:`_exact_row_dtype` for exact ones. An exact row that
+    is not a rational breaks the contract, named by its mask. So do approx
+    rows whose magnitudes, summed in row order, are not finite (named by the
+    row where the sum left the float range): they bound every worth and
+    every partial sum of the rows, so finite magnitudes keep every table
+    entry and sampled worth finite."""
     if not exact:
         total = 0.0
         for mask, val in rows:
@@ -338,11 +355,7 @@ def _dividend_dtype(rows: tuple[tuple[int, Value], ...], exact: bool):
                 f"exact characteristic declares the dividend {val!r} on coalition "
                 f"{mask:#b}, which is not an int or Fraction"
             )
-    if all(type(val) is int for _, val in rows) and (
-        sum(abs(val) for _, val in rows) < _INT64_DIVIDEND_BOUND
-    ):
-        return np.int64
-    return object
+    return _exact_row_dtype((val,) for _, val in rows)
 
 
 def _dividend_worths(

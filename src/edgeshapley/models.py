@@ -13,13 +13,14 @@ Three families:
 Route-based worth functions come in two semantics. "containment" counts a
 route whenever all of its edges are present in the evaluated edge set;
 "strict-equality" counts it only when the edge set is exactly the route's
-edge set. Containment is the default: it makes the lifted game a sum of
-unanimity games on the endpoint sets of the route edges, whose dividend
-rows the closed form below reads, and it reproduces the reference
+edge set. Containment is the default: each route declares its Harsanyi
+dividend, a count row of one value on its edge set, so the lifted game is
+a sum of unanimity games on the endpoint sets of the route edges, whose
+dividend rows the closed form below reads, and it reproduces the reference
 allocations. Strict equality is kept for fidelity experiments; it declares
-one count row per route (F is a route's edge set H exactly when H lies
-inside F and |F| = |H|), so its lifted game is evaluated on node masks
-too.
+one equality count row per route (F is a route's edge set H exactly when H
+lies inside F and |F| = |H|), so its lifted game is evaluated on node
+masks too.
 """
 
 from __future__ import annotations
@@ -100,14 +101,14 @@ def _route_characteristic(
             return out
 
     # Under containment the worth is a sum of unanimity games on the route
-    # edge sets: one dividend per route, in route order, repeats kept. Under
-    # strict equality it is one equality count row per route, in route order.
-    containment = semantics == CONTAINMENT
-    return EdgeCharacteristic(
-        g.edges, fn, exact=exact, fn_many=fn_many,
-        dividends=tuple(entries) if containment else None,
-        by_count=None if containment else _equality_rows(entries, len(g.edges)),
-    )
+    # edge sets: one dividend (a count row of one value) per route, in route
+    # order, repeats kept. Under strict equality it is one equality count
+    # row per route, in route order.
+    if semantics == CONTAINMENT:
+        by_count = tuple((em, (val,)) for em, val in entries)
+    else:
+        by_count = _equality_rows(entries, len(g.edges))
+    return EdgeCharacteristic(g.edges, fn, exact=exact, fn_many=fn_many, by_count=by_count)
 
 
 def supply_weight_fn(
@@ -172,8 +173,9 @@ def route_closed_form(
     """Closed-form allocation for containment-semantics route games.
 
     The worth (:func:`supply_weight_fn` or :func:`contract_weight_fn`, which
-    validate the routes and compute their values) declares one dividend row
-    per route, and the lifted game one row (V(H), value) per route, V(H) the
+    validate the routes and compute their values) declares one dividend, a
+    count row of one value, per route, and the lifted game one row
+    (V(H), value) per route, V(H) the
     endpoints of the route's edges H: a sum of unanimity games, whose value
     :func:`games.shapley_dividends` reads off the rows with no enumeration.
     A route node that touches none of H is a null player of its row.

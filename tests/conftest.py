@@ -154,7 +154,8 @@ def random_route_game(
 
 def drop_one_more_row(monkeypatch):
     """Plant a ``delete_edge`` bug: the deleted game also loses its first
-    remaining dividend row, which does not hold the deleted edge."""
+    remaining dividend row (a count row of one value), which does not hold
+    the deleted edge."""
     from edgeshapley import cli, edgegame
 
     real = edgegame.delete_edge
@@ -162,10 +163,10 @@ def drop_one_more_row(monkeypatch):
     def buggy(eg, e):
         deleted = real(eg, e)
         w = deleted.characteristic
-        rows = w.dividends[1:]
-        worth = lambda m: sum((val for em, val in rows if m & em == em), 0.0)
+        rows = w.by_count[1:]
+        worth = lambda m: sum((val for em, (val,) in rows if m & em == em), 0.0)
         return EdgeGame(deleted.graph,
-                        EdgeCharacteristic(w.edges, worth, exact=w.exact, dividends=rows))
+                        EdgeCharacteristic(w.edges, worth, exact=w.exact, by_count=rows))
 
     for module in (edgegame, cli):
         monkeypatch.setattr(module, "delete_edge", buggy)

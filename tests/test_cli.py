@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -95,6 +96,30 @@ def test_threads_do_not_change_output(capsys):
     a = run(capsys, "compute", "--input", CHAIN, "--format", "json", "--threads", "1")
     b = run(capsys, "compute", "--input", CHAIN, "--format", "json", "--threads", "3")
     assert a == b
+
+
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_timing_adds_only_elapsed_ms(capsys, fmt):
+    # JSON gains a last float field and the table a last line; CSV carries
+    # no timing. Every other byte is the run without the flag
+    argv = ["compute", "--input", H, "--format", fmt]
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    code, timed = run(capsys, *argv, "--timing")
+    assert code == 0
+    if fmt == "csv":
+        assert timed == plain
+        return
+    lines = timed.splitlines(keepends=True)
+    if fmt == "json":
+        assert type(json.loads(timed)["elapsed_ms"]) is float
+        # the field closes the object, after the checks' closing bracket
+        assert lines[-2].startswith('  "elapsed_ms": ') and lines[-3] == "  ],\n"
+        lines[-3:-1] = ["  ]\n"]
+    else:
+        assert re.fullmatch(r"elapsed_ms: \d+\.\d\n", lines[-1])
+        del lines[-1]
+    assert "".join(lines) == plain
 
 
 def test_compute_check_expected_pass(capsys):

@@ -41,6 +41,7 @@ from edgeshapley import (
     supply_weight_fn,
 )
 from edgeshapley.cli import main
+from edgeshapley.masks import all_masks
 
 from conftest import (
     H_ALLOCATION,
@@ -141,6 +142,34 @@ def test_count_rows_add_in_row_order():
     masks = np.arange(8, dtype=np.int64)
     assert v.evaluate_many(masks).tobytes() == scalar.evaluate_many(masks).tobytes()
     assert shapley_sampled(v, 50, 2).values == shapley_sampled(scalar, 50, 2).values
+
+
+def test_table_declares_short_equality_rows(h_graph):
+    # an entry on H declares the row on H whose values are 0 but for its
+    # worth at |H|, and 0 above; an entry on edges outside the universe
+    # equals no edge set and declares none
+    w = EdgeCharacteristic.from_table(h_graph.edges, {0b011: 4, 0b1: -2, 0b1000: 9})
+    assert w.by_count == ((0b011, (0, 0, 4, 0)), (0b1, (0, -2, 0)))
+    with pytest.raises(CharacteristicContractError, match="table assigns 2 to the empty edge set"):
+        EdgeCharacteristic.from_table(h_graph.edges, {0: 2, 0b1: 3})
+
+
+def test_short_count_rows_repeat_their_last_value():
+    # (0, 1) on mask 0 is |F| > 0, (5,) on {A-B} the dividend 5, mixed with
+    # a count row: the worth is read by count, a short row's last value
+    # standing for every larger count, as in the scalar worth
+    g = build_graph(["A", "B", "C", "D"], [("A", "B"), ("B", "C"), ("C", "D")])
+    rows = ((0, (0, 1)), (0b001, (5,)), (0b110, (0, 0, 3, 4)))
+
+    def fn(edge_mask):
+        c = edge_mask.bit_count()
+        return sum((vals[min(c, len(vals) - 1)] for em, vals in rows if edge_mask & em == em), 0)
+
+    v = lift(EdgeGame(g, EdgeCharacteristic(g.edges, fn, by_count=rows)))
+    assert v.dividends is None
+    masks = all_masks(g.n)
+    assert v.evaluate_many(masks).tolist() == [v(m) for m in range(1 << g.n)]
+    assert v(0b0011) == 6 and v(0b1111) == 1 + 5 + 4
 
 
 def test_table_entry_of_negative_zero_reads_zero():
@@ -311,6 +340,22 @@ def test_restricted_sum_disagrees_on_h(h_game):
     assert by_node["C"].full == Fraction(3, 2)
     assert not report.all_agree
 
+
+
+def test_restricted_sum_approx_equals_exact_on_whole_worths():
+    # worths that binary64 holds: the float branch sums float weights times
+    # float marginals, close to the exact branch's rationals
+    g = build_graph(["A", "B", "C", "D"], [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")])
+    table = {0b0011: 4, 0b0110: 7, 0b1111: 12, 0b1000: 1}
+    exact = EdgeGame(g, EdgeCharacteristic.from_table(g.edges, table))
+    approx = EdgeGame(g, EdgeCharacteristic.from_table(
+        g.edges, {em: float(val) for em, val in table.items()}, exact=False))
+    want = neighborhood_restricted_allocation(exact)
+    got = neighborhood_restricted_allocation(approx)
+    assert not got.exact and all(type(x) is float for x in got)
+    assert got.values == pytest.approx([float(x) for x in want], rel=1e-12)
+    report = restricted_sum_report(approx)
+    assert [e.restricted for e in report.entries] == list(got.values)
 
 
 def test_restricted_sum_on_a_path_and_a_single_edge():

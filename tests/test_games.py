@@ -211,6 +211,43 @@ def test_additivity():
     assert report.all_passed
 
 
+def test_axiom_check_reports_the_first_failure():
+    # players 0 and 1 interchangeable; player 3 is null
+    v = NodeCharacteristic(4, lambda m: (m & 0b0011 and 1) + 3 * ((m & 0b0100) >> 2))
+    skewed = Allocation((Fraction(1, 4), Fraction(3, 4), Fraction(2), Fraction(0)), True)
+    report = axiom_check(v, skewed, ["symmetry", "null-player"])
+    assert [(c.name, c.passed, c.detail) for c in report] == [
+        ("symmetry", False, "1 interchangeable pair(s); mismatch at (0, 1): 1/4 vs 3/4"),
+        ("null-player", True, "null players [3]"),
+    ]
+    paid_null = Allocation((Fraction(1, 2), Fraction(1, 2), Fraction(3), Fraction(-1)), True)
+    check = axiom_check(v, paid_null, "null-player").checks[0]
+    assert (check.passed, check.detail) == (False, "null players [3]; nonzero value -1 at player 3")
+
+
+def test_additivity_reports_the_first_player_that_breaks():
+    # a game whose batch worths disagree with its scalar ones breaks its
+    # contract: its table reads the batch worths, the sum's the scalar ones
+    n = 3
+    a = NodeCharacteristic(n, lambda m: m.bit_count(),
+                           fn_many=lambda masks: np.bitwise_count(masks & 0b110).astype(object))
+    b = additive(n)
+    alloc = shapley_exact(a)
+    check = axiom_check(a, alloc, "additivity", game_pairs=[(a, b)]).checks[0]
+    assert (check.passed, check.detail) == (False, "1 game pair(s); broke at player 0")
+
+
+def test_axiom_check_refuses_bad_requests():
+    v = additive(3)
+    alloc = shapley_exact(v)
+    with pytest.raises(ValueError, match="allocation length does not match the player count"):
+        axiom_check(v, Allocation((1, 1), True))
+    with pytest.raises(ValueError, match=r"unknown axiom check\(s\): \['fairness'\]"):
+        axiom_check(v, alloc, ["efficiency", "fairness"])
+    with pytest.raises(ValueError, match="additivity check needs game_pairs"):
+        axiom_check(v, alloc, "additivity")
+
+
 def test_contract_violation():
     v = NodeCharacteristic(3, lambda m: 1)
     with pytest.raises(CharacteristicContractError):

@@ -181,6 +181,10 @@ def test_contract_weight_fn():
     assert contract_weight_fn(g, [])(g.full_edge_mask) == 0
     with pytest.raises(ValueError):
         contract_weight_fn(g, [Route(["A", "P"], 2.5)])
+    with pytest.raises(ValueError, match="semantics must be one of"):
+        contract_weight_fn(g, routes, "overlap")
+    with pytest.raises(DegenerateRouteError, match=r"contract route \['A', 'B'\] induces no edges"):
+        contract_weight_fn(g, [Route(["A", "B"], 1)])
 
 
 def test_contract_single_route_containment():

@@ -220,12 +220,15 @@ def test_power_count_table_equals_scalar_worth(g, k):
 @st.composite
 def count_row_games(draw, exact):
     """A graph on at most 10 nodes and 12 edges and a worth declared by up
-    to 8 count rows, drawn with repeats: rows of any values and equality
-    rows (values 0 but at |H|), on mask 0, on any edge mask (most are
-    induced by no coalition) or on one a coalition induces. Exact values
-    are small ints, negative ones too, or mixed with Fractions or with ints
-    beyond 2^62; approx values are floats. A row's value at count 0 is 0,
-    so w(empty) = 0."""
+    to 8 count rows, drawn with repeats: rows of any values, as many as
+    |E| + 1 or fewer (the last one then repeats), equality rows (values 0
+    but at |H|) and rows of one value (dividends), on mask 0, on any edge
+    mask (most are induced by no coalition) or on one a coalition induces.
+    About a third of the worths hold rows of one value only; the others mix
+    one such row with at least one of the other kinds. Exact values are small
+    ints, negative ones too, or mixed with Fractions or with ints beyond
+    2^62; approx values are floats. A row's value at count 0 is 0, so
+    w(empty) = 0."""
     g = draw(graphs(max_nodes=10, max_edges=12))
     m = len(g.edges)
     small = st.integers(-20, 20)
@@ -235,14 +238,24 @@ def count_row_games(draw, exact):
         values = FLOATS
     masks = st.one_of(st.just(0), st.integers(0, (1 << m) - 1),
                       st.integers(0, (1 << g.n) - 1).map(g.induced_edge_mask))
-    any_row = st.tuples(masks, st.lists(values, min_size=m, max_size=m).map(lambda vs: [0, *vs]))
+    any_values = st.integers(0, m).flatmap(lambda k: st.lists(values, min_size=k, max_size=k))
+    any_row = st.tuples(masks, any_values.map(lambda vs: [0, *vs]))
     equality_row = st.tuples(masks, values).map(
         lambda r: (r[0], [r[1] if c == r[0].bit_count() > 0 else 0 for c in range(m + 1)]))
-    picked = draw(st.lists(st.one_of(any_row, equality_row), min_size=1, max_size=4))
-    rows = draw(st.lists(st.sampled_from(picked), max_size=8))
+    # a one-value row on mask 0 would add its value to w(empty): such a row
+    # takes the full edge mask instead, and is (0, [0]) on a graph without edges
+    one_value_row = st.tuples(masks.map(lambda em: em or (1 << m) - 1), values).map(
+        lambda r: (r[0], [r[1] if r[0] else 0]))
+    picked, kinds = [draw(one_value_row)], one_value_row
+    if draw(st.integers(0, 2)) < 2:
+        picked.append(draw(st.one_of(any_row, equality_row)))
+        kinds = st.one_of(any_row, equality_row, one_value_row)
+    picked += draw(st.lists(kinds, max_size=2))
+    rows = draw(st.permutations(picked + draw(st.lists(st.sampled_from(picked), max_size=4))))
 
     def fn(edge_mask):
-        return sum((vals[edge_mask.bit_count()] for em, vals in rows if edge_mask & em == em), 0)
+        c = edge_mask.bit_count()
+        return sum((vals[min(c, len(vals) - 1)] for em, vals in rows if edge_mask & em == em), 0)
 
     return EdgeGame(g, EdgeCharacteristic(g.edges, fn, exact=exact, by_count=rows))
 
@@ -255,10 +268,16 @@ def test_count_rows_equal_scalar_worth(exact, data):
     # per coalition, on the game and on every edge deletion: bit-identical
     # floats, equal exact values (a row whose values are 0 but at |H| adds
     # none of its zeros, so an int 0 may stand where the scalar sum adds a
-    # Fraction 0)
+    # Fraction 0). A worth of one-value rows only lifts to their endpoint
+    # masks and values as dividends; any other is read by count
     eg = data.draw(count_row_games(exact))
     for game in (eg, *(delete_edge(eg, edge) for edge in eg.graph.edges)):
         v = lift(game)
+        rows = game.characteristic.by_count
+        if all(len(vals) == 1 for _, vals in rows):
+            assert v.dividends == tuple((game.graph.endpoint_mask(em), val) for em, (val,) in rows)
+        else:
+            assert v.dividends is None
         scalar = NodeCharacteristic(v.n, v, exact=exact)
         masks = all_masks(v.n)
         want = scalar.evaluate_many(masks)
@@ -477,8 +496,8 @@ def assert_dividend_worths(v, want):
 @given(data=st.data())
 def test_dividend_table_equals_edge_mask_table(exact, data):
     eg = data.draw(route_games(exact))
-    assert eg.characteristic.dividends is not None
     v = lift(eg)
+    assert v.dividends is not None
     want = edge_mask_table(eg)
     assert_dividend_worths(v, want)
     table, denom = _table(v, None)
@@ -493,8 +512,8 @@ def test_deleted_game_keeps_dividends(exact, data):
     eg = data.draw(route_games(exact))
     for edge in eg.graph.edges:
         deleted = delete_edge(eg, edge)
-        assert deleted.characteristic.dividends is not None
         v = lift(deleted)
+        assert v.dividends is not None
         scalar = NodeCharacteristic(v.n, v, exact=v.exact)  # w(embed(m)) per coalition
         want = scalar.evaluate_many(all_masks(v.n))
         assert_dividend_worths(v, want)
@@ -523,7 +542,7 @@ def test_dividend_rows_give_edge_shapley_and_fairness_deltas(exact, data):
         return Fraction(val, size) if exact else val / size
 
     for j, edge in enumerate(g.edges):
-        held = [share(em, val) for em, val in eg.characteristic.dividends if em >> j & 1]
+        held = [share(em, val) for em, (val,) in eg.characteristic.by_count if em >> j & 1]
         lost = sum(held, Fraction(0) if exact else 0.0)
         assert all(values_close(delta, lost, exact) for delta in fairness_delta(eg, edge))
 
@@ -595,13 +614,13 @@ def random_supply_game(seed, n, n_edges, n_routes, repeats=0):
 
 def test_sampled_rows_beyond_one_chunk_equal_edge_mask_sampler():
     eg = random_supply_game(11, 24, 50, 45)
-    assert len(eg.characteristic.dividends) > 32  # three chunks of 16 rows
+    assert len(lift(eg).dividends) > 32  # three chunks of 16 rows
     assert_sampler_matches_edge_masks(eg, ((1, 3), (700, 5), (4100, 9)))
 
 
 def test_sampled_repeated_rows_equal_edge_mask_sampler():
     eg = random_supply_game(12, 14, 22, 9, repeats=6)
-    rows = [em for em, _ in eg.characteristic.dividends]
+    rows = [em for em, _ in eg.characteristic.by_count]
     assert len(set(rows)) < len(rows)
     assert_sampler_matches_edge_masks(eg, ((1, 0), (3000, 4)))
 

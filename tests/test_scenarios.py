@@ -16,6 +16,7 @@ from edgeshapley import (
     remove_node,
     serialize_scenario,
 )
+from edgeshapley.cli import main
 from edgeshapley.scenarios import (
     APPROX,
     EXACT,
@@ -209,6 +210,70 @@ def test_numbers_a_float_cannot_hold_fail_at_their_field(doc, path, token):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert str(exc.value).startswith(f"{location}: ")
+
+
+def supply_doc(**overrides) -> str:
+    return json.dumps({**SUPPLY, **overrides})
+
+
+def table_doc(*entries) -> str:
+    return patched(model={"type": "explicit_table", "table": list(entries)})
+
+
+@pytest.mark.parametrize("text, location", [
+    pytest.param("[]", "$", id="document-not-an-object"),
+    pytest.param(patched(nodes="L"), "$.nodes", id="nodes-not-a-list"),
+    pytest.param(patched(nodes=["L", ""]), "$.nodes[1]", id="empty-node-label"),
+    pytest.param(patched(edges=[1]), "$.edges[0]", id="edge-not-an-object"),
+    pytest.param(patched(edges=[{"from": "L", "to": "R", "cost": "1"}]), "$.edges[0].cost",
+                 id="cost-not-a-number"),
+    pytest.param(patched(edges=[{"from": "L", "to": "R", "weight": 1}]), "$.edges[0]",
+                 id="unknown-edge-field"),
+    pytest.param(patched(model={"type": "edge_count_power", "exponent": 2, "k": 1}), "$.model",
+                 id="unknown-model-field"),
+    pytest.param(supply_doc(model={"type": "supply_cost_decay", "semantics": "loose"}),
+                 "$.model.semantics", id="unknown-supply-semantics"),
+    pytest.param(patched(model={"type": "contract", "semantics": "loose"}), "$.model.semantics",
+                 id="unknown-contract-semantics"),
+    pytest.param(table_doc(1), "$.model.table[0]", id="table-entry-not-an-object"),
+    pytest.param(table_doc({"edges": [["L", "R"]], "value": "1", "note": ""}), "$.model.table[0]",
+                 id="unknown-table-field"),
+    pytest.param(table_doc({"edges": [], "value": "1"}), "$.model.table[0].edges",
+                 id="table-entry-without-edges"),
+    pytest.param(table_doc({"edges": [["L"]], "value": "1"}), "$.model.table[0].edges",
+                 id="edge-reference-not-a-pair"),
+    pytest.param(table_doc({"edges": [["L", "R"]], "value": "1"},
+                           {"edges": [["R", "L"]], "value": "2"}),
+                 "$.model.table[1]", id="duplicate-table-subset"),
+    pytest.param(patched(routes={}), "$.routes", id="routes-not-a-list"),
+    pytest.param(supply_doc(routes=[1]), "$.routes[0]", id="route-not-an-object"),
+    pytest.param(supply_doc(routes=[{"nodes": ["A", "B"], "quantity": 1, "cost": 2}]),
+                 "$.routes[0]", id="unknown-route-field"),
+    pytest.param(supply_doc(routes=[{"nodes": ["A", "A"], "quantity": 1}]), "$.routes[0].nodes",
+                 id="route-of-one-node"),
+    pytest.param(patched(expected=[3, 3]), "$.expected", id="expected-not-an-object"),
+    pytest.param(supply_doc(expected={"A": "four", "B": 4}), "$.expected.A",
+                 id="approx-expected-not-numeric"),
+    pytest.param(patched(name=3), "$.name", id="name-not-a-string"),
+    pytest.param(patched(notes=3), "$.notes", id="notes-not-a-string"),
+])
+def test_validation_names_the_refused_field(tmp_path, capsys, text, location):
+    # a minimal document broken in one field: the error names that field,
+    # and the CLI prints it and exits 65
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert exc.value.location == location
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["compute", "--input", str(path)]) == 65
+    assert capsys.readouterr().err.startswith(f"edgeshapley: error: {location}: ")
+
+
+def test_unknown_fixture_lists_the_available_ones():
+    with pytest.raises(ScenarioError, match=r"^unknown fixture 'nope'; available: ") as exc:
+        load_fixture("nope")
+    assert exc.value.location is None
+    assert all(name in str(exc.value) for name in fixture_names())
 
 
 def test_exact_numbers_keep_arbitrary_precision():
