@@ -264,7 +264,7 @@ def _build_report(scenario, eg, method, args) -> RunReport:
     checks = [
         CheckResult(
             "efficiency",
-            values_close(got, total, alloc.exact, 1e-9),
+            values_close(got, total, alloc.exact),
             f"sum {_text_value(got, exact=True)} vs total worth {_text_value(total, exact=True)}",
         )
     ]
@@ -353,7 +353,7 @@ def cmd_whatif(args) -> int:
         # two Monte-Carlo estimates differ by their sampling error, so their
         # gap is reported without a verdict
         if args.method != "sampled":
-            equal = values_close(d_src, d_dst, exact, 1e-9)
+            equal = values_close(d_src, d_dst, exact)
 
     if args.format == "json":
         doc = {"baseline": base.to_doc(), "modified": mod.to_doc(), "deltas": []}

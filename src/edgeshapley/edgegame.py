@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import CharacteristicContractError, ZeroNormalizationError
 from .games import (
+    CHECK_TOL,
     DEFAULT_ENUMERATION_LIMIT,
     Allocation,
     AxiomReport,
@@ -62,9 +63,10 @@ class EdgeCharacteristic:
     ``by_count``, when given, declares the worth as ``(edge_mask, values)``
     count rows: w(F) is the sum of ``values[|F|]`` over the rows whose edge
     mask lies inside F, added in row order from 0. ``values`` holds a value
-    per edge count from 0 and may stop short of |E|: its last value then
-    holds for every larger count. Rows may repeat a mask; they are not
-    merged, so a float sum keeps the order ``fn`` adds in. A row of one
+    per edge count from 0, at least one (a row without values breaks the
+    contract), and may stop short of |E|: its last value then holds for
+    every larger count. Rows may repeat a mask; they are not merged, so a
+    float sum keeps the order ``fn`` adds in. A row of one
     value m is the Harsanyi dividend m on its edge set (the containment
     routes); a worth of the edge count alone is one row on mask 0 (the
     power games); a worth that takes value v exactly on the edge set H is
@@ -96,6 +98,9 @@ class EdgeCharacteristic:
         self.by_count = (
             None if by_count is None else tuple((em, tuple(values)) for em, values in by_count)
         )
+        for em, values in self.by_count or ():
+            if not values:
+                raise CharacteristicContractError(f"count row on edge mask {em:#b} has no values")
         self._fn = fn
         self._fn_many = fn_many
 
@@ -368,7 +373,6 @@ def restricted_sum_report(
     eg: EdgeGame,
     *,
     limit: int | None = DEFAULT_ENUMERATION_LIMIT,
-    tol: float = 1e-9,
 ) -> RestrictedSumReport:
     """Opt-in diagnostic comparing the neighborhood-subset restricted sum with
     the true edge-based Shapley value, node by node. The two often disagree;
@@ -380,7 +384,7 @@ def restricted_sum_report(
             node=node,
             restricted=restricted[idx],
             full=full[idx],
-            agrees=values_close(restricted[idx], full[idx], full.exact, tol),
+            agrees=values_close(restricted[idx], full[idx], full.exact),
         )
         for idx, node in enumerate(eg.graph.nodes)
     )
@@ -535,7 +539,6 @@ def component_efficiency_check(
     *,
     limit: int | None = DEFAULT_ENUMERATION_LIMIT,
     threads: int = 1,
-    tol: float = 1e-9,
 ) -> ComponentEfficiencyReport:
     """Per component: do the allocations inside it sum to its lifted worth?
 
@@ -560,7 +563,7 @@ def component_efficiency_check(
     v = lift(eg)
     table, denom = _table(v, limit)
     alloc = Allocation(_reduce(table, denom, g.n, None, None, v.exact), v.exact, g.nodes)
-    return _component_report(eg, v, table, alloc, tol)
+    return _component_report(eg, v, table, alloc)
 
 
 def _component_report(
@@ -568,7 +571,6 @@ def _component_report(
     v: NodeCharacteristic,
     table: np.ndarray,
     alloc: Allocation,
-    tol: float,
 ) -> ComponentEfficiencyReport:
     """:func:`component_efficiency_check` on the lifted game ``v``, its
     coalition table (from :func:`games._table`) and its labelled allocation,
@@ -591,7 +593,7 @@ def _component_report(
                 nodes=labels,
                 allocation_sum=total,
                 worth=worth,
-                matches=values_close(total, worth, alloc.exact, tol),
+                matches=values_close(total, worth, alloc.exact),
             )
         )
     lowest = _component_table(g)
@@ -602,7 +604,7 @@ def _component_report(
         bad = table != split
     else:
         scale = np.maximum(np.maximum(np.abs(table), np.abs(split)), 1.0)
-        bad = ~(np.abs(table - split) <= tol * scale)
+        bad = ~(np.abs(table - split) <= CHECK_TOL * scale)
     if not bad.any():
         return ComponentEfficiencyReport(tuple(entries), True, None)
     s = int(np.argmax(bad))
@@ -624,7 +626,7 @@ def audit(eg: EdgeGame, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Axi
     informational. One coalition table of ``lift(eg)`` serves the
     allocation and every check but fairness, whose deletions each build
     their own (see :func:`_endpoint_values`), so the audit enumerates
-    |E| + 1 games. Float values compare to a relative 1e-9.
+    |E| + 1 games. Float values compare to a relative ``games.CHECK_TOL``.
     """
     g = eg.graph
     v = lift(eg)
@@ -632,14 +634,14 @@ def audit(eg: EdgeGame, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Axi
     tables = _ReduceTables(v.n, v.exact)
     values = _reduce(table, denom, v.n, None, None, v.exact, tables=tables)
     alloc = Allocation(values, v.exact, g.nodes)
-    checks = list(_axiom_check(v, alloc, "all", (), limit, 1e-9, table))
+    checks = list(_axiom_check(v, alloc, "all", (), limit, table))
 
     witness = ""
     for edge in g.edges:
         after_src, after_dst = _endpoint_values(delete_edge(eg, edge), edge, limit, tables)
         d_src = alloc[edge.src] - after_src
         d_dst = alloc[edge.dst] - after_dst
-        if not values_close(d_src, d_dst, v.exact, 1e-9):
+        if not values_close(d_src, d_dst, v.exact):
             witness = (
                 f"; unequal deltas on ({edge.src}, {edge.dst}): "
                 f"{value_str(d_src)} vs {value_str(d_dst)}"
@@ -650,7 +652,7 @@ def audit(eg: EdgeGame, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Axi
     )
     del tables  # before the component check allocates its own tables
 
-    comp = _component_report(eg, v, table, alloc, 1e-9)
+    comp = _component_report(eg, v, table, alloc)
     for entry in comp.components:
         checks.append(
             CheckResult(

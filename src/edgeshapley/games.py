@@ -82,6 +82,9 @@ MAX_PLAYERS = 63
 #: explicitly raises the limit.
 DEFAULT_ENUMERATION_LIMIT = 24
 
+#: Relative tolerance of every float check, in the library and the CLI alike.
+CHECK_TOL = 1e-9
+
 #: Peak bytes an enumeration holds per coalition: the table, the masks and
 #: the temporaries of the table build and the reduction. tracemalloc at
 #: n = 16-20, for edge_shapley / edge_shapley_pruned / myerson /
@@ -112,9 +115,11 @@ class NodeCharacteristic:
     domain may supply ``fn_many``, which maps an int64 mask array to a worth
     array: float64 for approx characteristics; for exact ones an object
     array of ints and Fractions, or int64, read as numerators over 1. It
-    must agree with ``fn``. The engines and the sampler evaluate through
-    :meth:`evaluate_many`: ``fn_many`` when given, else the declared
-    ``dividends`` (see :func:`_dividend_worths`), else ``fn`` once per mask;
+    must agree with ``fn``. The engines add declared ``dividends`` onto the
+    table's superset views (:func:`_table`), and the sampler reads the
+    steps at which rows complete; other games both evaluate through
+    :meth:`evaluate_many`: ``fn_many`` when given, else ``fn`` once per mask
+    (it sums the rows of a dividend game without ``fn_many``);
     :func:`edgeshapley.edgegame.lift` gives an edge game whose worth
     declares count rows of one value each these rows' ``dividends``, one
     whose worth declares other count rows a ``fn_many`` on node masks, and
@@ -172,14 +177,13 @@ class NodeCharacteristic:
         table: dict[Coalition, Value],
         *,
         exact: bool = True,
-        default: Value = 0,
     ) -> "NodeCharacteristic":
         """Characteristic backed by an explicit coalition->worth table.
 
-        Coalitions missing from the table are worth ``default``.
+        Coalitions missing from the table are worth 0.
         """
         snapshot = dict(table)
-        return cls(n, lambda m: snapshot.get(m, default), exact=exact)
+        return cls(n, lambda m: snapshot.get(m, 0), exact=exact)
 
     def __add__(self, other: "NodeCharacteristic") -> "NodeCharacteristic":
         if not isinstance(other, NodeCharacteristic):
@@ -890,18 +894,18 @@ def value_str(x: Value) -> str:
     return num if x.denominator == 1 else f"{num}/{Decimal(int(x.denominator))}"
 
 
-def values_close(a: Value, b: Value, exact: bool, tol: float = 1e-9) -> bool:
+def values_close(a: Value, b: Value, exact: bool) -> bool:
     """Domain-aware comparison: identity for exact values, relative tolerance
-    (floored at absolute ``tol``) for finite floats. A float that is not
-    finite is close only to an equal one, since the tolerance would scale
-    by infinity."""
+    :data:`CHECK_TOL` (floored at absolute ``CHECK_TOL``) for finite floats.
+    A float that is not finite is close only to an equal one, since the
+    tolerance would scale by infinity."""
     if exact:
         return a == b
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         return a == b
     scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) <= tol * scale
+    return abs(a - b) <= CHECK_TOL * scale
 
 
 def axiom_check(
@@ -911,7 +915,6 @@ def axiom_check(
     *,
     game_pairs: Sequence[tuple[NodeCharacteristic, NodeCharacteristic]] = (),
     limit: int | None = DEFAULT_ENUMERATION_LIMIT,
-    tol: float = 1e-9,
 ) -> AxiomReport:
     """Report-only verification of the classic allocation axioms.
 
@@ -926,7 +929,7 @@ def axiom_check(
     ``limit`` players (`CapacityError`) and for v(empty) != 0
     (`CharacteristicContractError`).
     """
-    return _axiom_check(v, allocation, which, game_pairs, limit, tol, None)
+    return _axiom_check(v, allocation, which, game_pairs, limit, None)
 
 
 def _axiom_check(
@@ -935,7 +938,6 @@ def _axiom_check(
     which: str | Iterable[str],
     game_pairs: Sequence[tuple[NodeCharacteristic, NodeCharacteristic]],
     limit: int | None,
-    tol: float,
     table: np.ndarray | None,
 ) -> AxiomReport:
     """:func:`axiom_check` on the coalition table of ``v`` when the caller
@@ -960,7 +962,7 @@ def _axiom_check(
         if name == "efficiency":
             total = allocation.total()
             grand = v((1 << v.n) - 1)
-            ok = values_close(total, grand, allocation.exact, tol)
+            ok = values_close(total, grand, allocation.exact)
             checks.append(
                 CheckResult(
                     "efficiency", ok, f"sum {value_str(total)} vs v(N) {value_str(grand)}"
@@ -971,7 +973,7 @@ def _axiom_check(
             bad = [
                 (i, j)
                 for i, j in pairs
-                if not values_close(allocation[i], allocation[j], allocation.exact, tol)
+                if not values_close(allocation[i], allocation[j], allocation.exact)
             ]
             detail = f"{len(pairs)} interchangeable pair(s)"
             if bad:
@@ -998,7 +1000,7 @@ def _axiom_check(
                 fb = shapley_exact(b, limit=limit)
                 fab = shapley_exact(a + b, limit=limit)
                 for i in range(v.n):
-                    if not values_close(fa[i] + fb[i], fab[i], fab.exact, tol):
+                    if not values_close(fa[i] + fb[i], fab[i], fab.exact):
                         ok = False
                         detail += f"; broke at player {i}"
                         break

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Union
 
 from .edgegame import EdgeCharacteristic, EdgeGame
-from .errors import ScenarioError
+from .errors import ScenarioError, UnknownEdgeError, UnknownNodeError
 from .games import Allocation, Value, value_str
 from .graph import MAX_NODES, Edge, Graph, Route
 from .masks import squeeze
@@ -125,6 +125,13 @@ def _fail(message: str, location: str) -> ScenarioError:
     return ScenarioError(message, location=location)
 
 
+def _refuse_unknown(item: dict, allowed: set[str], what: str, location: str):
+    """Refuse the fields of ``item`` outside ``allowed``, naming them as ``what``."""
+    extra = set(item) - allowed
+    if extra:
+        raise _fail(f"unknown {what} {sorted(extra)}", location)
+
+
 def _require(doc: dict, key: str, kind, location: str):
     if key not in doc:
         raise _fail(f"missing required field {key!r}", location)
@@ -196,9 +203,7 @@ def parse_scenario(text: str, *, name_hint: str | None = None) -> Scenario:
     if not isinstance(doc, dict):
         raise _fail("document must be a JSON object", "$")
 
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise _fail(f"unknown field(s) {sorted(unknown)}", "$")
+    _refuse_unknown(doc, _TOP_KEYS, "field(s)", "$")
 
     # nodes
     raw_nodes = _require(doc, "nodes", list, "$")
@@ -237,9 +242,7 @@ def parse_scenario(text: str, *, name_hint: str | None = None) -> Scenario:
         if pair in pairs_seen:
             raise _fail(f"duplicate edge between {src!r} and {dst!r}", loc)
         pairs_seen.add(pair)
-        extra = set(item) - {"from", "to", "cost"}
-        if extra:
-            raise _fail(f"unknown edge field(s) {sorted(extra)}", loc)
+        _refuse_unknown(item, {"from", "to", "cost"}, "edge field(s)", loc)
         edges.append(Edge(src, dst, cost))
 
     graph = Graph(raw_nodes, edges)
@@ -263,9 +266,7 @@ def parse_scenario(text: str, *, name_hint: str | None = None) -> Scenario:
         loc = f"$.routes[{k}]"
         if not isinstance(item, dict):
             raise _fail("route entries must be objects", loc)
-        extra = set(item) - {"nodes", "quantity"}
-        if extra:
-            raise _fail(f"unknown route field(s) {sorted(extra)}", loc)
+        _refuse_unknown(item, {"nodes", "quantity"}, "route field(s)", loc)
         labels = _require(item, "nodes", list, loc)
         for label in labels:
             if label not in node_set:
@@ -347,46 +348,39 @@ def parse_scenario(text: str, *, name_hint: str | None = None) -> Scenario:
     )
 
 
+def _parse_semantics(raw: dict, loc: str) -> str:
+    semantics = raw.get("semantics", CONTAINMENT)
+    if semantics not in (CONTAINMENT, STRICT_EQUALITY):
+        raise _fail(f"unknown semantics {semantics!r}", f"{loc}.semantics")
+    return semantics
+
+
 def _parse_model(raw: dict, mtype: str, graph: Graph) -> Model:
     loc = "$.model"
-
-    def check_keys(allowed: set[str]):
-        extra = set(raw) - allowed - {"type"}
-        if extra:
-            raise _fail(f"unknown model field(s) {sorted(extra)}", loc)
-
     if mtype == "supply_cost_decay":
-        check_keys({"alpha", "semantics"})
+        _refuse_unknown(raw, {"type", "alpha", "semantics"}, "model field(s)", loc)
         alpha = _number(raw.get("alpha", 0.1), f"{loc}.alpha", "alpha")
         if not alpha > 0:
             raise _fail(f"alpha must be a number > 0, got {alpha!r}", f"{loc}.alpha")
-        semantics = raw.get("semantics", CONTAINMENT)
-        if semantics not in (CONTAINMENT, STRICT_EQUALITY):
-            raise _fail(f"unknown semantics {semantics!r}", f"{loc}.semantics")
-        return SupplyModel(float(alpha), semantics)
+        return SupplyModel(float(alpha), _parse_semantics(raw, loc))
     if mtype == "contract":
-        check_keys({"semantics"})
-        semantics = raw.get("semantics", CONTAINMENT)
-        if semantics not in (CONTAINMENT, STRICT_EQUALITY):
-            raise _fail(f"unknown semantics {semantics!r}", f"{loc}.semantics")
-        return ContractModel(semantics)
+        _refuse_unknown(raw, {"type", "semantics"}, "model field(s)", loc)
+        return ContractModel(_parse_semantics(raw, loc))
     if mtype == "edge_count_power":
-        check_keys({"exponent"})
+        _refuse_unknown(raw, {"type", "exponent"}, "model field(s)", loc)
         exponent = _require(raw, "exponent", int, loc)
         if isinstance(exponent, bool) or exponent < 1:
             raise _fail(f"exponent must be a positive integer, got {exponent!r}", f"{loc}.exponent")
         return PowerModel(exponent)
     if mtype == "explicit_table":
-        check_keys({"table"})
+        _refuse_unknown(raw, {"type", "table"}, "model field(s)", loc)
         raw_table = _require(raw, "table", list, loc)
         entries: dict[int, int | Fraction] = {}
         for k, item in enumerate(raw_table):
             eloc = f"{loc}.table[{k}]"
             if not isinstance(item, dict):
                 raise _fail("table entries must be objects", eloc)
-            extra = set(item) - {"edges", "value"}
-            if extra:
-                raise _fail(f"unknown table field(s) {sorted(extra)}", eloc)
+            _refuse_unknown(item, {"edges", "value"}, "table field(s)", eloc)
             raw_pairs = _require(item, "edges", list, eloc)
             if not raw_pairs:
                 raise _fail("table entries need at least one edge", f"{eloc}.edges")
@@ -396,7 +390,7 @@ def _parse_model(raw: dict, mtype: str, graph: Graph) -> Model:
                     raise _fail("edge references must be [from, to] pairs", f"{eloc}.edges")
                 try:
                     mask |= 1 << graph.edge_index(pair[0], pair[1])
-                except Exception:
+                except (UnknownNodeError, UnknownEdgeError, TypeError):
                     raise _fail(f"unknown edge {pair!r}", f"{eloc}.edges") from None
             if mask in entries:
                 raise _fail("duplicate edge subset in table", eloc)

@@ -138,6 +138,25 @@ def test_compute_check_expected_mismatch_exits_2(tmp_path, capsys):
     assert "mismatch at A" in out
 
 
+@pytest.mark.parametrize("shift, code, fragment", [
+    (0, 0, "allocation matches expected vector"),
+    (3e-3, 2, "mismatch at D: computed 4.97423302083379 vs expected 4.977"),
+    (1e-3, 0, "allocation matches expected vector"),
+])
+def test_compute_check_expected_approx_tolerance(tmp_path, capsys, shift, code, fragment):
+    # approx expected vectors hold 3 decimals: D is 4.974233, so a shift of
+    # its expected 4.974 beyond the 2e-3 tolerance fails and one within passes
+    path = CHAIN
+    if shift:
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["expected"]["D"] = str(float(doc["expected"]["D"]) + shift)
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(doc))
+    got, out = run(capsys, "compute", "--input", str(path), "--check-expected")
+    assert got == code
+    assert fragment in out
+
+
 def test_compute_check_expected_skips_unverified(capsys):
     code, out = run(capsys, "compute", "--input", fixture_path("platform-single"),
                     "--check-expected")
@@ -411,17 +430,26 @@ def test_closed_form_with_routes_beyond_edge_63(tmp_path, capsys):
     assert [row["decimal"] for row in json.loads(out)["allocations"]] == list(expected.values)
 
 
-def test_usage_error_exits_64():
-    # the child must import the same package this test imported
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m edgeshapley`` in a child that imports the same package
+    this test imported."""
     src = str(Path(edgeshapley.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    assert subprocess.run(
-        [sys.executable, "-m", "edgeshapley", "compute", "--input", H,
-         "--method", "bogus"],
-        capture_output=True,
-        env=env,
-    ).returncode == 64
+    return subprocess.run([sys.executable, "-m", "edgeshapley", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_usage_error_exits_64():
+    assert run_module("compute", "--input", H, "--method", "bogus").returncode == 64
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ("compute", "--input", CHAIN, "--format", "json")
+    child = run_module(*argv)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, "")
 
 
 def test_whatif_unknown_target_exits_65(capsys):

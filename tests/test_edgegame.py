@@ -172,6 +172,18 @@ def test_short_count_rows_repeat_their_last_value():
     assert v(0b0011) == 6 and v(0b1111) == 1 + 5 + 4
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_count_row_without_values_breaks_the_contract(exact):
+    # an empty row has no value for any count; the lift used to fail on it
+    # with a ValueError (exact) or an IndexError (approx)
+    g = build_graph(["A", "B"], [("A", "B")])
+    with pytest.raises(CharacteristicContractError,
+                       match=r"^count row on edge mask 0b1 has no values$"):
+        w = EdgeCharacteristic(g.edges, lambda m: m.bit_count(), exact=exact,
+                               by_count=((1, ()), (0, (0, 1))))
+        edge_shapley(EdgeGame(g, w))
+
+
 def test_table_entry_of_negative_zero_reads_zero():
     # the count rows add a table's worths onto 0, where -0.0 reads 0.0, and
     # the table's own worth agrees, so the batch and scalar paths give the

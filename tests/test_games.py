@@ -12,8 +12,11 @@ from edgeshapley import (
     CapacityError,
     CharacteristicContractError,
     CostDecayParams,
+    Edge,
     EdgeCharacteristic,
     EdgeGame,
+    Graph,
+    GraphConstructionError,
     GraphGame,
     NodeCharacteristic,
     Route,
@@ -24,7 +27,9 @@ from edgeshapley import (
     myerson,
     myerson_bridge,
     power_weight_fn,
+    shapley_dividends,
     shapley_exact,
+    shapley_restricted,
     shapley_sampled,
     shapley_weights,
     supply_weight_fn,
@@ -246,6 +251,42 @@ def test_axiom_check_refuses_bad_requests():
         axiom_check(v, alloc, ["efficiency", "fairness"])
     with pytest.raises(ValueError, match="additivity check needs game_pairs"):
         axiom_check(v, alloc, "additivity")
+
+
+def add_other(n, exact, other):
+    return NodeCharacteristic(n, lambda m: 0, exact=exact) + other
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    pytest.param(lambda: NodeCharacteristic(0, lambda m: 0), ValueError,
+                 "a game needs at least one player", id="no-players"),
+    pytest.param(lambda: add_other(2, True, 1), TypeError,
+                 "unsupported operand type(s) for +: 'NodeCharacteristic' and 'int'",
+                 id="add-non-characteristic"),
+    pytest.param(lambda: add_other(2, True, additive(3)), ValueError,
+                 "can only add games with equal player count and domain", id="add-player-count"),
+    pytest.param(lambda: add_other(2, False, additive(2)), ValueError,
+                 "can only add games with equal player count and domain", id="add-domain"),
+    pytest.param(lambda: GraphGame(build_graph(["a", "b", "c"], []), additive(2)), ValueError,
+                 "characteristic has 2 players but graph has 3 nodes", id="graph-game-size"),
+    pytest.param(lambda: Allocation((1, 2), True)["a"], KeyError,
+                 "allocation carries no node labels", id="label-lookup-without-labels"),
+    pytest.param(lambda: Allocation((1, 2), True).as_dict(), KeyError,
+                 "allocation carries no node labels", id="as-dict-without-labels"),
+    pytest.param(lambda: shapley_dividends(additive(2)), ValueError,
+                 "the game declares no dividends", id="dividends-undeclared"),
+    pytest.param(lambda: shapley_restricted(additive(3), [1, 2]), ValueError,
+                 "need one member mask per player", id="restricted-mask-count"),
+    pytest.param(lambda: Edge("", "b"), GraphConstructionError,
+                 "edge endpoints must be non-empty labels", id="empty-edge-label"),
+    pytest.param(lambda: Graph(["a", ""]), GraphConstructionError,
+                 "node labels must be non-empty", id="empty-node-label"),
+])
+def test_library_refusals(call, kind, message):
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind
+    assert exc.value.args == (message,)
 
 
 def test_contract_violation():

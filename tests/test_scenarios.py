@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from edgeshapley import (
+    Graph,
     ScenarioError,
     UnknownNodeError,
     edge_shapley,
@@ -267,6 +268,34 @@ def test_validation_names_the_refused_field(tmp_path, capsys, text, location):
     path.write_text(text)
     assert main(["compute", "--input", str(path)]) == 65
     assert capsys.readouterr().err.startswith(f"edgeshapley: error: {location}: ")
+
+
+def path_table_doc(ref) -> str:
+    return json.dumps({
+        "nodes": ["A", "B", "C"],
+        "edges": [{"from": "A", "to": "B"}, {"from": "B", "to": "C"}],
+        "model": {"type": "explicit_table", "table": [{"edges": [["A", "B"]], "value": "1"},
+                                                      {"edges": [ref], "value": "2"}]},
+        "domain": "exact",
+    })
+
+
+@pytest.mark.parametrize("ref", [[1, 2], [["A"], "B"], ["A", "Z"], ["A", "C"]],
+                         ids=["int-labels", "unhashable-label", "unknown-node", "no-such-edge"])
+def test_bad_edge_reference_is_an_unknown_edge(ref):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(path_table_doc(ref))
+    assert str(exc.value) == f"$.model.table[1].edges: unknown edge {ref!r}"
+
+
+def test_edge_lookup_fault_is_not_an_unknown_edge(monkeypatch):
+    # only what a bad reference raises reads as an unknown edge
+    def broken(self, u, v):
+        raise ZeroDivisionError("lookup fault")
+
+    monkeypatch.setattr(Graph, "edge_index", broken)
+    with pytest.raises(ZeroDivisionError, match="lookup fault"):
+        parse_scenario(path_table_doc(["A", "B"]))
 
 
 def test_unknown_fixture_lists_the_available_ones():
