@@ -51,7 +51,7 @@ from .games import (
     values_close,
 )
 from .graph import MAX_EDGE_BITS, Edge, Graph, NodeId
-from .masks import all_masks, squeeze, subsets_of
+from .masks import all_masks, squeeze, subsets_of, superset_view
 
 
 class EdgeCharacteristic:
@@ -63,18 +63,19 @@ class EdgeCharacteristic:
     ``by_count``, when given, declares the worth as ``(edge_mask, values)``
     count rows: w(F) is the sum of ``values[|F|]`` over the rows whose edge
     mask lies inside F, added in row order from 0. ``values`` holds a value
-    per edge count from 0, at least one (a row without values breaks the
-    contract), and may stop short of |E|: its last value then holds for
-    every larger count. Rows may repeat a mask; they are not merged, so a
-    float sum keeps the order ``fn`` adds in. A row of one
-    value m is the Harsanyi dividend m on its edge set (the containment
-    routes); a worth of the edge count alone is one row on mask 0 (the
-    power games); a worth that takes value v exactly on the edge set H is
-    the row on H whose values are 0 but for v at |H| (the explicit tables,
-    strict-equality routes; see :func:`_equality_rows`), since F = H exactly
-    when H lies inside F and |F| = |H|. It must agree with ``fn``;
+    per edge count from 0, at least one, and may stop short of |E|: its
+    last value then holds for every larger count. Rows may repeat a mask;
+    they are not merged, so a float sum keeps the order ``fn`` adds in. A
+    row of one value m is the Harsanyi dividend m on its edge set (the
+    containment routes); a worth of the edge count alone is one row on mask
+    0 (the power games); a worth that takes value v exactly on the edge set
+    H is the row on H whose values are 0 but for v at |H| (the explicit
+    tables, strict-equality routes; see :func:`_equality_rows`), since
+    F = H exactly when H lies inside F and |F| = |H|. It must agree with ``fn``;
     :func:`lift` evaluates it on node masks, without edge masks, and so on
-    any number of edges.
+    any number of edges. A row without values, or whose edge mask is
+    negative or names edges outside the universe, breaks the contract and
+    is refused here.
 
     ``fn_many``, when given in either domain, maps an int64 edge-mask array
     to the worth array :class:`games.NodeCharacteristic` describes, and must
@@ -99,6 +100,11 @@ class EdgeCharacteristic:
             None if by_count is None else tuple((em, tuple(values)) for em, values in by_count)
         )
         for em, values in self.by_count or ():
+            if em < 0 or em >> len(self.edges):
+                raise CharacteristicContractError(
+                    f"count row on edge mask {em:#b} names edges outside the "
+                    f"{len(self.edges)}-edge universe"
+                )
             if not values:
                 raise CharacteristicContractError(f"count row on edge mask {em:#b} has no values")
         self._fn = fn
@@ -159,26 +165,35 @@ def _equality_rows(
 
 def _count_worths(
     g: Graph, rows: tuple[tuple[int, tuple[Value, ...]], ...], exact: bool
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch worths of the lifted game of count ``rows`` on coalition
-    arrays, in the rows' dtype (float64 when approx, else
-    :func:`games._exact_row_dtype`; exact int64 worths are numerators over
-    1): coalition S, with c its induced-edge count
-    (:meth:`Graph.induced_edge_counts`), gains ``values[c]`` of each row
-    whose endpoints R lie inside S, in row order from 0, a short row's last
-    value standing for every count past its end. A row on mask 0 is one
-    gather; a row whose values are 0 but at |H|, H its edge mask, is an
-    equality row; any other row is added where ``S & R == R``.
+) -> Callable[[np.ndarray | None], np.ndarray]:
+    """Batch worths of the lifted game of count ``rows``, in the rows'
+    dtype (float64 when approx, else :func:`games._exact_row_dtype`; exact
+    int64 worths are numerators over 1), on a coalition array, or on every
+    coalition in ascending mask order when given ``None`` (the dense
+    table): coalition S, with c its induced-edge count, gains ``values[c]``
+    of each row whose endpoints R lie inside S, in row order from 0, a
+    short row's last value standing for every count past its end. A row on
+    mask 0 is one gather; a row whose values are 0 but at |H|, H its edge
+    mask, is an equality row; any other row is added where ``S & R == R``
+    (on the dense table, onto the view of R's supersets,
+    :func:`masks.superset_view`).
 
     An equality row adds a value only where S induces exactly H, that is
-    where R is the endpoint set of the edges S induces
-    (:meth:`Graph.induced_endpoint_masks`) and H is the edge set R induces
-    (otherwise it never adds one). So a run of equality rows is read as
-    one lookup of each coalition's endpoint set among the rows' R, and a
-    repeated R as one more lookup per repeat, which keeps the row order;
-    what the run leaves out adds only zeros. The cost of a run does not
-    grow with its length. An approx worth that is not finite breaks the
-    contract, named by its coalition, with no float warning."""
+    where R is the endpoint set of the edges S induces and H is the edge
+    set R induces (otherwise it never adds one). So a run of equality rows
+    is read as one lookup of each coalition's endpoint set among the rows'
+    R, and a repeated R as one more lookup per repeat, which keeps the row
+    order; what the run leaves out adds only zeros. The cost of a run does
+    not grow with its length.
+
+    The counts and endpoint sets come from :meth:`Graph.induced_edge_counts`
+    and :meth:`Graph.induced_endpoint_masks` on a coalition array (one pass
+    per edge or node), and from their O(2^n) doubling fills
+    :meth:`Graph.all_induced_edge_counts` and
+    :meth:`Graph.all_induced_endpoint_masks` on the dense table; both give
+    the same integers, so both give the same worths. An approx worth that
+    is not finite breaks the contract, named by its coalition, with no
+    float warning."""
     dtype = _exact_row_dtype(values for _, values in rows) if exact else np.float64
     steps = []  # ("count", R, values by count) or ("key", sorted R array, their values)
     run: dict[int, list[Value]] = {}  # R -> values of the run's equality rows on R
@@ -200,37 +215,51 @@ def _count_worths(
             close_run()
             steps.append(("count", r, np.array(values, dtype=dtype)))
     close_run()
+    counted = any(kind == "count" for kind, _, _ in steps)
+    # a leading row on mask 0 (the power games) is gathered straight into
+    # the worths: 0 + values[c], as adding it onto zeros gives (-0.0 reads 0.0)
+    lead = None
+    if steps and steps[0][0] == "count" and steps[0][1] == 0:
+        lead = steps[0][2] + np.zeros(1, dtype)
 
-    def fn_many(masks: np.ndarray) -> np.ndarray:
-        out = np.zeros(masks.shape, dtype=dtype)
+    def worths(masks: np.ndarray | None) -> np.ndarray:
+        dense = masks is None
         counts = ends = None
+        if counted:
+            counts = g.all_induced_edge_counts() if dense else g.induced_edge_counts(masks)
+        if lead is None:
+            out = np.zeros(1 << g.n if dense else masks.shape, dtype=dtype)
+        else:
+            out = lead[counts]
         with np.errstate(over="ignore", invalid="ignore"):
-            for kind, r, values in steps:
+            for kind, r, values in steps[lead is not None:]:
                 if kind == "key":
                     if ends is None:
-                        ends = g.induced_endpoint_masks(masks)
+                        ends = (g.all_induced_endpoint_masks() if dense
+                                else g.induced_endpoint_masks(masks))
                     pos = np.minimum(np.searchsorted(r, ends), r.size - 1)
                     hit = np.nonzero(r[pos] == ends)
                     out[hit] += values[pos[hit]]
                     continue
-                if counts is None:
-                    counts = g.induced_edge_counts(masks)
                 if r == 0:
                     out += values[counts]
+                elif dense:
+                    view = superset_view(out, r)
+                    view += values[superset_view(counts, r)]
                 else:
                     hit = np.nonzero((masks & r) == r)
                     out[hit] += values[counts[hit]]
         if not exact:
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
-                s = int(masks.flat[bad[0]])
+                s = int(bad[0]) if dense else int(masks.flat[bad[0]])
                 raise CharacteristicContractError(
                     f"approx worth of coalition {{{', '.join(g.labels_of(s))}}} is "
                     f"{float(out.flat[bad[0]])!r}: its count rows sum beyond the float range"
                 )
         return out
 
-    return fn_many
+    return worths
 
 
 @dataclass(frozen=True)
@@ -266,11 +295,15 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
     reads them). A worth with other count rows (power games, explicit
     tables, strict-equality routes) is evaluated on node masks too, from the
     coalitions' induced-edge counts and endpoint sets (see
-    :func:`_count_worths`). Both hold any number of edges. Any other worth
-    is evaluated on the coalitions' induced edge masks, built as int64, by
-    :meth:`EdgeCharacteristic.evaluate_many`; on more than ``MAX_EDGE_BITS``
-    edges, which int64 masks do not hold, such games are evaluated
-    coalition by coalition.
+    :func:`_count_worths`): a mask array (the sampler's prefix blocks) by
+    one pass per edge or node, and the dense table, which
+    :func:`games._table` fills through the game's private ``_all_worths``
+    hook, by the O(2^n) doubling fills of every coalition's counts and
+    endpoint sets, with no mask array. Both hold any number of edges. Any
+    other worth is evaluated on the coalitions' induced edge masks, built
+    as int64, by :meth:`EdgeCharacteristic.evaluate_many`; on more than
+    ``MAX_EDGE_BITS`` edges, which int64 masks do not hold, such games are
+    evaluated coalition by coalition.
     """
     g = eg.graph
     w = eg.characteristic
@@ -282,10 +315,13 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
     if rows is not None and all(len(values) == 1 for _, values in rows):
         dividends = tuple((g.endpoint_mask(em), val) for em, (val,) in rows)
         return NodeCharacteristic(g.n, fn, exact=w.exact, dividends=dividends)
-    fn_many = None
     if rows is not None:
-        fn_many = _count_worths(g, rows, w.exact)
-    elif len(g.edges) <= MAX_EDGE_BITS:
+        worths = _count_worths(g, rows, w.exact)
+        v = NodeCharacteristic(g.n, fn, exact=w.exact, fn_many=worths)
+        v._all_worths = lambda: worths(None)
+        return v
+    fn_many = None
+    if len(g.edges) <= MAX_EDGE_BITS:
         fn_many = lambda masks: w.evaluate_many(g.induced_edge_masks(masks))
     return NodeCharacteristic(g.n, fn, exact=w.exact, fn_many=fn_many)
 

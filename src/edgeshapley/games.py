@@ -90,21 +90,24 @@ CHECK_TOL = 1e-9
 #: n = 16-20, for edge_shapley / edge_shapley_pruned / myerson /
 #: component_efficiency_check, read 21-23 / 26 / 49 / 49 on approx supply
 #: games and 18 / 22 / 49 / 41 on exact contract games (counts above 256,
-#: an int64 dividend table). Games on the count-row path read 25 / 25 / 49
-#: / 41 on an 18-player |F|^2 power game, 35 / 35 / 49 / 41 on 24-entry
-#: exact explicit tables at n = 16, 18 and 20 (36 / 36 / 53 / 42 with
-#: values beyond 2^62), 33 / 33 / 49 / 49 on approx ones on 16-18-node
-#: paths, 33 / 33 / 49-50 / 41 on a 17-player strict-equality contract
-#: game (counts small or beyond 2^62) and 33 / 33 / 49 / 49 on
-#: strict-equality supply games at n = 16 and 20. Games whose edge worth
-#: declares neither dividends nor count rows (the unique pass of the batch
-#: path), such as Myerson bridges on 16-18-node paths, read 57-58 for all
-#: four, exact ones on ints and Fractions alike, since the table build
-#: hands out int64 numerators. Worths beyond 2^62 stay one Python int per
+#: an int64 dividend table). Games on the count-row path, whose table
+#: takes its counts and endpoint sets from the doubling fills, read 17-18 /
+#: 22 / 49 / 41 on 17- and 18-player |F|^2 power games, 33 / 33 / 49 / 41 on
+#: 20- and 24-entry exact explicit tables at n = 16, 18 and 20 (values
+#: beyond 2^62 too), 33 / 33 / 49 / 49 on approx ones on 16-18-node paths,
+#: 33 / 33 / 49 / 41 on a 17-player strict-equality contract game and 33 /
+#: 33 / 49 / 49 on a 20-node strict-equality supply path; strict-equality
+#: paths of 16-17 nodes with short routes read 40 / 40 / 49 / 41-49, from
+#: the index arrays of coalitions that induce a route's edges exactly.
+#: Games whose edge worth declares neither dividends nor count rows (the
+#: unique pass of the batch path), such as Myerson bridges on 16-18-node
+#: paths, read 57-58 for all four, exact ones on ints and Fractions alike,
+#: since the table build hands out int64 numerators. Worths beyond 2^62 stay one Python int per
 #: coalition and read 58 / 58 / 90-91 / 73-74 on a path game, 71 / 74 /
-#: 126 / 109 on a 16-player contract game and 39 / 43 / 93 / 76 on an
-#: 18-player |F|^40 power game: myerson and the component check exceed the
-#: budget there. 2^n times this must fit in physical memory.
+#: 126 / 109 on a 16-player contract game and 38-39 / 43 / 93 / 76-77 on
+#: 18-player |F|^40 power games (whose table gathers the |E| + 1 value
+#: objects): myerson and the component check exceed the budget there. 2^n
+#: times this must fit in physical memory.
 _COALITION_BYTES = 64
 
 
@@ -122,19 +125,22 @@ class NodeCharacteristic:
     (it sums the rows of a dividend game without ``fn_many``);
     :func:`edgeshapley.edgegame.lift` gives an edge game whose worth
     declares count rows of one value each these rows' ``dividends``, one
-    whose worth declares other count rows a ``fn_many`` on node masks, and
-    other edge games on at most 63 edges one on induced edge masks.
+    whose worth declares other count rows a ``fn_many`` on node masks (and
+    the private ``_all_worths`` hook, by which :func:`_table` fills the
+    dense table in O(2^n)), and other edge games on at most 63 edges one on
+    induced edge masks.
 
     ``dividends``, when given, declares the game as a sum of unanimity games:
     ``(node_mask, value)`` rows, where S is worth the sum of ``value`` over
-    the rows whose node mask lies inside S, added in row order from 0. It
-    must agree with ``fn`` bit for bit; the dense table is filled from it
-    (see :func:`_table`) and the sampler reads it (see
+    the rows whose node mask lies inside S, added in row order from 0 (a
+    negative mask, or one naming players past n, breaks the contract and is
+    refused here). It must agree with ``fn`` bit for bit; the dense table
+    is filled from it (see :func:`_table`) and the sampler reads it (see
     :func:`shapley_sampled`). A sum of two games declares none, since it
     adds its floats in another order, and sums the two batch worths.
     """
 
-    __slots__ = ("n", "exact", "dividends", "_fn", "_fn_many")
+    __slots__ = ("n", "exact", "dividends", "_fn", "_fn_many", "_all_worths")
 
     def __init__(
         self,
@@ -152,8 +158,17 @@ class NodeCharacteristic:
         self.n = n
         self.exact = exact
         self.dividends = None if dividends is None else tuple(dividends)
+        for mask, _ in self.dividends or ():
+            if mask < 0 or mask >> n:
+                raise CharacteristicContractError(
+                    f"dividend row on coalition {mask:#b} names players outside the "
+                    f"{n}-player game"
+                )
         self._fn = fn
         self._fn_many = fn_many
+        # the worths of every coalition in ascending mask order, equal to
+        # evaluate_many(all_masks(n)); only edgegame.lift sets it (count rows)
+        self._all_worths: Callable[[], np.ndarray] | None = None
 
     def __call__(self, coalition: Coalition) -> Value:
         return self._fn(coalition)
@@ -394,8 +409,12 @@ def _table(
     (see :func:`_dividend_dtype`) and adds each row, in row order, onto the
     view of the supersets of its node mask (:func:`masks.superset_view`):
     every coalition gets the additions of the rows inside it, in row order
-    from 0, and no mask array is built. Other games are evaluated through
-    :meth:`NodeCharacteristic.evaluate_many` of all masks.
+    from 0, and no mask array is built. A lifted edge game whose worth
+    declares other count rows fills it through its ``_all_worths`` hook
+    (the doubling fills of :func:`edgeshapley.edgegame.lift`), which gives
+    what :meth:`NodeCharacteristic.evaluate_many` of all masks gives. Other
+    games are evaluated through :meth:`NodeCharacteristic.evaluate_many` of
+    all masks.
 
     Approx tables are float64 over D = 1. Exact ones are integer numerators
     over D, the lcm of the worths' denominators (an int64 dividend fill is
@@ -408,7 +427,9 @@ def _table(
     _check_grounded(v)
     if stats is not None:
         stats.evaluations += 1 << v.n
-    if v.dividends is None:
+    if v._all_worths is not None:
+        table = v._all_worths()
+    elif v.dividends is None:
         table = v.evaluate_many(all_masks(v.n))
     else:
         table = np.zeros(1 << v.n, dtype=_dividend_dtype(v.dividends, v.exact))

@@ -184,6 +184,99 @@ def test_count_row_without_values_breaks_the_contract(exact):
         edge_shapley(EdgeGame(g, w))
 
 
+@pytest.mark.parametrize("em", [0b100, -1])
+def test_count_row_outside_the_universe_breaks_the_contract(em):
+    # refused when the worth is built: the lift used to raise IndexError on
+    # 0b100 (Graph.endpoint_mask) and loop forever on -1 (masks.indices_of)
+    g = build_graph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    with pytest.raises(CharacteristicContractError,
+                       match=rf"^count row on edge mask {em:#b} names edges outside the "
+                             r"2-edge universe$"):
+        EdgeCharacteristic(g.edges, lambda m: 0, by_count=((em, (5,)),))
+
+
+def test_table_entries_outside_the_universe_are_left_out():
+    # an explicit table may still name edge sets past the universe (or a
+    # negative mask); they equal no edge set and declare no row
+    g = build_graph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    w = EdgeCharacteristic.from_table(g.edges, {0b100: 7, -1: 9, 0b11: 2})
+    assert w.by_count == ((0b11, (0, 0, 2, 0)),)
+    assert edge_shapley(EdgeGame(g, w)).values == (Fraction(2, 3),) * 3
+
+
+def _count_row_games():
+    # power games (int64 and Python-int counts), explicit tables (ints,
+    # Fractions, beyond 2^62, floats), strict-equality routes in both
+    # domains, and rows that are neither a gather nor an equality row
+    g = build_graph([f"v{i}" for i in range(7)],
+                    [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v4"),
+                     ("v4", "v5"), ("v5", "v6"), ("v0", "v2"), ("v4", "v6")])
+    routes = [Route(["v0", "v1"], 3), Route(["v1", "v2", "v3"], 5), Route(["v4", "v6"], 2),
+              Route(["v0", "v1"], 4)]
+    strict = "strict-equality"
+    rows = ((0b11, (0, 1.5, 2.5, 4.0)), (0b1000000, (0, 0.25)), (0, (0.0, 0.5)),
+            (0b11, (7.0,)), (0b1010, (0, 0, 0.75)))
+
+    def fn(edge_mask):
+        c = edge_mask.bit_count()
+        return sum((vals[min(c, len(vals) - 1)] for em, vals in rows if edge_mask & em == em),
+                   0.0)
+
+    games_ = [
+        power_weight_fn(g, 2),
+        power_weight_fn(g, 40),
+        EdgeCharacteristic.from_table(g.edges, {0b11: 4, 0b110: -3, 0b11000000: 1 << 70}),
+        EdgeCharacteristic.from_table(g.edges, {0b11: Fraction(1, 3), 0b111: 2}),
+        EdgeCharacteristic.from_table(g.edges, {0b11: 0.5, 0b1000001: -2.25}, exact=False),
+        contract_weight_fn(g, routes, strict),
+        supply_weight_fn(g, routes, CostDecayParams(0.1, strict)),
+        EdgeCharacteristic(g.edges, fn, exact=False, by_count=rows),
+        EdgeCharacteristic(g.edges, lambda m: int(fn(m) * 4), by_count=tuple(
+            (em, tuple(int(x * 4) for x in vals)) for em, vals in rows)),
+    ]
+    return [EdgeGame(g, w) for w in games_]
+
+
+@pytest.mark.parametrize("eg", _count_row_games())
+def test_dense_count_row_table_equals_the_per_mask_table(eg):
+    # the doubling fills give the dense table what the per-mask counts and
+    # endpoint sets give evaluate_many of all masks: same dtype, same bits
+    v = lift(eg)
+    assert v.dividends is None
+    per_mask = v.evaluate_many(all_masks(v.n))
+    dense = v._all_worths()
+    assert dense.dtype == per_mask.dtype
+    if v.exact:
+        assert dense.tolist() == per_mask.tolist()
+    else:
+        assert dense.tobytes() == per_mask.tobytes()
+    # the table the engines read, against the one the hook-less game fills
+    hookless = NodeCharacteristic(v.n, v, exact=v.exact, fn_many=v.evaluate_many)
+    (table, denom), (ref, ref_denom) = games._table(v, None), games._table(hookless, None)
+    assert denom == ref_denom and table.dtype == ref.dtype
+    assert table.tolist() == ref.tolist() if v.exact else table.tobytes() == ref.tobytes()
+
+
+def test_dense_table_counts_no_mask_array(monkeypatch):
+    # edge_shapley fills a power game's table from the doubling fills; the
+    # sampler's prefix blocks keep the per-mask counts
+    calls = []
+    per_mask = Graph.induced_edge_counts
+
+    def spy(self, node_masks):
+        calls.append(node_masks.size)
+        return per_mask(self, node_masks)
+
+    monkeypatch.setattr(Graph, "induced_edge_counts", spy)
+    eg = _count_row_games()[0]
+    edge_shapley(eg)
+    edge_shapley_pruned(eg)
+    audit(eg)
+    assert calls == []
+    shapley_sampled(lift(eg), 10, 1)
+    assert calls
+
+
 def test_table_entry_of_negative_zero_reads_zero():
     # the count rows add a table's worths onto 0, where -0.0 reads 0.0, and
     # the table's own worth agrees, so the batch and scalar paths give the
@@ -195,6 +288,18 @@ def test_table_entry_of_negative_zero_reads_zero():
     masks = np.arange(4, dtype=np.int64)
     scalar = NodeCharacteristic(g.n, v, exact=False)
     assert v.evaluate_many(masks).tobytes() == scalar.evaluate_many(masks).tobytes()
+
+
+def test_leading_count_row_of_negative_zero_reads_zero():
+    # a leading row on mask 0 is gathered straight into the worths, with no
+    # zeros to add it onto; it still reads -0.0 as 0.0, as the scalar sum does
+    g = build_graph(["L", "R"], [("L", "R")])
+    w = EdgeCharacteristic(g.edges, lambda m: 0.0 + -0.0, exact=False,
+                           by_count=((0, (-0.0, -0.0)), (1, (0.0, 0.0))))
+    v = lift(EdgeGame(g, w))
+    zeros = np.zeros(4).tobytes()
+    assert v.evaluate_many(np.arange(4, dtype=np.int64)).tobytes() == zeros
+    assert v._all_worths().tobytes() == zeros
 
 
 @pytest.mark.parametrize("k", [2, 3, 11])

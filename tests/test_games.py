@@ -582,6 +582,16 @@ def test_exact_dividend_row_that_is_no_rational_breaks_the_contract():
             call()
 
 
+@pytest.mark.parametrize("mask", [0b1000, -1])
+def test_dividend_row_outside_the_players_breaks_the_contract(mask):
+    # refused when the game is built: 0b1000 on 3 players used to fill every
+    # table entry, the empty coalition's too, with its value
+    with pytest.raises(CharacteristicContractError,
+                       match=rf"^dividend row on coalition {mask:#b} names players outside the "
+                             r"3-player game$"):
+        NodeCharacteristic(3, lambda m: 0, dividends=((0b11, 1), (mask, 5)))
+
+
 def test_exact_dividend_game_evaluates_its_own_rows():
     rows = [(0b11, 3), (0b110, -2), (0b111, 5), (0b11, 4)]
     v = exact_dividend_game(3, rows)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgeshapley import (
     CapacityError,
@@ -13,6 +14,7 @@ from edgeshapley import (
     build_graph,
     load_fixture,
 )
+from edgeshapley.masks import all_masks
 
 from conftest import random_graph
 
@@ -240,6 +242,46 @@ def test_induced_endpoint_masks_equal_scalar_endpoints():
         ends = g.induced_endpoint_masks(masks)
         assert ends.dtype == np.int64
         assert ends.tolist() == [g.endpoint_mask(g.induced_edge_mask(m)) for m in range(1 << g.n)]
+
+
+def _assert_dense_fills_equal_per_mask(g):
+    masks = all_masks(g.n)
+    for dense, per_mask in ((g.all_induced_edge_counts(), g.induced_edge_counts(masks)),
+                            (g.all_induced_endpoint_masks(), g.induced_endpoint_masks(masks))):
+        assert dense.dtype == per_mask.dtype == np.int64
+        assert np.array_equal(dense, per_mask)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    labels = [f"v{i:02d}" for i in range(n)]
+    # either orientation: the fills read the symmetric adjacency
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return build_graph(labels, [(labels[j], labels[i]) if flip else (labels[i], labels[j])
+                                for (i, j), flip in zip(chosen, flips)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_graphs())
+def test_dense_fills_equal_per_mask_fills(g):
+    _assert_dense_fills_equal_per_mask(g)
+
+
+def test_dense_fills_on_fixed_graphs():
+    # one node, an edgeless graph, a path, a star and K12 (66 edges)
+    labels = [f"v{i:02d}" for i in range(12)]
+    for g in [
+        build_graph(["x"], []),
+        build_graph(labels[:7], []),
+        build_graph(labels, list(zip(labels, labels[1:]))),
+        build_graph(labels, [(labels[5], b) for b in labels if b != labels[5]]),
+        build_graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]),
+    ]:
+        _assert_dense_fills_equal_per_mask(g)
+    assert g.all_induced_edge_counts()[-1] == 66
 
 
 def test_edge_component_masks(h_graph):
