@@ -568,6 +568,24 @@ def test_exact_sampler_on_completion_steps_equals_per_sample_oracle(
         assert got == per_sample_shapley(v, samples, 23)
 
 
+def test_completion_steps_sum_fraction_rows_as_int64_numerators():
+    # 20 Fraction rows: the first chunk's 2^16 row subsets are summed as
+    # int64 numerators over the rows' lcm, and equal the rows' own sums on
+    # the prefix masks
+    rng = np.random.default_rng(29)
+    n = 7
+    rows = tuple((int(rng.integers(1, 1 << n)), exact_row_values("fraction", rng))
+                 for _ in range(20))
+    worths, denom = games._completion_worths(rows, n, True)
+    assert denom == math.lcm(*(val.denominator for _, val in rows)) > 1
+    perms = rng.permuted(np.tile(np.arange(n), (64, 1)), axis=1)
+    got = worths(perms)
+    assert got.dtype == np.int64
+    prefixes = np.bitwise_or.accumulate(np.int64(1) << perms, axis=1)
+    want = games._dividend_worths(rows, True, prefixes.ravel())
+    assert [Fraction(x, denom) for x in got.ravel().tolist()] == want.tolist()
+
+
 def test_exact_dividend_row_that_is_no_rational_breaks_the_contract():
     # the coalition named is the float row's own node mask, which holds it
     v = exact_dividend_game(3, [(0b1, 2), (0b11, 0.5), (0b110, 1)])

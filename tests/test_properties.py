@@ -5,6 +5,7 @@ written here, and with each other."""
 import math
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from edgeshapley import (
     Edge,
     EdgeCharacteristic,
     EdgeGame,
+    EngineStats,
     Graph,
     GraphGame,
     NodeCharacteristic,
@@ -36,6 +38,7 @@ from edgeshapley import (
     supply_weight_fn,
     values_close,
 )
+from edgeshapley import games
 from edgeshapley.games import _dividend_worths, _reduce, _ReduceTables, _table
 from edgeshapley.masks import all_masks
 
@@ -156,6 +159,85 @@ def test_player_subset_reduction_equals_full_reduction(inputs):
     assert same_values(_reduce(table, denom, n, members, None, exact, tables=tables), full)
     got = _reduce(table, denom, n, members, None, exact, players=players, tables=tables)
     assert same_values(got, want)
+
+
+@st.composite
+def exact_tables(draw):
+    """An n-player table of integer numerators with v(empty) = 0, for n = 1
+    to 14, drawn from a seed: int64 with one entry just inside the
+    2^(61-n) bound of the int64 sums or just outside it (which the
+    reduction sums as Python ints), or Python ints beyond 2^62. Returned
+    with a denominator and the players asked for: all of them (None), only
+    low players (i < n // 2, the table's low bits), only high ones, or a
+    mix of both, in a drawn order."""
+    n = draw(st.integers(1, 14))
+    form = draw(st.sampled_from(["inside", "outside", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << n
+    if form == "huge":
+        signs = rng.choice([-1, 1], size).tolist()
+        high = rng.integers(1, 1 << 20, size).tolist()
+        low = rng.integers(0, 1 << 62, size).tolist()
+        table = np.array([s * ((h << 62) + x) for s, h, x in zip(signs, high, low)], dtype=object)
+    else:
+        bound = 1 << (61 - n)
+        table = rng.integers(-bound + 1, bound, size)
+        extreme = bound - 1 if form == "inside" else bound
+        table[rng.integers(1, size)] = extreme * rng.choice([-1, 1])
+    table[0] = 0
+    denom = draw(st.integers(1, 12))
+    low, high = list(range(n // 2)), list(range(n // 2, n))
+    kind = draw(st.sampled_from(["all", "low", "high", "mixed"]))
+    if kind == "all":
+        return table, denom, n, None
+
+    def some(pool):
+        return draw(st.lists(st.sampled_from(pool), unique=True, min_size=1)) if pool else []
+
+    players = {"low": some(low), "high": some(high), "mixed": some(low) + some(high)}[kind]
+    return table, denom, n, draw(st.permutations(players))
+
+
+def per_player_fraction_reduction(table, denom, n, players):
+    """The exact Shapley formula written player by player: the sum over
+    coalitions S avoiding i of s!(n-s-1)! * (table[S + i] - table[S]) in
+    Python ints, over n! * denom."""
+    coef = [math.factorial(s) * math.factorial(n - s - 1) for s in range(n)]
+    masks = np.arange(1 << n, dtype=np.int64)
+    out = []
+    for i in players:
+        avoid = masks[(masks >> i) & 1 == 0]
+        sizes = np.bitwise_count(avoid).tolist()
+        terms = zip(sizes, table[avoid | (1 << i)].tolist(), table[avoid].tolist())
+        total = sum(coef[s] * (with_i - without) for s, with_i, without in terms)
+        out.append(Fraction(total, math.factorial(n) * denom))
+    return tuple(out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(exact_tables())
+def test_exact_reduction_equals_per_player_fraction_formula(inputs):
+    table, denom, n, players = inputs
+    want = per_player_fraction_reduction(table, denom, n, range(n) if players is None else players)
+    assert same_values(_reduce(table, denom, n, None, None, True, players=players), want)
+    # small reductions take one pass per player; with no such reduction
+    # allowed every one takes the constant-pass path
+    with mock.patch.object(games, "_PER_PLAYER_TERMS", -1):
+        assert same_values(_reduce(table, denom, n, None, None, True, players=players), want)
+
+
+@pytest.mark.parametrize("per_player_terms", [-1, 1 << 62], ids=["constant-pass", "per-player"])
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 16])
+def test_exact_reduction_counts_every_marginal_term(n, per_player_terms):
+    v = NodeCharacteristic(n, lambda m: m * m, fn_many=lambda masks: masks * masks)
+    with mock.patch.object(games, "_PER_PLAYER_TERMS", per_player_terms):
+        stats = EngineStats()
+        shapley_exact(v, stats=stats)
+        assert (stats.evaluations, stats.marginals) == (1 << n, n << (n - 1))
+        stats = EngineStats()
+        table, denom = _table(v, None)
+        _reduce(table, denom, n, None, stats, True, players=[n - 1, 0])
+        assert stats.marginals == 2 << (n - 1)
 
 
 @PROPERTY_SETTINGS
