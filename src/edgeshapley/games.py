@@ -509,12 +509,11 @@ class _Half:
     """The players ``first`` .. ``first + b - 1`` of an n-player coalition,
     whose bits are one axis of the table reshaped to (2^(n-h), 2^h), with
     the other n - b players on the other axis: ``groups[p]`` the values x
-    of these b bits with popcount(x) = p, in ascending order, and
-    ``with_bit[j][p]`` those of them with bit j set; ``shift[p, x]`` the
-    flat position of (x, p + popcount(x)) in an (2^b, n + 1) array, for p
-    up to n - b; ``bits[j, x]`` bit j of x, as 0/1 int64."""
+    of these b bits with popcount(x) = p, in ascending order; ``shift[p,
+    x]`` the flat position of (x, p + popcount(x)) in an (2^b, n + 1)
+    array, for p up to n - b; ``bits[j, x]`` bit j of x, as 0/1 int64."""
 
-    __slots__ = ("first", "groups", "with_bit", "shift", "bits")
+    __slots__ = ("first", "groups", "shift", "bits")
 
     def __init__(self, first: int, b: int, n: int):
         x = np.arange(1 << b, dtype=np.int64)
@@ -523,38 +522,39 @@ class _Half:
         order = np.argsort(pop, kind="stable")
         ends = np.cumsum(np.bincount(pop)).tolist()
         self.groups = [order[a:z] for a, z in zip([0, *ends], ends)]
-        self.with_bit = [[g[(g >> j) & 1 == 1] for g in self.groups] for j in range(b)]
         self.shift = x * (n + 1) + pop + np.arange(n - b + 1, dtype=np.int64)[:, None]
         self.bits = (x >> np.arange(b, dtype=np.int64)[:, None]) & 1
         # shared by every reduction of n-player tables (see _halves)
-        for array in (order, self.shift, self.bits, *(g for w in self.with_bit for g in w)):
+        for array in (order, self.shift, self.bits):
             array.flags.writeable = False
 
 
 @functools.cache
 def _halves(n: int) -> tuple[_Half, _Half]:
     """The low (players below n // 2) and high halves of n players' bits,
-    built once per n: they are small, and building them costs more than a
-    whole reduction of a 12-player table."""
+    built once per n: they are small, and building them (about 0.1 ms up to
+    n = 17) costs a third of a whole reduction of a 12-player table."""
     h = n // 2
     return _Half(0, h, n), _Half(h, n - h, n)
 
 
 class _ReduceTables:
     """The per-n tables every reduction of n-player tables in one domain
-    reads: the half-size coalition index, its popcounts (the coalition
-    sizes), and the float size weights (approx) or, exact, the integer size
+    reads: the float size weights (approx) or, exact, the integer size
     coefficients ``coef[s]`` = s!(n-s-1)!, n!, the weights ``hold_coef[t]
     = coef[t-1] + coef[t]`` of a player's size-t sums and the low and high
-    halves of the players (see :class:`_Half` and :func:`_exact_size_sums`).
-    A caller that reduces several tables, such as the fairness check,
-    builds them once and hands them to each :func:`_reduce`."""
+    halves of the players (see :class:`_Half` and :func:`_exact_size_sums`);
+    and, for the per-player loop, the half-size coalition index and its
+    popcounts (the coalition sizes), built on first use (see
+    :meth:`per_player`). A caller that reduces several tables, such as the
+    fairness check, builds them once and hands them to each
+    :func:`_reduce`."""
 
-    __slots__ = ("index", "sizes", "weights", "coef", "scale", "hold_coef", "low", "high")
+    __slots__ = ("n", "index", "sizes", "weights", "coef", "scale", "hold_coef", "low", "high")
 
     def __init__(self, n: int, exact: bool):
-        self.index = np.arange(1 << (n - 1), dtype=np.int64)
-        self.sizes = np.bitwise_count(self.index)
+        self.n = n
+        self.index = self.sizes = None
         self.weights = self.coef = self.hold_coef = self.low = self.high = None
         self.scale = 1
         if exact:
@@ -564,17 +564,26 @@ class _ReduceTables:
             self.scale = fact[n]
             self.low, self.high = _halves(n)
         else:
-            self.weights = np.array([float(w) for w in shapley_weights(n)])[self.sizes]
+            self.weights = np.array([float(w) for w in shapley_weights(n)])[self.per_player()[1]]
+
+    def per_player(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, sizes)``: the half-size coalition index and its
+        popcounts. Only the per-player loop reads them (an exact reduction
+        of every coalition on the constant-pass path does not), so they are
+        built on its first call."""
+        if self.index is None:
+            self.index = np.arange(1 << (self.n - 1), dtype=np.int64)
+            self.sizes = np.bitwise_count(self.index)
+        return self.index, self.sizes
 
 
-def _half_size_sums(grid: np.ndarray, axis: int, half: _Half, groups: list, n: int):
+def _half_size_sums(grid: np.ndarray, axis: int, half: _Half, other: _Half, n: int):
     """``out[x, t]``: the sum of the table over the coalitions of size t
-    whose bits in ``half`` are x and whose bits on the other axis lie in
-    one of ``groups`` (the other half's popcount groups, or a subset of
-    each). ``grid`` is the table reshaped to (2^(n-h), 2^h) and ``axis``
-    the axis of the other half's bits: group p is gathered and summed
-    along it and lands on row x at column p + popcount(x)."""
-    by_count = np.stack([np.take(grid, g, axis=axis).sum(axis=axis) for g in groups])
+    whose bits in ``half`` are x. ``grid`` is the table reshaped to
+    (2^(n-h), 2^h) and ``axis`` the axis of ``other``'s bits: each of its
+    popcount groups p is gathered and summed along it and lands on row x at
+    column p + popcount(x)."""
+    by_count = np.stack([np.take(grid, g, axis=axis).sum(axis=axis) for g in other.groups])
     out = np.zeros((by_count.shape[1], n + 1), dtype=grid.dtype)
     np.put(out, half.shift, by_count)
     return out
@@ -591,29 +600,23 @@ def _exact_size_sums(table: np.ndarray, n: int, players: list[int], tables: _Red
     each column shifted by its own popcount that gives the per-size sums
     of every low-bit pattern, whose column sums are ``tot`` and whose
     products with the low players' 0/1 bit rows are their ``held`` rows.
-    One or two high players each take the same row sums over the rows that
-    hold them, half a pass each; more take the column sums by the popcount
-    of the low bits, shifted by the popcount of the high bits, and the
-    high players' bit rows, one pass that costs about three row passes.
-    Every partial sum is a sum over a subset of the table, so int64
-    numerators under the 2^(61-n) bound stay exact.
+    High players, when asked for, take the same sums the other way round:
+    the column sums by the popcount of the low bits, shifted by the
+    popcount of the high bits, times the high players' bit rows. Every
+    partial sum is a sum over a subset of the table, so int64 numerators
+    under the 2^(61-n) bound stay exact.
     """
     low, high = tables.low, tables.high
     grid = table.reshape(-1, 1 << high.first)
-    low_sums = _half_size_sums(grid, 0, low, high.groups, n)
+    low_sums = _half_size_sums(grid, 0, low, high, n)
     held: dict[int, list] = {}
     lows = [i for i in players if i < high.first]
     if lows:
         held.update(zip(lows, (low.bits[lows] @ low_sums).tolist()))
     highs = [i - high.first for i in players if i >= high.first]
-    if len(highs) > 2:
-        high_sums = _half_size_sums(grid, 1, high, low.groups, n)
-        rows = high.bits[highs] @ high_sums
+    if highs:
+        rows = high.bits[highs] @ _half_size_sums(grid, 1, high, low, n)
         held.update(zip((high.first + j for j in highs), rows.tolist()))
-    else:
-        for j in highs:
-            rows = _half_size_sums(grid, 0, low, high.with_bit[j], n)
-            held[high.first + j] = rows.sum(axis=0).tolist()
     return [held[i] for i in players], low_sums.sum(axis=0).tolist()
 
 
@@ -668,7 +671,6 @@ def _reduce(
     """
     if tables is None:
         tables = _ReduceTables(n, exact)
-    index, sizes, weights, coef = tables.index, tables.sizes, tables.weights, tables.coef
     wanted = list(range(n) if players is None else players)
     if exact:
         if table.dtype == np.int64 and not _int64_reducible(table, n):
@@ -678,11 +680,13 @@ def _reduce(
             if stats is not None:
                 stats.marginals += len(wanted) << (n - 1)
             held, tot = _exact_size_sums(table, n, wanted, tables)
-            base = sum(map(operator.mul, coef, tot))
+            base = sum(map(operator.mul, tables.coef, tot))
             return tuple(
                 Fraction(sum(map(operator.mul, tables.hold_coef, row)) - base, denom)
                 for row in held
             )
+    index, sizes = tables.per_player()
+    weights, coef = tables.weights, tables.coef
     diff = np.empty(index.size, dtype=table.dtype)
     out: list[Value] = []
     for i in wanted:
@@ -803,7 +807,8 @@ def _completion_worths(rows: tuple[tuple[int, Value], ...], n: int, exact: bool)
     n-player sum of unanimity games, the ``(node_mask, value)`` rows, with
     no prefix masks, as values (approx, D = 1) or exact integer numerators
     over D. Exact rows are brought to integer numerators over D, the lcm of
-    their denominators, before anything is added, so every sum is of ints:
+    their denominators (see :func:`_numerators`), before anything is added,
+    so every sum is of ints:
     int64 when the scaled rows' magnitudes sum below 2^62 (see
     :func:`_exact_row_dtype`), Python ints otherwise. Approx rows stay in
     float64 (see :func:`_dividend_dtype`).
@@ -820,11 +825,8 @@ def _completion_worths(rows: tuple[tuple[int, Value], ...], n: int, exact: bool)
     dtype = _dividend_dtype(rows, exact)
     denom = 1
     if exact:
-        denom = math.lcm(*(int(val.denominator) for _, val in rows))
-        rows = tuple(
-            (mask, operator.index(val.numerator) * (denom // int(val.denominator)))
-            for mask, val in rows
-        )
+        nums, denom = _numerators(np.array([val for _, val in rows], dtype=object), 1, object)
+        rows = tuple(zip((mask for mask, _ in rows), nums.tolist()))
         dtype = _exact_row_dtype((val,) for _, val in rows)
     chunks = []
     # a game without rows still gets one empty chunk, worth 0 at every step

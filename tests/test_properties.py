@@ -240,6 +240,18 @@ def test_exact_reduction_counts_every_marginal_term(n, per_player_terms):
         assert stats.marginals == 2 << (n - 1)
 
 
+def test_constant_pass_reduction_builds_no_coalition_index():
+    # only the per-player loop reads the half-size index and its sizes
+    n = 14
+    table = np.arange(1 << n, dtype=np.int64)
+    tables = _ReduceTables(n, True)
+    full = _reduce(table, 1, n, None, None, True, tables=tables)
+    assert tables.index is None and tables.sizes is None
+    assert _reduce(table, 1, n, None, None, True, players=[3], tables=tables) == (full[3],)
+    index, sizes = tables.per_player()
+    assert index.size == sizes.size == 1 << (n - 1)
+
+
 @PROPERTY_SETTINGS
 @given(table_edge_games())
 def test_pruned_equals_full(eg):
