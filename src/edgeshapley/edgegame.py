@@ -39,6 +39,7 @@ from .games import (
     Value,
     _axiom_check,
     _check_capacity,
+    _check_object_capacity,
     _component_table,
     _exact_row_dtype,
     _reduce,
@@ -51,7 +52,7 @@ from .games import (
     values_close,
 )
 from .graph import MAX_EDGE_BITS, Edge, Graph, NodeId
-from .masks import all_masks, squeeze, subsets_of, superset_view
+from .masks import all_masks, indices_of, squeeze, subsets_of, superset_view
 
 
 class EdgeCharacteristic:
@@ -71,9 +72,11 @@ class EdgeCharacteristic:
     0 (the power games); a worth that takes value v exactly on the edge set
     H is the row on H whose values are 0 but for v at |H| (the explicit
     tables, strict-equality routes; see :func:`_equality_rows`), since
-    F = H exactly when H lies inside F and |F| = |H|. It must agree with ``fn``;
-    :func:`lift` evaluates it on node masks, without edge masks, and so on
-    any number of edges. A row without values, or whose edge mask is
+    F = H exactly when H lies inside F and |F| = |H|; :func:`lift` reads
+    such a row only on the coalitions that hold H's endpoints and none of
+    their other neighbours. It must agree with ``fn``; :func:`lift`
+    evaluates it on node masks, without edge masks, and so on any number
+    of edges. A row without values, or whose edge mask is
     negative or names edges outside the universe, breaks the contract and
     is refused here.
 
@@ -172,83 +175,61 @@ def _count_worths(
     coalition in ascending mask order when given ``None`` (the dense
     table): coalition S, with c its induced-edge count, gains ``values[c]``
     of each row whose endpoints R lie inside S, in row order from 0, a
-    short row's last value standing for every count past its end. A row on
-    mask 0 is one gather; a row whose values are 0 but at |H|, H its edge
-    mask, is an equality row; any other row is added where ``S & R == R``
-    (on the dense table, onto the view of R's supersets,
+    short row's last value standing for every count past its end. A
+    leading row on mask 0 is one gather; any other row is added where
+    ``S & R == R`` (on the dense table, onto the view of R's supersets,
     :func:`masks.superset_view`).
 
-    An equality row adds a value only where S induces exactly H, that is
-    where R is the endpoint set of the edges S induces and H is the edge
-    set R induces (otherwise it never adds one). So a run of equality rows
-    is read as one lookup of each coalition's endpoint set among the rows'
-    R, and a repeated R as one more lookup per repeat, which keeps the row
-    order; what the run leaves out adds only zeros. The cost of a run does
-    not grow with its length.
+    A row whose values are 0 but w at |H|, H its edge mask, is an equality
+    row: it adds w only where S induces exactly H. Such an S holds R, holds
+    none of R's outside neighbours (the edge to one is not in H) and
+    induces |H| edges; any S that holds R and none of those neighbours
+    induces every edge R induces, so it induces exactly H when its count
+    is |H|, and never when R induces more than H. So the row adds w where
+    ``S & (R | outer) == R`` and c is |H|: on the dense table, on the view
+    of the supersets of R that clear the outer neighbours, where the same
+    view of the counts reads |H|. What it leaves out adds only zeros.
 
-    The counts and endpoint sets come from :meth:`Graph.induced_edge_counts`
-    and :meth:`Graph.induced_endpoint_masks` on a coalition array (one pass
-    per edge or node), and from their O(2^n) doubling fills
-    :meth:`Graph.all_induced_edge_counts` and
-    :meth:`Graph.all_induced_endpoint_masks` on the dense table; both give
-    the same integers, so both give the same worths. An approx worth that
-    is not finite breaks the contract, named by its coalition, with no
-    float warning."""
+    The counts come from :meth:`Graph.induced_edge_counts` on a coalition
+    array (one pass per edge) and from its O(2^n) doubling fill
+    :meth:`Graph.all_induced_edge_counts` on the dense table; both give the
+    same integers, so both give the same worths. An approx worth that is
+    not finite breaks the contract, named by its coalition, with no float
+    warning."""
     dtype = _exact_row_dtype(values for _, values in rows) if exact else np.float64
-    steps = []  # ("count", R, values by count) or ("key", sorted R array, their values)
-    run: dict[int, list[Value]] = {}  # R -> values of the run's equality rows on R
-
-    def close_run():
-        for k in range(max(map(len, run.values()), default=0)):
-            keys = sorted(r for r, vals in run.items() if len(vals) > k)
-            steps.append(("key", np.array(keys, dtype=np.int64),
-                          np.array([run[r][k] for r in keys], dtype=dtype)))
-        run.clear()
-
+    steps = []  # (R, R's outside neighbours, |H| of an equality row or None, values)
     for em, values in rows:
         values += values[-1:] * (len(g.edges) + 1 - len(values))
         r, size = g.endpoint_mask(em), em.bit_count()
         if em and not any(val for c, val in enumerate(values) if c != size):
-            if g.induced_edge_mask(r) == em:
-                run.setdefault(r, []).append(values[size])
+            outer = 0
+            for i in indices_of(r):
+                outer |= g.adjacency_mask(i)
+            steps.append((r, outer & ~r, size, np.array(values, dtype=dtype)))
         else:
-            close_run()
-            steps.append(("count", r, np.array(values, dtype=dtype)))
-    close_run()
-    counted = any(kind == "count" for kind, _, _ in steps)
+            steps.append((r, 0, None, np.array(values, dtype=dtype)))
     # a leading row on mask 0 (the power games) is gathered straight into
     # the worths: 0 + values[c], as adding it onto zeros gives (-0.0 reads 0.0)
     lead = None
-    if steps and steps[0][0] == "count" and steps[0][1] == 0:
-        lead = steps[0][2] + np.zeros(1, dtype)
+    if steps[0][0] == 0:
+        lead = steps[0][3] + np.zeros(1, dtype)
 
     def worths(masks: np.ndarray | None) -> np.ndarray:
         dense = masks is None
-        counts = ends = None
-        if counted:
-            counts = g.all_induced_edge_counts() if dense else g.induced_edge_counts(masks)
-        if lead is None:
-            out = np.zeros(1 << g.n if dense else masks.shape, dtype=dtype)
-        else:
-            out = lead[counts]
+        counts = g.all_induced_edge_counts() if dense else g.induced_edge_counts(masks)
+        out = np.zeros(counts.shape, dtype=dtype) if lead is None else lead[counts]
         with np.errstate(over="ignore", invalid="ignore"):
-            for kind, r, values in steps[lead is not None:]:
-                if kind == "key":
-                    if ends is None:
-                        ends = (g.all_induced_endpoint_masks() if dense
-                                else g.induced_endpoint_masks(masks))
-                    pos = np.minimum(np.searchsorted(r, ends), r.size - 1)
-                    hit = np.nonzero(r[pos] == ends)
-                    out[hit] += values[pos[hit]]
-                    continue
-                if r == 0:
-                    out += values[counts]
-                elif dense:
-                    view = superset_view(out, r)
-                    view += values[superset_view(counts, r)]
+            for r, outer, size, values in steps[lead is not None:]:
+                if dense:
+                    view = superset_view(out, r, outer)
+                    held = superset_view(counts, r, outer)
+                    hit = True
                 else:
-                    hit = np.nonzero((masks & r) == r)
-                    out[hit] += values[counts[hit]]
+                    view, held, hit = out, counts, (masks & (r | outer)) == r
+                if size is None:
+                    np.add(view, values[held], out=view, where=hit)
+                else:
+                    np.add(view, values[size], out=view, where=hit & (held == size))
         if not exact:
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
@@ -294,12 +275,12 @@ def lift(eg: EdgeGame) -> NodeCharacteristic:
     rows ``(R, value)`` and nothing else (:class:`games.NodeCharacteristic`
     reads them). A worth with other count rows (power games, explicit
     tables, strict-equality routes) is evaluated on node masks too, from the
-    coalitions' induced-edge counts and endpoint sets (see
-    :func:`_count_worths`): a mask array (the sampler's prefix blocks) by
-    one pass per edge or node, and the dense table, which
-    :func:`games._table` fills through the game's private ``_all_worths``
-    hook, by the O(2^n) doubling fills of every coalition's counts and
-    endpoint sets, with no mask array. Both hold any number of edges. Any
+    coalitions' induced-edge counts (see :func:`_count_worths`): a mask
+    array (the sampler's prefix blocks) by one pass per edge and one
+    masked pass per row, and the dense table, which :func:`games._table`
+    fills through the game's private ``_all_worths`` hook, by the O(2^n)
+    doubling fill of every coalition's count and one strided view per row,
+    with no mask array. Both hold any number of edges. Any
     other worth is evaluated on the coalitions' induced edge masks, built
     as int64, by :meth:`EdgeCharacteristic.evaluate_many`; on more than
     ``MAX_EDGE_BITS`` edges, which int64 masks do not hold, such games are
@@ -597,11 +578,14 @@ def component_efficiency_check(
     every separated pair is additive. The witness is the pair
     (C_S, S - C_S) of the lowest failing coalition S, which is separated and
     breaks additivity. The allocation and the check share one coalition
-    table, refused (`CapacityError`) above ``limit`` players.
+    table, refused (`CapacityError`) above ``limit`` players, and before
+    the split when it holds Python ints the split has no room for (see
+    :func:`games._check_object_capacity`).
     """
     g = eg.graph
     v = lift(eg)
     table, denom = _table(v, limit)
+    _check_object_capacity(table, g.n)
     alloc = Allocation(_reduce(table, denom, g.n, None, None, v.exact), v.exact, g.nodes)
     return _component_report(eg, v, table, alloc)
 
@@ -666,11 +650,15 @@ def audit(eg: EdgeGame, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Axi
     informational. One coalition table of ``lift(eg)`` serves the
     allocation and every check but fairness, whose deletions each build
     their own (see :func:`_endpoint_values`), so the audit enumerates
-    |E| + 1 games. Float values compare to a relative ``games.CHECK_TOL``.
+    |E| + 1 games. A table of Python ints that the component split has no
+    room for is refused before any of them (see
+    :func:`games._check_object_capacity`). Float values compare to a
+    relative ``games.CHECK_TOL``.
     """
     g = eg.graph
     v = lift(eg)
     table, denom = _table(v, limit)
+    _check_object_capacity(table, g.n)
     tables = _ReduceTables(v.n, v.exact)
     values = _reduce(table, denom, v.n, None, None, v.exact, tables=tables)
     alloc = Allocation(values, v.exact, g.nodes)

@@ -64,6 +64,7 @@ import math
 import numbers
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -94,22 +95,25 @@ CHECK_TOL = 1e-9
 #: component_efficiency_check, read 21-23 / 26 / 41 / 49 on approx supply
 #: games and 15-16 / 22 / 41 / 41 on exact contract games (counts above
 #: 256, an int64 dividend table). Games on the count-row path, whose table
-#: takes its counts and endpoint sets from the doubling fills, read 16 /
-#: 22 / 41 / 41 on |F|^2 power games, 33 / 33 / 41 / 41 on 24-entry exact
-#: explicit tables (values beyond 2^62 too) and 33 / 33 / 41 / 49 on approx
-#: ones, and 33-40 / 33-40 / 41 / 41 on strict-equality contract paths,
-#: the 40 from the index arrays of coalitions that induce a route's edges
-#: exactly. Games whose edge worth declares neither dividends nor count
-#: rows (the unique pass of the batch path), such as a path game worth
-#: 1000 m for edge mask m, read 57-58 for all four, exact ones on ints and
-#: Fractions alike, since the table build hands out int64 numerators.
-#: Worths beyond 2^62 stay one Python int per coalition, though the
-#: reduction makes no per-player objects, and read 57-58 / 57-58 / 66-80 /
-#: 73-74 on a path game worth m << 70 for edge mask m, 40-46 / 55-65 /
-#: 74-92 / 79-92 on contract paths with counts beyond 2^64 and 16-18 / 42 /
-#: 64-71 / 73-76 on |F|^40 power games (whose table gathers the |E| + 1
-#: value objects): myerson and the component check exceed the budget
-#: there. 2^n times this must fit in physical memory.
+#: takes its counts from the doubling fill and adds each row on one view,
+#: read 16 / 22 / 41 / 41 on |F|^2 power games, 16-17 / 22 / 41 / 41 on
+#: 24-entry exact explicit tables and strict-equality contract paths, and
+#: 21-23 / 26 / 41 / 49 on approx tables. Games whose edge worth declares
+#: neither dividends nor count rows (the unique pass of the batch path),
+#: such as a path game worth 1000 m for edge mask m, read 57-58 for all
+#: four, exact ones on ints and Fractions alike, since the table build
+#: hands out int64 numerators. Worths beyond 2^62 stay one Python int per
+#: coalition, though the reduction makes no per-player objects, and read
+#: 57-58 / 57-58 / 66-80 / 73-74 on a path game worth m << 70 for edge
+#: mask m, 49-52 / 66-69 / 91-108 / 99-104 on contract paths with counts
+#: beyond 2^64, 16 / 35-36 / 55-65 / 65-69 on |F|^40 power games (whose
+#: table gathers the |E| + 1 value objects) and 17-22 / 23-29 / 42-73 /
+#: 42-55 on explicit tables and strict-equality paths worth beyond 2^62.
+#: myerson and the component check exceed the budget there, so they first
+#: budget two of the table's largest ints per coalition on top of it
+#: (:func:`_check_object_capacity`): 136 B on those contract paths, whose
+#: ints take 36 B, and 160 B on |F|^40 of 19 edges (48 B). 2^n times this
+#: must fit in physical memory.
 _COALITION_BYTES = 64
 
 
@@ -315,13 +319,32 @@ def _check_capacity(v: NodeCharacteristic, limit: int | None):
             f"{n} players exceeds the enumeration limit {bound}; "
             "pass a larger limit to override"
         )
-    need = _COALITION_BYTES << n
+    _check_memory(_COALITION_BYTES << n, f"enumerating {n} players")
+
+
+def _check_memory(need: int, what: str):
     memory = _physical_memory()
     if memory is not None and need > memory:
         raise CapacityError(
-            f"enumerating {n} players needs about {need / 2**30:.2f} GiB, "
+            f"{what} needs about {need / 2**30:.2f} GiB, "
             f"more than the {memory / 2**30:.2f} GiB of physical memory"
         )
+
+
+def _check_object_capacity(table: np.ndarray, n: int):
+    """Refuse to fold (:func:`myerson`) or split (the component check) an
+    exact table of Python ints, the numerators beyond int64, when two ints
+    per coalition as large as the table's largest, on top of
+    ``_COALITION_BYTES``, exceed physical memory: the table may hold one
+    int per coalition, and the fold and the split each make one more.
+    Int64 and float tables pass as they are."""
+    if table.dtype != object:
+        return
+    largest = sys.getsizeof(max(int(table.max()), -int(table.min())))
+    _check_memory(
+        (_COALITION_BYTES + 2 * largest) << n,
+        f"folding or splitting the {n}-player table of Python ints ({largest} B each)",
+    )
 
 
 def _check_grounded(v: NodeCharacteristic):
@@ -413,7 +436,8 @@ def _table(
     every coalition gets the additions of the rows inside it, in row order
     from 0, and no mask array is built. A lifted edge game whose worth
     declares other count rows fills it through its ``_all_worths`` hook
-    (the doubling fills of :func:`edgeshapley.edgegame.lift`), which gives
+    (the doubling fill of the induced-edge counts and one view per row, see
+    :func:`edgeshapley.edgegame.lift`), which gives
     what :meth:`NodeCharacteristic.evaluate_many` of all masks gives. Other
     games are evaluated through :meth:`NodeCharacteristic.evaluate_many` of
     all masks.
@@ -978,10 +1002,13 @@ def myerson(
     every coalition at once; the rest of the fold runs on blocks of
     ``_FOLD_BLOCK`` coalitions, each pass over a block gathering only the
     coalitions with members left (a connected one drops out at once), so
-    its buffers stay block-sized. ``threads`` has no effect.
+    its buffers stay block-sized. A table of Python ints that the fold
+    has no room for is refused first (:func:`_check_object_capacity`).
+    ``threads`` has no effect.
     """
     g, v = gg.graph, gg.v
     table, denom = _table(v, limit)
+    _check_object_capacity(table, g.n)
     comp = _component_table(g)
     # every index is a mask below 2^n; "clip" skips the buffered copy
     # that the bounds-checking default mode makes

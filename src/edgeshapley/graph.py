@@ -252,48 +252,21 @@ class Graph:
             out += hit
         return out
 
-    def induced_endpoint_masks(self, node_masks: np.ndarray) -> np.ndarray:
-        """Endpoints of the edges induced by each coalition of an int64
-        array (the members joined to another member), as int64 node masks:
-        :meth:`endpoint_mask` of the induced edge set, one pass over the
-        array per node, with no edge masks, so any number of edges works.
-        For every coalition at once, :meth:`all_induced_endpoint_masks`
-        fills the same masks in O(2^n)."""
-        out = np.zeros(node_masks.shape, dtype=np.int64)
-        met = np.empty(node_masks.shape, dtype=bool)
-        for i, adj in enumerate(self._adj):
-            np.not_equal(node_masks & adj, 0, out=met)
-            out |= met.astype(np.int64) << i
-        return out & node_masks
-
     def all_induced_edge_counts(self) -> np.ndarray:
         """:meth:`induced_edge_counts` of every coalition, 0 .. 2^n - 1 in
         ascending order, filled by doubling over the players in O(2^n): for
         S below 2^i, S | 2^i induces the edges of S and one more per
-        neighbour of i in S (see :meth:`_fill_by_doubling`)."""
-        return self._fill_by_doubling(np.add, lambda bit, low: 1)
+        neighbour of i in S.
 
-    def all_induced_endpoint_masks(self) -> np.ndarray:
-        """:meth:`induced_endpoint_masks` of every coalition, 0 .. 2^n - 1
-        in ascending order, filled by doubling over the players in O(2^n):
-        for S below 2^i, the endpoints in S | 2^i are those of S, i's
-        neighbours in S, and i itself when it has one (see
-        :meth:`_fill_by_doubling`)."""
-        return self._fill_by_doubling(np.bitwise_or, lambda bit, low: bit | low)
-
-    def _fill_by_doubling(self, op, step) -> np.ndarray:
-        """An int64 array over the 2^n coalitions, in ascending order, with
-        ``out[S | 2^i] = op(out[S], x_i[S])`` for every S below 2^i, where
-        x_i[S] folds ``step(2^j, 2^i)`` by ``op`` over the neighbours j < i
-        of i in S (and is 0 when there are none).
-
-        Each half ``out[2^i : 2^(i+1)]`` first takes x_i, itself doubled in
-        place over the bits j < i (x_i[S | 2^j] = op(x_i[S], step) when j is
-        a neighbour of i, x_i[S] when not), then folds in ``out[:2^i]``:
-        about 2^(n+1) entries written in all, whatever the number of edges.
-        That x_i is all S | 2^i adds relies on one edge per unordered node
-        pair and no self-loops, which ``Graph.__init__`` and ``Edge``
-        enforce.
+        Each half ``out[2^i : 2^(i+1)]`` first takes the number of i's
+        neighbours in S, itself doubled in place over the bits j < i (one
+        more at S | 2^j when j is a neighbour of i), then adds
+        ``out[:2^i]``: about 2^(n+1) entries written in all, whatever the
+        number of edges. That the neighbours count the edges S | 2^i adds
+        relies on one edge per unordered node pair and no self-loops,
+        which ``Graph.__init__`` and ``Edge`` enforce. Above
+        ``MAX_ENUMERATION_PLAYERS`` nodes it raises :class:`CapacityError`
+        before it allocates.
         """
         n = self.n
         if n > MAX_ENUMERATION_PLAYERS:
@@ -303,11 +276,11 @@ class Graph:
         out = np.zeros(1 << n, dtype=np.int64)
         for i, adj in enumerate(self._adj):
             low = 1 << i
-            top = out[low : 2 * low]  # x_i starts from top[0] = 0
+            top = out[low : 2 * low]  # i's neighbours in S, from top[0] = 0
             for j in range(i):
                 bit = 1 << j
-                op(top[:bit], step(bit, low) if adj & bit else 0, out=top[bit : 2 * bit])
-            op(top, out[:low], out=top)
+                np.add(top[:bit], (adj >> j) & 1, out=top[bit : 2 * bit])
+            top += out[:low]
         return out
 
     def induced_edges(self, s: Iterable[NodeId]) -> tuple[Edge, ...]:

@@ -47,27 +47,34 @@ def subsets_of(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
-def superset_view(table: np.ndarray, mask: int) -> np.ndarray:
-    """Writable view of the entries of ``table`` at the supersets of ``mask``.
+def superset_view(table: np.ndarray, mask: int, clear: int = 0) -> np.ndarray:
+    """Writable view of the entries of ``table`` at the supersets of ``mask``
+    that hold none of the bits of ``clear`` (disjoint from ``mask``), in
+    ascending mask order.
 
     ``table`` is a contiguous array of 2^n entries, one per coalition in
-    ascending mask order. It is reshaped to one axis per run of equal bits
-    of ``mask``, highest bits first (C order puts them first): a run of set
-    bits is indexed at its all-ones entry, a run of clear bits is kept
-    whole. The trailing ``Ellipsis`` keeps the result a view when every
-    bit is set, where a plain integer index would give a scalar.
+    ascending mask order. It is reshaped to one axis per run of bits that
+    are alike (all in ``mask``, all in ``clear`` or all in neither),
+    highest bits first (C order puts them first): a run in ``mask`` is
+    indexed at its all-ones entry, a run in ``clear`` at its all-zeros
+    entry, and any other run is kept whole. The trailing ``Ellipsis``
+    keeps the result a view when every bit is fixed, where plain integer
+    indices would give a scalar.
     """
-    n = table.size.bit_length() - 1
+
+    def kind(b: int) -> int:  # 0: in neither, 1: in mask, 2: in clear
+        return (mask >> b) & 1 | ((clear >> b) & 1) << 1
+
     shape: list[int] = []
     index: list = []
-    bit = n
+    bit = table.size.bit_length() - 1
     while bit:
-        top = (mask >> (bit - 1)) & 1
+        top = kind(bit - 1)
         width = 1
-        while width < bit and (mask >> (bit - 1 - width)) & 1 == top:
+        while width < bit and kind(bit - 1 - width) == top:
             width += 1
         shape.append(1 << width)
-        index.append(-1 if top else slice(None))
+        index.append((slice(None), -1, 0)[top])
         bit -= width
     return table.reshape(shape)[(*index, Ellipsis)]
 

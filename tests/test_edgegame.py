@@ -42,6 +42,7 @@ from edgeshapley import (
 )
 from edgeshapley.cli import main
 from edgeshapley.masks import all_masks
+from edgeshapley.scenarios import load_scenario
 
 from conftest import (
     H_ALLOCATION,
@@ -742,6 +743,45 @@ def test_myerson_and_component_check_stay_within_the_coalition_budget(worth):
         finally:
             tracemalloc.stop()
         assert peak <= games._COALITION_BYTES << n
+
+
+def test_python_int_tables_are_refused_before_the_fold_and_the_split(monkeypatch, tmp_path, capsys):
+    # counts beyond 2^62 keep one Python int (28 B or more) per coalition,
+    # and the Myerson fold and the component split each make one more: a
+    # memory of 2^n * (games._COALITION_BYTES + 16) admits the table, but
+    # neither of those, which budget two such ints per coalition
+    n = 10
+    labels = [f"v{i}" for i in range(n)]
+    doc = {"nodes": labels, "edges": [{"from": a, "to": b} for a, b in zip(labels, labels[1:])],
+           "model": {"type": "contract"}, "domain": "exact",
+           "routes": [{"nodes": labels[i:i + 3], "quantity": (i + 1) << 70}
+                      for i in range(0, 8, 2)]}
+    path = tmp_path / "counts-beyond-2-62.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    eg = load_scenario(path).edge_game()
+
+    def no_table(*args):
+        raise AssertionError("the fold or the split must not start")
+
+    for module in (games, edgegame):
+        monkeypatch.setattr(module, "_component_table", no_table)
+    monkeypatch.setattr(games, "_physical_memory", lambda: (games._COALITION_BYTES + 16) << n)
+    for run in (lambda: myerson(GraphGame(eg.graph, lift(eg))),
+                lambda: component_efficiency_check(eg),
+                lambda: audit(eg)):
+        with pytest.raises(CapacityError, match="Python ints"):
+            run()
+    for argv in (["compute", "--method", "myerson"], ["axioms"]):
+        assert main(argv + ["--input", str(path)]) == 64
+        assert "Python ints" in capsys.readouterr().err
+    assert edge_shapley(eg).total() == eg.total_worth
+    assert main(["compute", "--input", str(path)]) == 0
+    # an int64 table of the same game passes: its fold makes no objects
+    doc["routes"] = [{**route, "quantity": i + 1} for i, route in enumerate(doc["routes"])]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    small = load_scenario(path).edge_game()
+    with pytest.raises(AssertionError, match="must not start"):
+        myerson(GraphGame(small.graph, lift(small)))
 
 
 def test_myerson_refuses_an_ungrounded_game():

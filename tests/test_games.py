@@ -354,6 +354,14 @@ def test_memory_estimate_refuses_before_allocating(monkeypatch):
         shapley_exact(v)
 
 
+def test_physical_memory_is_unknown_where_sysconf_fails(monkeypatch):
+    def no_sysconf(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(games.os, "sysconf", no_sysconf)
+    assert games._physical_memory() is None
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_exact_reduction_around_the_int64_bound(n):
     # the int64 sums are taken while max |worth| * 2^(n+1) < 2^62; at the

@@ -180,6 +180,19 @@ def test_edge_index_symmetric(h_graph):
         h_graph.edge_index("A", "B")
 
 
+def test_has_edge_either_orientation(h_graph):
+    assert h_graph.has_edge("A", "D") and h_graph.has_edge("D", "A")
+    assert not h_graph.has_edge("A", "B")
+
+
+def test_graph_identity_and_edge_endpoints(h_graph):
+    twin = Graph(h_graph.nodes, h_graph.edges)
+    assert twin == h_graph and hash(twin) == hash(h_graph)
+    assert twin != h_graph.without_edge("A", "D")
+    assert repr(h_graph) == "Graph(nodes=5, edges=3)"
+    assert Edge("A", "D").endpoints == frozenset({"A", "D"})
+
+
 def test_without_edge_and_node(h_graph):
     g = h_graph.without_edge("A", "D")
     assert g.nodes == h_graph.nodes
@@ -231,25 +244,10 @@ def test_induced_edge_counts_beyond_63_edges():
     assert counts[-1] == 66
 
 
-def test_induced_endpoint_masks_equal_scalar_endpoints():
-    # on edge-free coalitions, the H graph, a random graph and K12 (66 edges)
-    rng = np.random.default_rng(19)
-    labels = [f"v{i:02d}" for i in range(12)]
-    k12 = build_graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
-    h = build_graph(["A", "B", "C", "D", "E"], [("A", "D"), ("B", "D"), ("C", "E")])
-    for g in [build_graph(["x"], []), h, random_graph(rng, 9, p=0.4), k12]:
-        masks = np.arange(1 << g.n, dtype=np.int64)
-        ends = g.induced_endpoint_masks(masks)
-        assert ends.dtype == np.int64
-        assert ends.tolist() == [g.endpoint_mask(g.induced_edge_mask(m)) for m in range(1 << g.n)]
-
-
 def _assert_dense_fills_equal_per_mask(g):
-    masks = all_masks(g.n)
-    for dense, per_mask in ((g.all_induced_edge_counts(), g.induced_edge_counts(masks)),
-                            (g.all_induced_endpoint_masks(), g.induced_endpoint_masks(masks))):
-        assert dense.dtype == per_mask.dtype == np.int64
-        assert np.array_equal(dense, per_mask)
+    dense, per_mask = g.all_induced_edge_counts(), g.induced_edge_counts(all_masks(g.n))
+    assert dense.dtype == per_mask.dtype == np.int64
+    assert np.array_equal(dense, per_mask)
 
 
 @st.composite
@@ -282,6 +280,12 @@ def test_dense_fills_on_fixed_graphs():
     ]:
         _assert_dense_fills_equal_per_mask(g)
     assert g.all_induced_edge_counts()[-1] == 66
+
+
+def test_dense_fill_refuses_63_players_before_allocating():
+    g = build_graph([f"v{i:02d}" for i in range(63)], [])
+    with pytest.raises(CapacityError, match="n <= 62"):
+        g.all_induced_edge_counts()
 
 
 def test_edge_component_masks(h_graph):

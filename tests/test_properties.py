@@ -40,7 +40,7 @@ from edgeshapley import (
 )
 from edgeshapley import games
 from edgeshapley.games import _dividend_worths, _reduce, _ReduceTables, _table
-from edgeshapley.masks import all_masks
+from edgeshapley.masks import all_masks, superset_view
 
 from conftest import permutation_shapley
 
@@ -482,6 +482,31 @@ def dividend_rows(draw, values):
                  dividend_rows(st.one_of(st.integers(-20, 20), FRACTIONS)).map(lambda d: (*d, True))))
 def test_superset_fill_equals_mask_path(case):
     assert_fill_equals_mask_path(*case)
+
+
+@st.composite
+def view_masks(draw):
+    """0 to 10 players, a mask and a disjoint ``clear`` mask, often 0."""
+    n = draw(st.integers(0, 10))
+    full = (1 << n) - 1
+    mask = draw(st.one_of(st.sampled_from([0, full]), st.integers(0, full)))
+    clear = draw(st.one_of(st.just(0), st.integers(0, full))) & ~mask
+    return n, mask, clear
+
+
+@PROPERTY_SETTINGS
+@given(view_masks())
+def test_superset_view_holds_the_supersets_that_clear_bits(case):
+    n, mask, clear = case
+    table = np.arange(1 << n, dtype=np.int64)
+    view = superset_view(table, mask, clear)
+    held = [s for s in range(1 << n) if s & mask == mask and not s & clear]
+    assert view.ravel().tolist() == held  # ascending
+    if not clear:
+        assert np.array_equal(superset_view(table, mask), view)
+    view[...] = -1  # writes reach the table
+    held = set(held)
+    assert table.tolist() == [-1 if s in held else s for s in range(1 << n)]
 
 
 @pytest.mark.parametrize("exact", [False, True])
