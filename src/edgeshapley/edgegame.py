@@ -332,14 +332,15 @@ def edge_shapley_pruned(
     when the player joins, so only coalitions meeting the neighborhood enter
     the player's sum; isolated nodes sum no terms and get 0. The coalition
     table is still full, so this saves marginal terms, not evaluations. It
-    does not save time: on the float path the per-player filter costs more
+    does not save time. On the float path the per-player filter costs more
     than the terms it drops (a 20-player smartphone run takes about
-    0.06-0.08 s against 0.05-0.06 s for :func:`edge_shapley`), and on the
-    exact path it keeps one filtered pass per player where
-    :func:`edge_shapley` reads the table in a constant number of passes
-    for all players (9-15 ms against 2-4 ms on 16-17-player contract, power
-    and explicit-table games, 0.64 s against 0.10 s on a 22-player power
-    game on 41 edges). In-process medians on a 2-vCPU machine.
+    0.06-0.08 s against 0.05-0.06 s for :func:`edge_shapley`). On the exact
+    path it takes :func:`edge_shapley`'s passes over the table and then
+    reads each node's dropped sub-cube, the coalitions of non-neighbours
+    only, to subtract its sums (3.5-9 ms against 1.3-4.6 ms on 16-17-player
+    contract, power and explicit-table games, 0.09-0.11 s against
+    0.06-0.08 s on a 22-player power game on 41 edges). In-process medians
+    on a 2-vCPU machine.
     """
     g = eg.graph
     member_masks = [g.adjacency_mask(i) for i in range(g.n)]

@@ -45,7 +45,8 @@ the game's ``exact`` flag, never the table's dtype. The float reduction
 weights each player's marginals from one half-size table of size weights.
 The exact reduction sums the numerators by coalition size (as Python ints
 where the int64 bound does not cover them), for every player at once in a
-constant number of passes over the table, and forms one `Fraction` per
+constant number of passes over the table; a pruned one then subtracts the
+sums of each player's dropped sub-cube. It forms one `Fraction` per
 player at the end. The sampler reads a block of
 permutations' prefix worths at once, a dividend game's straight from its
 declared rows in either domain, and sums an exact game's as integer
@@ -93,10 +94,10 @@ CHECK_TOL = 1e-9
 #: the temporaries of the table build and the reduction. tracemalloc at
 #: n = 16-20, for edge_shapley / edge_shapley_pruned / myerson /
 #: component_efficiency_check, read 21-23 / 26 / 41 / 49 on approx supply
-#: games and 15-16 / 22 / 41 / 41 on exact contract games (counts above
+#: games and 15-16 / 15-16 / 41 / 41 on exact contract games (counts above
 #: 256, an int64 dividend table). Games on the count-row path, whose table
 #: takes its counts from the doubling fill and adds each row on one view,
-#: read 16 / 22 / 41 / 41 on |F|^2 power games, 16-17 / 22 / 41 / 41 on
+#: read 16 / 16 / 41 / 41 on |F|^2 power games, 16-17 / 16-17 / 41 / 41 on
 #: 24-entry exact explicit tables and strict-equality contract paths, and
 #: 21-23 / 26 / 41 / 49 on approx tables. Games whose edge worth declares
 #: neither dividends nor count rows (the unique pass of the batch path),
@@ -105,15 +106,18 @@ CHECK_TOL = 1e-9
 #: hands out int64 numerators. Worths beyond 2^62 stay one Python int per
 #: coalition, though the reduction makes no per-player objects, and read
 #: 57-58 / 57-58 / 66-80 / 73-74 on a path game worth m << 70 for edge
-#: mask m, 49-52 / 66-69 / 91-108 / 99-104 on contract paths with counts
-#: beyond 2^64, 16 / 35-36 / 55-65 / 65-69 on |F|^40 power games (whose
-#: table gathers the |E| + 1 value objects) and 17-22 / 23-29 / 42-73 /
+#: mask m, 49-52 / 49-52 / 91-108 / 99-104 on contract paths with counts
+#: beyond 2^64, 16 / 16 / 55-65 / 65-69 on |F|^40 power games (whose
+#: table gathers the |E| + 1 value objects) and 17-22 / 17-22 / 42-73 /
 #: 42-55 on explicit tables and strict-equality paths worth beyond 2^62.
 #: myerson and the component check exceed the budget there, so they first
 #: budget two of the table's largest ints per coalition on top of it
 #: (:func:`_check_object_capacity`): 136 B on those contract paths, whose
-#: ints take 36 B, and 160 B on |F|^40 of 19 edges (48 B). 2^n times this
-#: must fit in physical memory.
+#: ints take 36 B, and 160 B on |F|^40 of 19 edges (48 B). On exact games
+#: edge_shapley_pruned peaks where edge_shapley does, to 0.2 B on games of
+#: each kind above at n = 16 and 20, also with an isolated node (whose
+#: dropped sub-cube is half the table). 2^n times the budget must fit in
+#: physical memory.
 _COALITION_BYTES = 64
 
 
@@ -281,10 +285,12 @@ class Allocation:
 class EngineStats:
     """Work counters an engine fills in when handed to it: coalition table
     entries filled (2^n per enumeration, as the table is always full) and
-    marginal terms summed. A lifted edge game whose worth declares neither
-    count rows nor a vector path fills its 2^n entries with one call of the
-    edge worth per distinct induced edge set (see
-    :meth:`edgeshapley.edgegame.EdgeCharacteristic.evaluate_many`)."""
+    the marginal terms that enter the values: 2^(n-1) per player reduced,
+    less the coalitions its member mask leaves out (see
+    :func:`shapley_restricted`), whichever passes read them. A lifted edge
+    game whose worth declares neither count rows nor a vector path fills its
+    2^n entries with one call of the edge worth per distinct induced edge
+    set (see :meth:`edgeshapley.edgegame.EdgeCharacteristic.evaluate_many`)."""
 
     marginals: int = 0
     evaluations: int = 0
@@ -592,9 +598,10 @@ class _ReduceTables:
 
     def per_player(self) -> tuple[np.ndarray, np.ndarray]:
         """``(index, sizes)``: the half-size coalition index and its
-        popcounts. Only the per-player loop reads them (an exact reduction
-        of every coalition on the constant-pass path does not), so they are
-        built on its first call."""
+        popcounts. Only the per-player loop reads them (float reductions
+        and exact ones of at most ``_PER_PLAYER_TERMS`` terms; the
+        constant-pass path, with or without member masks, does not), so
+        they are built on its first call."""
         if self.index is None:
             self.index = np.arange(1 << (self.n - 1), dtype=np.int64)
             self.sizes = np.bitwise_count(self.index)
@@ -644,10 +651,33 @@ def _exact_size_sums(table: np.ndarray, n: int, players: list[int], tables: _Red
     return [held[i] for i in players], low_sums.sum(axis=0).tolist()
 
 
+def _dropped_size_sums(table: np.ndarray, n: int, i: int, members: int) -> tuple[int, list]:
+    """``(m, sums)`` for the coalitions S that avoid player i and meet none
+    of ``members`` (bit i ignored): there are 2^m of them, and ``sums[s]``
+    is the sum of ``table[S + i] - table[S]`` over those of size s.
+
+    They form a sub-cube of the table, read as the two strided views of
+    its entries with and without i (see :func:`masks.superset_view`); the
+    difference, flattened in ascending order, is indexed by S with the
+    dropped bits squeezed out, so it is summed by popcount as the whole
+    table is in :func:`_exact_size_sums`, on the cached halves of m bits.
+    """
+    clear = int(members) & ((1 << n) - 1) & ~(1 << i)
+    m = n - 1 - clear.bit_count()
+    with_i = superset_view(table, 1 << i, clear=clear)
+    without = superset_view(table, 0, clear=clear | 1 << i)
+    # out= keeps a 0-d difference (every other player dropped) an array
+    cube = np.subtract(with_i, without, out=np.empty_like(with_i))
+    low, high = _halves(m)
+    grid = cube.reshape(-1, 1 << high.first)
+    return m, _half_size_sums(grid, 0, low, high, m).sum(axis=0).tolist()
+
+
 #: Exact reductions of at most this many marginal terms in all (two
 #: players up to 14, every player up to 11) take one pass per player: below
 #: it the fixed cost of the constant-pass path's numpy calls outweighs
-#: the passes it saves.
+#: the passes it saves. Larger ones, with or without member masks, take
+#: the constant-pass path.
 _PER_PLAYER_TERMS = 1 << 14
 
 
@@ -665,6 +695,8 @@ def _reduce(
     """Shapley value of player i = sum over coalitions S avoiding i of
     ``weight(|S|) * (table[S + i] - table[S])``, for each of ``players``
     (default every player, in index order), in that order.
+    ``member_masks[i]``, when given, keeps only the coalitions that meet
+    it (bit i ignored).
 
     An exact table (``exact``, the game's domain) holds integer numerators
     over ``denom`` (see :func:`_table`); int64 numerators that the
@@ -674,45 +706,54 @@ def _reduce(
     (n! * denom)``, coef[s] = s!(n-s-1)!, where A[t] sums the size-t
     coalitions that hold i and tot[t] all size-t coalitions: the A rows of
     all the players and tot come from at most two passes over the table
-    (see :func:`_exact_size_sums`), unless the reduction has at most
-    ``_PER_PLAYER_TERMS`` marginal terms in all.
+    (see :func:`_exact_size_sums`). With member masks, each player's
+    numerator then loses ``sum_s coef[s] * D[s]``, where D[s] sums the
+    size-s marginals of the coalitions it drops, read from their sub-cube
+    of the table (see :func:`_dropped_size_sums`): integer sums are exact
+    in any order. Reductions of at most ``_PER_PLAYER_TERMS`` marginal
+    terms in all take the per-player loop below instead.
 
-    Otherwise each player's marginals are read from the table reshaped to
-    (2^(n-1-i), 2, 2^i): its ``[:, 0, :]`` rows are the coalitions avoiding
-    i and its ``[:, 1, :]`` rows the same coalitions with i added, both in
-    ascending mask order. Position k of that order is the coalition whose
-    mask with bit i squeezed out (see :func:`masks.squeeze`) is k, so it
-    has popcount(k) members: one half-size table of sizes (and of float
-    weights) serves every player. Each player's marginals are subtracted
-    into one reused half-size buffer. ``member_masks[i]``, when given, keeps
-    only the coalitions that meet it, tested as ``k & squeeze(member_masks[i])
-    != 0``; exact marginals are then summed per coalition size. Float
-    marginals are weighted in place and summed as one contiguous array.
-    ``tables`` holds the per-n tables (see :class:`_ReduceTables`); they are
-    built here when not given. A player's value reads only the table and
-    that player's view of it, so it does not depend on which other players
-    are reduced.
+    Float tables, and those small exact reductions, read each player's
+    marginals from the table reshaped to (2^(n-1-i), 2, 2^i): its
+    ``[:, 0, :]`` rows are the coalitions avoiding i and its ``[:, 1, :]``
+    rows the same coalitions with i added, both in ascending mask order.
+    Position k of that order is the coalition whose mask with bit i
+    squeezed out (see :func:`masks.squeeze`) is k, so it has popcount(k)
+    members: one half-size table of sizes (and of float weights) serves
+    every player. Each player's marginals are subtracted into one reused
+    half-size buffer. Member masks are tested as ``k &
+    squeeze(member_masks[i]) != 0``; exact marginals are then summed per
+    coalition size. Float marginals are weighted in place and summed as
+    one contiguous array. ``tables`` holds the per-n tables (see
+    :class:`_ReduceTables`); they are built here when not given. A
+    player's value reads only the table and that player's view of it, so
+    it does not depend on which other players are reduced.
     """
     if tables is None:
         tables = _ReduceTables(n, exact)
     wanted = list(range(n) if players is None else players)
+    out: list[Value] = []
     if exact:
         if table.dtype == np.int64 and not _int64_reducible(table, n):
             table = _numerators(table, 1, object)[0]
         denom *= tables.scale
-        if member_masks is None and len(wanted) << (n - 1) > _PER_PLAYER_TERMS:
-            if stats is not None:
-                stats.marginals += len(wanted) << (n - 1)
+        if len(wanted) << (n - 1) > _PER_PLAYER_TERMS:
             held, tot = _exact_size_sums(table, n, wanted, tables)
             base = sum(map(operator.mul, tables.coef, tot))
-            return tuple(
-                Fraction(sum(map(operator.mul, tables.hold_coef, row)) - base, denom)
-                for row in held
-            )
+            for i, row in zip(wanted, held):
+                kept = sum(map(operator.mul, tables.hold_coef, row)) - base
+                count = 1 << (n - 1)
+                if member_masks is not None:
+                    m, dropped = _dropped_size_sums(table, n, i, member_masks[i])
+                    kept -= sum(map(operator.mul, tables.coef, dropped))
+                    count -= 1 << m
+                if stats is not None:
+                    stats.marginals += count
+                out.append(Fraction(kept, denom))
+            return tuple(out)
     index, sizes = tables.per_player()
     weights, coef = tables.weights, tables.coef
     diff = np.empty(index.size, dtype=table.dtype)
-    out: list[Value] = []
     for i in wanted:
         rows = table.reshape(-1, 2, 1 << i)
         np.subtract(rows[:, 1, :], rows[:, 0, :], out=diff.reshape(-1, 1 << i))
@@ -790,7 +831,10 @@ def shapley_restricted(
     is the caller's responsibility -- see the neighborhood pruning in
     :mod:`edgeshapley.edgegame`). A player with an empty mask is allocated 0.
     The table itself is always full: pruning saves marginal terms, not
-    evaluations. ``threads`` has no effect.
+    evaluations. Exact reductions of more than ``_PER_PLAYER_TERMS`` terms
+    take the full per-size sums of :func:`shapley_exact`'s passes, less each
+    player's left-out sub-cube (see :func:`_reduce`); float ones keep one
+    filtered pass per player. ``threads`` has no effect.
     """
     if len(member_masks) != v.n:
         raise ValueError("need one member mask per player")

@@ -431,6 +431,57 @@ def test_pruned_skips_marginals_and_isolated_nodes():
         assert pruned.values == pytest.approx(full.values, rel=1e-9, abs=1e-9)
 
 
+def _graph_with_hub(rng, n, isolated):
+    """A random graph on n nodes with a hub adjacent to every other node
+    but, when ``isolated``, one node that has no edge. Returns the graph,
+    the hub and the isolated node (None when there is none)."""
+    hub, iso = (int(x) for x in rng.choice(n, 2, replace=False))
+    iso = iso if isolated else None
+    rest = [i for i in range(n) if i not in (hub, iso)]
+    pairs = [(i, j) for i in rest for j in rest if i < j and rng.random() < 0.3]
+    pairs += [(min(hub, i), max(hub, i)) for i in rest]
+    labels = [f"n{i}" for i in range(n)]
+    return Graph(labels, [(labels[i], labels[j]) for i, j in sorted(pairs)]), hub, iso
+
+
+def _induced_table_game(rng, g, value):
+    """A table of ``value(rng)`` over the edge sets induced by random node
+    sets, so that many coalitions hit an entry."""
+    table = {}
+    for _ in range(3 * g.n):
+        edges = g.induced_edge_mask(int(rng.integers(1, 1 << g.n)))
+        if edges:
+            table[edges] = value(rng)
+    return EdgeGame(g, EdgeCharacteristic.from_table(g.edges, table))
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_pruned_equals_full_past_the_per_player_threshold(n):
+    # from 12 nodes on the exact pruned engine takes the full per-size sums
+    # less each node's dropped sub-cube: an isolated node drops the whole
+    # cube and gets exactly 0; a hub adjacent to every node drops a single
+    # coalition, the empty one, read on 0-d views
+    rng = np.random.default_rng(2500 + n)
+    values = (
+        lambda r: int(r.integers(-5, 10)),
+        lambda r: Fraction(int(r.integers(-50, 50)), int(r.integers(2, 13))),
+        lambda r: int(r.integers(-(1 << 20), 1 << 20)) << 62,
+    )
+    for isolated in (True, False):
+        g, hub, iso = _graph_with_hub(rng, n, isolated)
+        others = g.full_node_mask & ~(1 << hub)
+        assert g.adjacency_mask(hub) == (others if iso is None else others & ~(1 << iso))
+        games_ = [EdgeGame(g, power_weight_fn(g, 2))]
+        games_ += [_induced_table_game(rng, g, value) for value in values]
+        for eg in games_:
+            full, pruned, pruned_stats = _engine_counters(eg)
+            assert pruned.values == full.values
+            # criterion 08: fewer marginal terms than the full engine's
+            assert pruned_stats.marginals < g.n << (g.n - 1)
+            if iso is not None:
+                assert pruned.values[iso] == 0
+
+
 def test_isolated_node_gets_zero():
     rng = np.random.default_rng(23)
     g = build_graph(["A", "B", "C", "X"], [("A", "B"), ("B", "C")])

@@ -13,6 +13,7 @@ from edgeshapley import (
     CharacteristicContractError,
     CostDecayParams,
     Edge,
+    EngineStats,
     EdgeCharacteristic,
     EdgeGame,
     Graph,
@@ -35,7 +36,7 @@ from edgeshapley import (
     supply_weight_fn,
     values_close,
 )
-from edgeshapley.masks import all_masks
+from edgeshapley.masks import all_masks, squeeze
 
 from conftest import (
     per_sample_shapley,
@@ -404,6 +405,87 @@ def test_float_reduction_equals_per_player_formula():
             got = games._reduce(table, 1, n, members, None, False)
             want = per_player_float_reduction(table, n, members)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (n, members)
+
+
+def per_player_exact_reduction(table, denom, n, member_masks):
+    """The exact restricted reduction written player by player, one filtered
+    pass each over a table of integer numerators: player i's marginals over
+    the coalitions avoiding i whose mask with bit i squeezed out meets
+    ``squeeze(member_masks[i])``, summed per coalition size as Python ints,
+    weighted by s!(n-s-1)! and over n! * denom. Returns the values and the
+    number of marginal terms summed."""
+    coef = [math.factorial(s) * math.factorial(n - s - 1) for s in range(n)]
+    table = table.astype(object)
+    index = np.arange(1 << (n - 1), dtype=np.int64)
+    sizes = np.bitwise_count(index)
+    out, terms = [], 0
+    for i in range(n):
+        rows = table.reshape(-1, 2, 1 << i)
+        diff = (rows[:, 1, :] - rows[:, 0, :]).ravel()
+        keep = (index & squeeze(member_masks[i], 1 << i)) != 0
+        terms += int(keep.sum())
+        by_size = np.zeros(n, dtype=object)
+        np.add.at(by_size, sizes[keep], diff[keep])
+        out.append(Fraction(sum(c * t for c, t in zip(coef, by_size)), math.factorial(n) * denom))
+    return tuple(out), terms
+
+
+def exact_reduction_table(rng, n, form):
+    """An n-player table with v(empty) = 0: int64 below the 2^(61-n) bound
+    of the int64 sums (``inside``) or up to 2^62 (``beyond``), Python ints
+    beyond 2^62 (``huge``) or Fractions of denominators 2-12 (``fraction``)."""
+    size = 1 << n
+    if form == "inside":
+        bound = 1 << (61 - n)
+        table = rng.integers(-bound + 1, bound, size)
+    elif form == "beyond":
+        table = rng.integers(-(1 << 62), 1 << 62, size)
+    elif form == "huge":
+        high = rng.integers(-(1 << 20), 1 << 20, size).tolist()
+        low = rng.integers(0, 1 << 62, size).tolist()
+        table = np.array([(h << 62) + x for h, x in zip(high, low)], dtype=object)
+    else:
+        nums = rng.integers(-1000, 1000, size).tolist()
+        dens = rng.integers(2, 13, size).tolist()
+        table = np.array([Fraction(a, b) for a, b in zip(nums, dens)], dtype=object)
+    table[0] = 0
+    return table
+
+
+def exact_reduction_masks(rng, n):
+    """Two sets of member masks: random ones, whose dropped marginals are
+    not zero, and a mix of random, empty and full masks and masks holding
+    the player's own bit."""
+    full = (1 << n) - 1
+    random = [int(m) for m in rng.integers(0, 1 << n, size=n)]
+    mixed = [(m, 0, full, m | 1 << i, 1 << i)[i % 5] for i, m in enumerate(random)]
+    return random, mixed
+
+
+@pytest.mark.parametrize("form", ["inside", "beyond", "huge", "fraction"])
+def test_exact_restricted_reduction_equals_per_player_loop(form):
+    # past _PER_PLAYER_TERMS every player's kept sum is the full sum less the
+    # sums of its dropped sub-cube: the same rationals and the same count of
+    # marginal terms as one filtered pass per player
+    rng = np.random.default_rng(["inside", "beyond", "huge", "fraction"].index(form))
+    for n in range(12, 16):
+        raw = exact_reduction_table(rng, n, form)
+        v = NodeCharacteristic(n, lambda m: raw[m], exact=True, fn_many=lambda masks: raw[masks])
+        table, denom = games._table(v, None)
+        assert (table.dtype == np.int64) == (form in ("inside", "fraction"))
+        assert (denom > 1) == (form == "fraction")
+        for members in exact_reduction_masks(rng, n):
+            want, terms = per_player_exact_reduction(table, denom, n, members)
+            stats = EngineStats()
+            assert games._reduce(table, denom, n, members, stats, True) == want, (n, members)
+            assert stats.marginals == terms
+            if form == "beyond":
+                # int64 numerators past the bound, which _reduce sums as Python ints
+                assert games._reduce(raw, 1, n, members, None, True) == want
+            stats = EngineStats()
+            alloc = shapley_restricted(v, members, stats=stats)
+            assert alloc.values == want and stats.marginals == terms
+            assert all(type(x) is Fraction for x in alloc.values)
 
 
 def test_threads_bit_identical():

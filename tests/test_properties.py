@@ -241,11 +241,13 @@ def test_exact_reduction_counts_every_marginal_term(n, per_player_terms):
 
 
 def test_constant_pass_reduction_builds_no_coalition_index():
-    # only the per-player loop reads the half-size index and its sizes
+    # only the per-player loop reads the half-size index and its sizes; a
+    # pruned reduction reads each player's dropped sub-cube instead
     n = 14
     table = np.arange(1 << n, dtype=np.int64)
     tables = _ReduceTables(n, True)
     full = _reduce(table, 1, n, None, None, True, tables=tables)
+    _reduce(table, 1, n, [1 << ((i + 1) % n) for i in range(n)], None, True, tables=tables)
     assert tables.index is None and tables.sizes is None
     assert _reduce(table, 1, n, None, None, True, players=[3], tables=tables) == (full[3],)
     index, sizes = tables.per_player()
