@@ -43,7 +43,6 @@ from .games import (
     myerson,
     shapley_dividends,
     shapley_exact,
-    shapley_restricted,
     shapley_sampled,
     shapley_weights,
     values_close,

@@ -12,7 +12,9 @@ coalition table of the lifted game plus one per deleted edge.
 
 Neighborhood pruning: a player's marginal against a coalition that misses its
 entire neighborhood is zero (adding the player completes no edge), so the
-pruned engine leaves those marginals out of its sums. A stronger restriction --
+pruned engine leaves those marginals out of its float sums and of its count
+of marginal terms; its exact sums are the full ones, to which those zeros
+add nothing. A stronger restriction --
 summing only over subsets OF the neighborhood while keeping global weights --
 does not agree with the full value and is kept solely as a diagnostic
 (:func:`restricted_sum_report`).
@@ -46,7 +48,6 @@ from .games import (
     _ReduceTables,
     _table,
     shapley_exact,
-    shapley_restricted,
     shapley_weights,
     value_str,
     values_close,
@@ -328,24 +329,39 @@ def edge_shapley_pruned(
 ) -> Allocation:
     """Same value as :func:`edge_shapley`, skipping provably-zero marginals.
 
-    A coalition disjoint from a player's neighborhood cannot gain an edge
-    when the player joins, so only coalitions meeting the neighborhood enter
-    the player's sum; isolated nodes sum no terms and get 0. The coalition
-    table is still full, so this saves marginal terms, not evaluations. It
-    does not save time. On the float path the per-player filter costs more
-    than the terms it drops (a 20-player smartphone run takes about
-    0.06-0.08 s against 0.05-0.06 s for :func:`edge_shapley`). On the exact
-    path it takes :func:`edge_shapley`'s passes over the table and then
-    reads each node's dropped sub-cube, the coalitions of non-neighbours
-    only, to subtract its sums (3.5-9 ms against 1.3-4.6 ms on 16-17-player
-    contract, power and explicit-table games, 0.09-0.11 s against
-    0.06-0.08 s on a 22-player power game on 41 edges). In-process medians
-    on a 2-vCPU machine.
+    Let S avoid node i and all of its neighbours. Then S + i induces the
+    same edges as S, and every fill of the lifted table gives the two
+    coalitions the same entry. The endpoints R of a row's edges lie inside
+    S + i exactly when they lie inside S, since an R holding i holds a
+    neighbour of i: a dividend row adds to both or to neither. A count row
+    sees the same edge count, and i neighbours no node of an R inside S,
+    so it is none of the outer neighbours an equality row excludes. The
+    induced edge mask, and so the worth, is the same. The marginal of i
+    against S is therefore zero, and only coalitions meeting the
+    neighbourhood enter i's sum; isolated nodes get 0.
+
+    The coalition table is still full, so this saves marginal terms, not
+    evaluations, and it does not save time. On the float path each node's
+    neighbourhood filter drops its terms from the sum, and costs more than
+    the terms it drops: a 20-player smartphone run takes about 0.06 s
+    against 0.04 s for :func:`edge_shapley` (in-process medians, 2 vCPUs).
+    Integer sums are exact in any order, so on the exact path the zeros
+    stay in: the values are :func:`edge_shapley`'s, from the same table
+    and passes, and ``stats`` counts only the 2^(n-1) - 2^(n-1-deg i) kept
+    terms of node i. ``threads`` has no effect.
     """
     g = eg.graph
-    member_masks = [g.adjacency_mask(i) for i in range(g.n)]
-    alloc = shapley_restricted(lift(eg), member_masks, limit=limit, stats=stats)
-    return alloc.with_labels(g.nodes)
+    v = lift(eg)
+    members = [g.adjacency_mask(i) for i in range(g.n)]
+    table, denom = _table(v, limit, stats)
+    if not v.exact:
+        values = _reduce(table, denom, g.n, members, stats, False)
+    else:
+        values = _reduce(table, denom, g.n, None, None, True)
+        if stats is not None:
+            half = 1 << (g.n - 1)
+            stats.marginals += sum(half - (half >> m.bit_count()) for m in members)
+    return Allocation(values, v.exact, g.nodes)
 
 
 # ---------------------------------------------------------------------------

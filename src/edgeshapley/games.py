@@ -45,12 +45,13 @@ the game's ``exact`` flag, never the table's dtype. The float reduction
 weights each player's marginals from one half-size table of size weights.
 The exact reduction sums the numerators by coalition size (as Python ints
 where the int64 bound does not cover them), for every player at once in a
-constant number of passes over the table; a pruned one then subtracts the
-sums of each player's dropped sub-cube. It forms one `Fraction` per
-player at the end. The sampler reads a block of
-permutations' prefix worths at once, a dividend game's straight from its
-declared rows in either domain, and sums an exact game's as integer
-numerators over one denominator (see :func:`shapley_sampled`).
+constant number of passes over the table, and forms one `Fraction` per
+player at the end. Member masks, which leave terms out of the sums, prune
+float reductions only: exact pruned values are the full sums (see
+:func:`edgeshapley.edgegame.edge_shapley_pruned`). The sampler reads a
+block of permutations' prefix worths at once, a dividend game's straight
+from its declared rows in either domain, and sums an exact game's as
+integer numerators over one denominator (see :func:`shapley_sampled`).
 
 Determinism contract: the table is built in ascending mask order in one
 pass, and every float sum runs over a contiguous array in that order, so
@@ -114,10 +115,9 @@ CHECK_TOL = 1e-9
 #: budget two of the table's largest ints per coalition on top of it
 #: (:func:`_check_object_capacity`): 136 B on those contract paths, whose
 #: ints take 36 B, and 160 B on |F|^40 of 19 edges (48 B). On exact games
-#: edge_shapley_pruned peaks where edge_shapley does, to 0.2 B on games of
-#: each kind above at n = 16 and 20, also with an isolated node (whose
-#: dropped sub-cube is half the table). 2^n times the budget must fit in
-#: physical memory.
+#: edge_shapley_pruned builds and reduces edge_shapley's table in the same
+#: passes, so it peaks where edge_shapley does. 2^n times the budget must
+#: fit in physical memory.
 _COALITION_BYTES = 64
 
 
@@ -286,8 +286,10 @@ class EngineStats:
     """Work counters an engine fills in when handed to it: coalition table
     entries filled (2^n per enumeration, as the table is always full) and
     the marginal terms that enter the values: 2^(n-1) per player reduced,
-    less the coalitions its member mask leaves out (see
-    :func:`shapley_restricted`), whichever passes read them. A lifted edge
+    whichever passes read them.
+    :func:`edgeshapley.edgegame.edge_shapley_pruned` counts only the terms
+    it keeps, 2^(n-1) - 2^(n-1-deg i) for node i; its exact sums read the
+    others too, which are zero. A lifted edge
     game whose worth declares neither count rows nor a vector path fills its
     2^n entries with one call of the edge worth per distinct induced edge
     set (see :meth:`edgeshapley.edgegame.EdgeCharacteristic.evaluate_many`)."""
@@ -600,8 +602,7 @@ class _ReduceTables:
         """``(index, sizes)``: the half-size coalition index and its
         popcounts. Only the per-player loop reads them (float reductions
         and exact ones of at most ``_PER_PLAYER_TERMS`` terms; the
-        constant-pass path, with or without member masks, does not), so
-        they are built on its first call."""
+        constant-pass path does not), so they are built on its first call."""
         if self.index is None:
             self.index = np.arange(1 << (self.n - 1), dtype=np.int64)
             self.sizes = np.bitwise_count(self.index)
@@ -651,33 +652,10 @@ def _exact_size_sums(table: np.ndarray, n: int, players: list[int], tables: _Red
     return [held[i] for i in players], low_sums.sum(axis=0).tolist()
 
 
-def _dropped_size_sums(table: np.ndarray, n: int, i: int, members: int) -> tuple[int, list]:
-    """``(m, sums)`` for the coalitions S that avoid player i and meet none
-    of ``members`` (bit i ignored): there are 2^m of them, and ``sums[s]``
-    is the sum of ``table[S + i] - table[S]`` over those of size s.
-
-    They form a sub-cube of the table, read as the two strided views of
-    its entries with and without i (see :func:`masks.superset_view`); the
-    difference, flattened in ascending order, is indexed by S with the
-    dropped bits squeezed out, so it is summed by popcount as the whole
-    table is in :func:`_exact_size_sums`, on the cached halves of m bits.
-    """
-    clear = int(members) & ((1 << n) - 1) & ~(1 << i)
-    m = n - 1 - clear.bit_count()
-    with_i = superset_view(table, 1 << i, clear=clear)
-    without = superset_view(table, 0, clear=clear | 1 << i)
-    # out= keeps a 0-d difference (every other player dropped) an array
-    cube = np.subtract(with_i, without, out=np.empty_like(with_i))
-    low, high = _halves(m)
-    grid = cube.reshape(-1, 1 << high.first)
-    return m, _half_size_sums(grid, 0, low, high, m).sum(axis=0).tolist()
-
-
 #: Exact reductions of at most this many marginal terms in all (two
 #: players up to 14, every player up to 11) take one pass per player: below
 #: it the fixed cost of the constant-pass path's numpy calls outweighs
-#: the passes it saves. Larger ones, with or without member masks, take
-#: the constant-pass path.
+#: the passes it saves. Larger ones take the constant-pass path.
 _PER_PLAYER_TERMS = 1 << 14
 
 
@@ -696,22 +674,18 @@ def _reduce(
     ``weight(|S|) * (table[S + i] - table[S])``, for each of ``players``
     (default every player, in index order), in that order.
     ``member_masks[i]``, when given, keeps only the coalitions that meet
-    it (bit i ignored).
+    it (bit i ignored); only float tables take member masks.
 
     An exact table (``exact``, the game's domain) holds integer numerators
     over ``denom`` (see :func:`_table`); int64 numerators that the
     2^(61-n) bound does not cover (a Myerson fold, a dividend fill near
-    2^62) are summed as Python ints. With every coalition kept, player i
-    gets the single rational ``sum_s coef[s] * (A[s+1] + A[s] - tot[s]) /
-    (n! * denom)``, coef[s] = s!(n-s-1)!, where A[t] sums the size-t
-    coalitions that hold i and tot[t] all size-t coalitions: the A rows of
-    all the players and tot come from at most two passes over the table
-    (see :func:`_exact_size_sums`). With member masks, each player's
-    numerator then loses ``sum_s coef[s] * D[s]``, where D[s] sums the
-    size-s marginals of the coalitions it drops, read from their sub-cube
-    of the table (see :func:`_dropped_size_sums`): integer sums are exact
-    in any order. Reductions of at most ``_PER_PLAYER_TERMS`` marginal
-    terms in all take the per-player loop below instead.
+    2^62) are summed as Python ints. Player i gets the single rational
+    ``sum_s coef[s] * (A[s+1] + A[s] - tot[s]) / (n! * denom)``, coef[s] =
+    s!(n-s-1)!, where A[t] sums the size-t coalitions that hold i and
+    tot[t] all size-t coalitions: the A rows of all the players and tot
+    come from at most two passes over the table (see
+    :func:`_exact_size_sums`). Reductions of at most ``_PER_PLAYER_TERMS``
+    marginal terms in all take the per-player loop below instead.
 
     Float tables, and those small exact reductions, read each player's
     marginals from the table reshaped to (2^(n-1-i), 2, 2^i): its
@@ -721,14 +695,16 @@ def _reduce(
     squeezed out (see :func:`masks.squeeze`) is k, so it has popcount(k)
     members: one half-size table of sizes (and of float weights) serves
     every player. Each player's marginals are subtracted into one reused
-    half-size buffer. Member masks are tested as ``k &
-    squeeze(member_masks[i]) != 0``; exact marginals are then summed per
-    coalition size. Float marginals are weighted in place and summed as
-    one contiguous array. ``tables`` holds the per-n tables (see
-    :class:`_ReduceTables`); they are built here when not given. A
-    player's value reads only the table and that player's view of it, so
-    it does not depend on which other players are reduced.
+    half-size buffer. Exact marginals are summed per coalition size. Float
+    marginals are weighted in place, filtered by member masks as ``k &
+    squeeze(member_masks[i]) != 0`` and summed as one contiguous array.
+    ``tables`` holds the per-n tables (see :class:`_ReduceTables`); they
+    are built here when not given. A player's value reads only the table
+    and that player's view of it, so it does not depend on which other
+    players are reduced.
     """
+    if exact and member_masks is not None:
+        raise ValueError("member masks prune float reductions only")
     if tables is None:
         tables = _ReduceTables(n, exact)
     wanted = list(range(n) if players is None else players)
@@ -740,41 +716,33 @@ def _reduce(
         if len(wanted) << (n - 1) > _PER_PLAYER_TERMS:
             held, tot = _exact_size_sums(table, n, wanted, tables)
             base = sum(map(operator.mul, tables.coef, tot))
-            for i, row in zip(wanted, held):
-                kept = sum(map(operator.mul, tables.hold_coef, row)) - base
-                count = 1 << (n - 1)
-                if member_masks is not None:
-                    m, dropped = _dropped_size_sums(table, n, i, member_masks[i])
-                    kept -= sum(map(operator.mul, tables.coef, dropped))
-                    count -= 1 << m
-                if stats is not None:
-                    stats.marginals += count
-                out.append(Fraction(kept, denom))
-            return tuple(out)
+            if stats is not None:
+                stats.marginals += len(wanted) << (n - 1)
+            return tuple(
+                Fraction(sum(map(operator.mul, tables.hold_coef, row)) - base, denom)
+                for row in held
+            )
     index, sizes = tables.per_player()
     weights, coef = tables.weights, tables.coef
     diff = np.empty(index.size, dtype=table.dtype)
     for i in wanted:
         rows = table.reshape(-1, 2, 1 << i)
         np.subtract(rows[:, 1, :], rows[:, 0, :], out=diff.reshape(-1, 1 << i))
+        terms = diff
         if not exact:
             diff *= weights
-        terms, size = diff, sizes
-        if member_masks is not None:
-            keep = (index & squeeze(member_masks[i], 1 << i)) != 0
-            terms = diff[keep]
-            if exact:
-                size = sizes[keep]
+            if member_masks is not None:
+                terms = diff[(index & squeeze(member_masks[i], 1 << i)) != 0]
         if stats is not None:
             stats.marginals += int(terms.size)
         if exact:
             by_size = np.zeros(n, dtype=table.dtype)
-            np.add.at(by_size, size, terms)
+            np.add.at(by_size, sizes, terms)
             out.append(Fraction(sum(c * int(t) for c, t in zip(coef, by_size)), denom))
         else:
             out.append(float(terms.sum()))
-        # a filtered copy would keep its objects alive through the next
-        # player's subtraction into the buffer
+        # a filtered copy would stay alive through the next player's
+        # subtraction into the buffer
         del terms
     return tuple(out)
 
@@ -814,32 +782,6 @@ def shapley_dividends(v: NodeCharacteristic) -> Allocation:
         for i in members:
             totals[i] += Fraction(value, len(members)) if v.exact else value / len(members)
     return Allocation(tuple(totals), v.exact)
-
-
-def shapley_restricted(
-    v: NodeCharacteristic,
-    member_masks: Sequence[int],
-    *,
-    limit: int | None = DEFAULT_ENUMERATION_LIMIT,
-    threads: int = 1,
-    stats: EngineStats | None = None,
-) -> Allocation:
-    """Shapley value summing only marginals not known to be zero.
-
-    ``member_masks[i]`` is a player mask; coalitions disjoint from it are
-    left out of player i's sum (their marginal must provably be zero, which
-    is the caller's responsibility -- see the neighborhood pruning in
-    :mod:`edgeshapley.edgegame`). A player with an empty mask is allocated 0.
-    The table itself is always full: pruning saves marginal terms, not
-    evaluations. Exact reductions of more than ``_PER_PLAYER_TERMS`` terms
-    take the full per-size sums of :func:`shapley_exact`'s passes, less each
-    player's left-out sub-cube (see :func:`_reduce`); float ones keep one
-    filtered pass per player. ``threads`` has no effect.
-    """
-    if len(member_masks) != v.n:
-        raise ValueError("need one member mask per player")
-    table, denom = _table(v, limit, stats)
-    return Allocation(_reduce(table, denom, v.n, member_masks, stats, v.exact), v.exact)
 
 
 _SAMPLE_BLOCK = 4096

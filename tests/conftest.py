@@ -1,5 +1,6 @@
 """Shared builders: reference games, random generators, independent oracles."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -56,6 +57,22 @@ def per_sample_shapley(v: NodeCharacteristic, samples: int, seed: int) -> tuple:
     if v.exact:
         return tuple(Fraction(t) / samples for t in totals)
     return tuple(t / samples for t in totals)
+
+
+def per_player_fraction_reduction(table, denom, n, players):
+    """The exact Shapley formula written player by player: the sum over
+    coalitions S avoiding i of s!(n-s-1)! * (table[S + i] - table[S]) in
+    Python ints, over n! * denom."""
+    coef = [math.factorial(s) * math.factorial(n - s - 1) for s in range(n)]
+    masks = np.arange(1 << n, dtype=np.int64)
+    out = []
+    for i in players:
+        avoid = masks[(masks >> i) & 1 == 0]
+        sizes = np.bitwise_count(avoid).tolist()
+        terms = zip(sizes, table[avoid | (1 << i)].tolist(), table[avoid].tolist())
+        total = sum(coef[s] * (with_i - without) for s, with_i, without in terms)
+        out.append(Fraction(total, math.factorial(n) * denom))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

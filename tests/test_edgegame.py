@@ -36,12 +36,11 @@ from edgeshapley import (
     restricted_sum_report,
     route_closed_form,
     shapley_exact,
-    shapley_restricted,
     shapley_sampled,
     supply_weight_fn,
 )
 from edgeshapley.cli import main
-from edgeshapley.masks import all_masks
+from edgeshapley.masks import all_masks, superset_view
 from edgeshapley.scenarios import load_scenario
 
 from conftest import (
@@ -339,8 +338,14 @@ def test_power_games_build_no_edge_masks(h_game, monkeypatch, capsys, tmp_path):
         # the reference evaluates the lift once per coalition, on scalar masks
         v = lift(eg)
         scalar = NodeCharacteristic(g.n, v, exact=v.exact)
-        assert edge_shapley(eg).values == shapley_exact(scalar).values
-        assert edge_shapley_pruned(eg).values == shapley_restricted(scalar, members).values
+        full = shapley_exact(scalar).values
+        assert edge_shapley(eg).values == full
+        if v.exact:
+            pruned = full
+        else:
+            table, denom = games._table(scalar, None)
+            pruned = games._reduce(table, denom, g.n, members, None, False)
+        assert edge_shapley_pruned(eg).values == pruned
         assert myerson(GraphGame(g, v)) == myerson(GraphGame(g, scalar))
         assert shapley_sampled(v, 100, 1).values == shapley_sampled(scalar, 100, 1).values
         assert audit(eg).checks[0].passed
@@ -455,12 +460,58 @@ def _induced_table_game(rng, g, value):
     return EdgeGame(g, EdgeCharacteristic.from_table(g.edges, table))
 
 
+def _random_routes(rng, g, count):
+    """Routes on the endpoints of random non-empty edge sets of ``g``, so
+    each induces at least one edge."""
+    m = len(g.edges)
+    return [Route(g.labels_of(g.endpoint_mask(int(rng.integers(1, 1 << m)))),
+                  int(rng.integers(1, 20))) for _ in range(count)]
+
+
+def test_dropped_marginals_are_zero_on_the_table():
+    # the premise of the pruned engine: with S disjoint from node i and its
+    # neighbours, every table fill gives S + i the entry of S
+    rng = np.random.default_rng(2600)
+    games_ = []
+    for n in range(6, 13):
+        g, _, _ = _graph_with_hub(rng, n, isolated=True)
+        routes = _random_routes(rng, g, 4)
+        strict = "strict-equality"
+        games_ += [
+            # dividend rows
+            EdgeGame(g, supply_weight_fn(g, routes, CostDecayParams(0.1))),
+            EdgeGame(g, contract_weight_fn(g, routes)),
+            # count rows
+            EdgeGame(g, power_weight_fn(g, 2)),
+            _induced_table_game(rng, g, lambda r: int(r.integers(-5, 10))),
+            EdgeGame(g, contract_weight_fn(g, routes, strict)),
+            EdgeGame(g, supply_weight_fn(g, routes, CostDecayParams(0.1, strict))),
+            # induced edge masks, through fn_many
+            EdgeGame(g, EdgeCharacteristic(g.edges, lambda m: m % 997)),
+        ]
+    # more than 63 edges: one call of fn per coalition; an isolated node
+    # and 12 others, all adjacent, so each of them is a hub
+    labels = [f"n{i}" for i in range(13)]
+    g = build_graph(labels, [(a, b) for i, a in enumerate(labels[1:], 1)
+                             for b in labels[i + 1:]])
+    assert len(g.edges) > 63 and g.adjacency_mask(0) == 0
+    games_.append(EdgeGame(g, EdgeCharacteristic(g.edges, lambda m: m % 997)))
+    for eg in games_:
+        g = eg.graph
+        table, _ = games._table(lift(eg), None)
+        assert table.dtype != object
+        for i in range(g.n):
+            near = g.adjacency_mask(i)
+            with_i = superset_view(table, 1 << i, clear=near)
+            without = superset_view(table, 0, clear=near | 1 << i)
+            assert with_i.tobytes() == without.tobytes(), (g.n, i)
+
+
 @pytest.mark.parametrize("n", [12, 13, 14])
 def test_pruned_equals_full_past_the_per_player_threshold(n):
-    # from 12 nodes on the exact pruned engine takes the full per-size sums
-    # less each node's dropped sub-cube: an isolated node drops the whole
-    # cube and gets exactly 0; a hub adjacent to every node drops a single
-    # coalition, the empty one, read on 0-d views
+    # from 12 nodes on exact reductions take the constant-pass path; the
+    # pruned counter leaves out all of an isolated node's terms, and one,
+    # the empty coalition, of a hub adjacent to every node
     rng = np.random.default_rng(2500 + n)
     values = (
         lambda r: int(r.integers(-5, 10)),

@@ -24,21 +24,22 @@ from edgeshapley import (
     axiom_check,
     build_graph,
     contract_weight_fn,
+    edge_shapley_pruned,
     lift,
     myerson,
     myerson_bridge,
     power_weight_fn,
     shapley_dividends,
     shapley_exact,
-    shapley_restricted,
     shapley_sampled,
     shapley_weights,
     supply_weight_fn,
     values_close,
 )
-from edgeshapley.masks import all_masks, squeeze
+from edgeshapley.masks import all_masks
 
 from conftest import (
+    per_player_fraction_reduction,
     per_sample_shapley,
     permutation_shapley,
     random_connected_graph,
@@ -276,8 +277,6 @@ def add_other(n, exact, other):
                  "allocation carries no node labels", id="as-dict-without-labels"),
     pytest.param(lambda: shapley_dividends(additive(2)), ValueError,
                  "the game declares no dividends", id="dividends-undeclared"),
-    pytest.param(lambda: shapley_restricted(additive(3), [1, 2]), ValueError,
-                 "need one member mask per player", id="restricted-mask-count"),
     pytest.param(lambda: Edge("", "b"), GraphConstructionError,
                  "edge endpoints must be non-empty labels", id="empty-edge-label"),
     pytest.param(lambda: Graph(["a", ""]), GraphConstructionError,
@@ -346,8 +345,10 @@ def test_memory_estimate_refuses_before_allocating(monkeypatch):
     v = NodeCharacteristic(20, lambda m: 0)
     with pytest.raises(CapacityError, match=r"needs about 0\.06 GiB, more than the 0\.03 GiB"):
         shapley_exact(v)
+    labels = [f"v{i}" for i in range(20)]
+    g = build_graph(labels, list(zip(labels, labels[1:])))
     with pytest.raises(CapacityError, match="GiB"):
-        games.shapley_restricted(v, [1] * 20)
+        edge_shapley_pruned(EdgeGame(g, power_weight_fn(g, 2)))
     with pytest.raises(CapacityError, match="GiB"):
         axiom_check(v, Allocation((0,) * 20, True), "symmetry")
     monkeypatch.setattr(games, "_physical_memory", lambda: None)
@@ -407,29 +408,6 @@ def test_float_reduction_equals_per_player_formula():
             assert np.array(got).tobytes() == np.array(want).tobytes(), (n, members)
 
 
-def per_player_exact_reduction(table, denom, n, member_masks):
-    """The exact restricted reduction written player by player, one filtered
-    pass each over a table of integer numerators: player i's marginals over
-    the coalitions avoiding i whose mask with bit i squeezed out meets
-    ``squeeze(member_masks[i])``, summed per coalition size as Python ints,
-    weighted by s!(n-s-1)! and over n! * denom. Returns the values and the
-    number of marginal terms summed."""
-    coef = [math.factorial(s) * math.factorial(n - s - 1) for s in range(n)]
-    table = table.astype(object)
-    index = np.arange(1 << (n - 1), dtype=np.int64)
-    sizes = np.bitwise_count(index)
-    out, terms = [], 0
-    for i in range(n):
-        rows = table.reshape(-1, 2, 1 << i)
-        diff = (rows[:, 1, :] - rows[:, 0, :]).ravel()
-        keep = (index & squeeze(member_masks[i], 1 << i)) != 0
-        terms += int(keep.sum())
-        by_size = np.zeros(n, dtype=object)
-        np.add.at(by_size, sizes[keep], diff[keep])
-        out.append(Fraction(sum(c * t for c, t in zip(coef, by_size)), math.factorial(n) * denom))
-    return tuple(out), terms
-
-
 def exact_reduction_table(rng, n, form):
     """An n-player table with v(empty) = 0: int64 below the 2^(61-n) bound
     of the int64 sums (``inside``) or up to 2^62 (``beyond``), Python ints
@@ -452,21 +430,10 @@ def exact_reduction_table(rng, n, form):
     return table
 
 
-def exact_reduction_masks(rng, n):
-    """Two sets of member masks: random ones, whose dropped marginals are
-    not zero, and a mix of random, empty and full masks and masks holding
-    the player's own bit."""
-    full = (1 << n) - 1
-    random = [int(m) for m in rng.integers(0, 1 << n, size=n)]
-    mixed = [(m, 0, full, m | 1 << i, 1 << i)[i % 5] for i, m in enumerate(random)]
-    return random, mixed
-
-
 @pytest.mark.parametrize("form", ["inside", "beyond", "huge", "fraction"])
 def test_exact_restricted_reduction_equals_per_player_loop(form):
-    # past _PER_PLAYER_TERMS every player's kept sum is the full sum less the
-    # sums of its dropped sub-cube: the same rationals and the same count of
-    # marginal terms as one filtered pass per player
+    # past _PER_PLAYER_TERMS the exact reduction sums every player in a
+    # constant number of passes: the same rationals as one pass per player
     rng = np.random.default_rng(["inside", "beyond", "huge", "fraction"].index(form))
     for n in range(12, 16):
         raw = exact_reduction_table(rng, n, form)
@@ -474,18 +441,27 @@ def test_exact_restricted_reduction_equals_per_player_loop(form):
         table, denom = games._table(v, None)
         assert (table.dtype == np.int64) == (form in ("inside", "fraction"))
         assert (denom > 1) == (form == "fraction")
-        for members in exact_reduction_masks(rng, n):
-            want, terms = per_player_exact_reduction(table, denom, n, members)
-            stats = EngineStats()
-            assert games._reduce(table, denom, n, members, stats, True) == want, (n, members)
-            assert stats.marginals == terms
-            if form == "beyond":
-                # int64 numerators past the bound, which _reduce sums as Python ints
-                assert games._reduce(raw, 1, n, members, None, True) == want
-            stats = EngineStats()
-            alloc = shapley_restricted(v, members, stats=stats)
-            assert alloc.values == want and stats.marginals == terms
-            assert all(type(x) is Fraction for x in alloc.values)
+        want = per_player_fraction_reduction(table, denom, n, range(n))
+        stats = EngineStats()
+        assert games._reduce(table, denom, n, None, stats, True) == want, n
+        assert stats.marginals == n << (n - 1)
+        if form == "beyond":
+            # int64 numerators past the bound, which _reduce sums as Python ints
+            assert games._reduce(raw, 1, n, None, None, True) == want
+        stats = EngineStats()
+        alloc = shapley_exact(v, stats=stats)
+        assert alloc.values == want and stats.marginals == n << (n - 1)
+        assert all(type(x) is Fraction for x in alloc.values)
+
+
+@pytest.mark.parametrize("per_player_terms", [-1, 1 << 62], ids=["constant-pass", "per-player"])
+def test_exact_reduction_refuses_member_masks(monkeypatch, per_player_terms):
+    # member masks would leave terms out of exact sums; exact pruned values
+    # are the full sums, so no exact caller passes them
+    monkeypatch.setattr(games, "_PER_PLAYER_TERMS", per_player_terms)
+    table = np.arange(16, dtype=np.int64)
+    with pytest.raises(ValueError, match="member masks prune float reductions only"):
+        games._reduce(table, 1, 4, [0b0010, 0b0001, 0b1000, 0b0100], None, True)
 
 
 def test_threads_bit_identical():
