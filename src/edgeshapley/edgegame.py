@@ -40,12 +40,10 @@ from .games import (
     NodeCharacteristic,
     Value,
     _axiom_check,
-    _check_capacity,
     _check_object_capacity,
     _component_table,
     _exact_row_dtype,
     _reduce,
-    _ReduceTables,
     _table,
     shapley_exact,
     shapley_weights,
@@ -355,9 +353,9 @@ def edge_shapley_pruned(
     members = [g.adjacency_mask(i) for i in range(g.n)]
     table, denom = _table(v, limit, stats)
     if not v.exact:
-        values = _reduce(table, denom, g.n, members, stats, False)
+        values = _reduce(table, denom, g.n, False, member_masks=members, stats=stats)
     else:
-        values = _reduce(table, denom, g.n, None, None, True)
+        values = _reduce(table, denom, g.n, True)
         if stats is not None:
             half = 1 << (g.n - 1)
             stats.marginals += sum(half - (half >> m.bit_count()) for m in members)
@@ -524,29 +522,20 @@ def fairness_delta(
     """
     g = eg.graph
     edge = g.edges[_resolve_edge(g, e)]
-    v = lift(eg)
-    _check_capacity(v, limit)  # before the per-n tables are built
-    tables = _ReduceTables(v.n, v.exact)
-    before = _endpoint_values(eg, edge, limit, tables)
-    after = _endpoint_values(delete_edge(eg, edge), edge, limit, tables)
+    before = _endpoint_values(eg, edge, limit)
+    after = _endpoint_values(delete_edge(eg, edge), edge, limit)
     return before[0] - after[0], before[1] - after[1]
 
 
-def _endpoint_values(
-    eg: EdgeGame,
-    edge: Edge,
-    limit: int | None,
-    tables: _ReduceTables,
-) -> tuple[Value, Value]:
+def _endpoint_values(eg: EdgeGame, edge: Edge, limit: int | None) -> tuple[Value, Value]:
     """The (src, dst) values of ``edge``'s endpoints in ``eg``: the coalition
     table of ``lift(eg)``, built whole and reduced for those two players
-    only, on ``tables`` (the per-n tables of ``eg``'s player count and
-    domain, which edge deletion keeps)."""
+    only."""
     g = eg.graph
     v = lift(eg)
     table, denom = _table(v, limit)
     ends = (g.index(edge.src), g.index(edge.dst))
-    return _reduce(table, denom, v.n, None, None, v.exact, players=ends, tables=tables)
+    return _reduce(table, denom, v.n, v.exact, players=ends)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +592,7 @@ def component_efficiency_check(
     v = lift(eg)
     table, denom = _table(v, limit)
     _check_object_capacity(table, g.n)
-    alloc = Allocation(_reduce(table, denom, g.n, None, None, v.exact), v.exact, g.nodes)
+    alloc = Allocation(_reduce(table, denom, g.n, v.exact), v.exact, g.nodes)
     return _component_report(eg, v, table, alloc)
 
 
@@ -676,14 +665,12 @@ def audit(eg: EdgeGame, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Axi
     v = lift(eg)
     table, denom = _table(v, limit)
     _check_object_capacity(table, g.n)
-    tables = _ReduceTables(v.n, v.exact)
-    values = _reduce(table, denom, v.n, None, None, v.exact, tables=tables)
-    alloc = Allocation(values, v.exact, g.nodes)
+    alloc = Allocation(_reduce(table, denom, v.n, v.exact), v.exact, g.nodes)
     checks = list(_axiom_check(v, alloc, "all", (), limit, table))
 
     witness = ""
     for edge in g.edges:
-        after_src, after_dst = _endpoint_values(delete_edge(eg, edge), edge, limit, tables)
+        after_src, after_dst = _endpoint_values(delete_edge(eg, edge), edge, limit)
         d_src = alloc[edge.src] - after_src
         d_dst = alloc[edge.dst] - after_dst
         if not values_close(d_src, d_dst, v.exact):
@@ -695,7 +682,6 @@ def audit(eg: EdgeGame, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Axi
     checks.append(
         CheckResult("fairness", not witness, f"{len(g.edges)} edge deletion(s){witness}")
     )
-    del tables  # before the component check allocates its own tables
 
     comp = _component_report(eg, v, table, alloc)
     for entry in comp.components:

@@ -13,10 +13,11 @@ only way to the worth of all 2^n coalitions, and :func:`_reduce` turns that
 table into marginal sums, for every player or for a chosen few; symmetry and
 null-player detection are views of the same table, and fairness deltas a
 two-player view (each edge-deleted game's own table, reduced for the edge's
-two endpoints on per-n size tables built once, see
-:func:`edgeshapley.edgegame.audit`). :func:`_table` runs the
-capacity and grounding checks before it allocates anything and hands out
-one representation per domain: float64 for approx games, integer
+two endpoints, see :func:`edgeshapley.edgegame.audit`). Every reduction
+reads its size tables from one cache, built once per player count and
+domain and kept across calls (see :class:`_ReduceTables`). :func:`_table`
+runs the capacity and grounding checks before it allocates anything and
+hands out one representation per domain: float64 for approx games, integer
 numerators over one common denominator for exact games (int64 when a bound
 proves every marginal sum safe, Python ints otherwise), so no engine reads
 the game's own ints and Fractions. How coalitions split
@@ -91,16 +92,23 @@ DEFAULT_ENUMERATION_LIMIT = 24
 #: Relative tolerance of every float check, in the library and the CLI alike.
 CHECK_TOL = 1e-9
 
-#: Peak bytes an enumeration holds per coalition: the table, the masks and
-#: the temporaries of the table build and the reduction. tracemalloc at
-#: n = 16-20, for edge_shapley / edge_shapley_pruned / myerson /
-#: component_efficiency_check, read 21-23 / 26 / 41 / 49 on approx supply
-#: games and 15-16 / 15-16 / 41 / 41 on exact contract games (counts above
-#: 256, an int64 dividend table). Games on the count-row path, whose table
-#: takes its counts from the doubling fill and adds each row on one view,
-#: read 16 / 16 / 41 / 41 on |F|^2 power games, 16-17 / 16-17 / 41 / 41 on
-#: 24-entry exact explicit tables and strict-equality contract paths, and
-#: 21-23 / 26 / 41 / 49 on approx tables. Games whose edge worth declares
+#: Peak bytes an enumeration holds per coalition: the table, the masks,
+#: the temporaries of the table build and the reduction, and the size
+#: tables the reduction caches (see _reduce_tables). The cache keeps them
+#: after a call returns: 8 B per half-size entry on approx games (the
+#: float weights, 4 B per coalition) and 1.7-3.4 B on exact ones (the
+#: uint8 sizes and the two halves, n = 20 down to 16), by tracemalloc at
+#: n = 16-20. On a cleared cache, edge_shapley / edge_shapley_pruned /
+#: myerson / component_efficiency_check read 16-18 / 25 / 41 / 53 on
+#: approx supply games, and a call of the same n on a warm cache holds up
+#: to the 4 B kept more. The figures that follow were read before the
+#: cache, and each may be that much higher: 15-16 / 15-16 / 41 / 41 on
+#: exact contract games (counts above 256, an int64 dividend table).
+#: Games on the count-row path, whose table takes its counts from the
+#: doubling fill and adds each row on one view, read 16 / 16 / 41 / 41 on
+#: |F|^2 power games, 16-17 / 16-17 / 41 / 41 on 24-entry exact explicit
+#: tables and strict-equality contract paths, and 21-23 / 26 / 41 / 49 on
+#: approx tables. Games whose edge worth declares
 #: neither dividends nor count rows (the unique pass of the batch path),
 #: such as a path game worth 1000 m for edge mask m, read 57-58 for all
 #: four, exact ones on ints and Fractions alike, since the table build
@@ -552,61 +560,54 @@ class _Half:
         pop = np.bitwise_count(x).astype(np.int64)
         self.first = first
         order = np.argsort(pop, kind="stable")
-        ends = np.cumsum(np.bincount(pop)).tolist()
-        self.groups = [order[a:z] for a, z in zip([0, *ends], ends)]
         self.shift = x * (n + 1) + pop + np.arange(n - b + 1, dtype=np.int64)[:, None]
         self.bits = (x >> np.arange(b, dtype=np.int64)[:, None]) & 1
-        # shared by every reduction of n-player tables (see _halves)
+        # cached with the other per-n tables (see _reduce_tables); the
+        # groups are views of order, so they are sliced after it is frozen
         for array in (order, self.shift, self.bits):
             array.flags.writeable = False
-
-
-@functools.cache
-def _halves(n: int) -> tuple[_Half, _Half]:
-    """The low (players below n // 2) and high halves of n players' bits,
-    built once per n: they are small, and building them (about 0.1 ms up to
-    n = 17) costs a third of a whole reduction of a 12-player table."""
-    h = n // 2
-    return _Half(0, h, n), _Half(h, n - h, n)
+        ends = np.cumsum(np.bincount(pop)).tolist()
+        self.groups = [order[a:z] for a, z in zip([0, *ends], ends)]
 
 
 class _ReduceTables:
     """The per-n tables every reduction of n-player tables in one domain
-    reads: the float size weights (approx) or, exact, the integer size
-    coefficients ``coef[s]`` = s!(n-s-1)!, n!, the weights ``hold_coef[t]
-    = coef[t-1] + coef[t]`` of a player's size-t sums and the low and high
-    halves of the players (see :class:`_Half` and :func:`_exact_size_sums`);
-    and, for the per-player loop, the half-size coalition index and its
-    popcounts (the coalition sizes), built on first use (see
-    :meth:`per_player`). A caller that reduces several tables, such as the
-    fairness check, builds them once and hands them to each
-    :func:`_reduce`."""
+    reads, all read-only: the float size weights of the half-size
+    coalitions (approx) or, exact, the integer size coefficients
+    ``coef[s]`` = s!(n-s-1)!, n!, the weights ``hold_coef[t] = coef[t-1] +
+    coef[t]`` of a player's size-t sums, the low and high halves of the
+    players (see :class:`_Half` and :func:`_exact_size_sums`) and the
+    half-size coalitions' sizes (see :func:`_reduce`). Reductions take
+    them from :func:`_reduce_tables`, which builds them once per player
+    count and domain and keeps them across calls."""
 
-    __slots__ = ("n", "index", "sizes", "weights", "coef", "scale", "hold_coef", "low", "high")
+    __slots__ = ("weights", "coef", "scale", "hold_coef", "low", "high", "sizes")
 
     def __init__(self, n: int, exact: bool):
-        self.n = n
-        self.index = self.sizes = None
-        self.weights = self.coef = self.hold_coef = self.low = self.high = None
+        # popcount(k) for k < 2^(n-1) as uint8, by doubling (k + 2^b holds
+        # one more player than k), with no int64 index of the coalitions
+        sizes = np.zeros(1 << (n - 1), dtype=np.uint8)
+        for b in range(n - 1):
+            np.add(sizes[: 1 << b], 1, out=sizes[1 << b : 2 << b])
+        sizes.flags.writeable = False
+        self.weights = self.coef = self.hold_coef = self.low = self.high = self.sizes = None
         self.scale = 1
         if exact:
             fact = [math.factorial(k) for k in range(n + 1)]
-            self.coef = [fact[s] * fact[n - s - 1] for s in range(n)]
-            self.hold_coef = [a + b for a, b in zip([0, *self.coef], [*self.coef, 0])]
+            self.coef = tuple(fact[s] * fact[n - s - 1] for s in range(n))
+            self.hold_coef = tuple(map(operator.add, (0, *self.coef), (*self.coef, 0)))
             self.scale = fact[n]
-            self.low, self.high = _halves(n)
+            h = n // 2
+            self.low, self.high = _Half(0, h, n), _Half(h, n - h, n)
+            self.sizes = sizes
         else:
-            self.weights = np.array([float(w) for w in shapley_weights(n)])[self.per_player()[1]]
+            self.weights = np.array([float(w) for w in shapley_weights(n)])[sizes]
+            self.weights.flags.writeable = False
 
-    def per_player(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(index, sizes)``: the half-size coalition index and its
-        popcounts. Only the per-player loop reads them (float reductions
-        and exact ones of at most ``_PER_PLAYER_TERMS`` terms; the
-        constant-pass path does not), so they are built on its first call."""
-        if self.index is None:
-            self.index = np.arange(1 << (self.n - 1), dtype=np.int64)
-            self.sizes = np.bitwise_count(self.index)
-        return self.index, self.sizes
+
+#: The per-n tables of the last two (n, exact) reduced: enough for every
+#: table of one game (edge deletion keeps n) and a switch of domain.
+_reduce_tables = functools.lru_cache(maxsize=2)(_ReduceTables)
 
 
 def _half_size_sums(grid: np.ndarray, axis: int, half: _Half, other: _Half, n: int):
@@ -663,12 +664,11 @@ def _reduce(
     table: np.ndarray,
     denom: int,
     n: int,
-    member_masks: Sequence[int] | None,
-    stats: EngineStats | None,
     exact: bool,
     *,
     players: Iterable[int] | None = None,
-    tables: _ReduceTables | None = None,
+    member_masks: Sequence[int] | None = None,
+    stats: EngineStats | None = None,
 ) -> tuple[Value, ...]:
     """Shapley value of player i = sum over coalitions S avoiding i of
     ``weight(|S|) * (table[S + i] - table[S])``, for each of ``players``
@@ -697,16 +697,16 @@ def _reduce(
     every player. Each player's marginals are subtracted into one reused
     half-size buffer. Exact marginals are summed per coalition size. Float
     marginals are weighted in place, filtered by member masks as ``k &
-    squeeze(member_masks[i]) != 0`` and summed as one contiguous array.
-    ``tables`` holds the per-n tables (see :class:`_ReduceTables`); they
-    are built here when not given. A player's value reads only the table
-    and that player's view of it, so it does not depend on which other
-    players are reduced.
+    squeeze(member_masks[i]) != 0`` (k from an index built per call) and
+    summed as one contiguous array. The size tables are the cached ones of
+    n players in the domain (see :class:`_ReduceTables`), which hold the
+    same numbers whichever call built them. A player's value reads only
+    the table and that player's view of it, so it does not depend on
+    which other players are reduced.
     """
     if exact and member_masks is not None:
         raise ValueError("member masks prune float reductions only")
-    if tables is None:
-        tables = _ReduceTables(n, exact)
+    tables = _reduce_tables(n, exact)
     wanted = list(range(n) if players is None else players)
     out: list[Value] = []
     if exact:
@@ -722,9 +722,10 @@ def _reduce(
                 Fraction(sum(map(operator.mul, tables.hold_coef, row)) - base, denom)
                 for row in held
             )
-    index, sizes = tables.per_player()
-    weights, coef = tables.weights, tables.coef
-    diff = np.empty(index.size, dtype=table.dtype)
+    weights, coef, sizes = tables.weights, tables.coef, tables.sizes
+    diff = np.empty(1 << (n - 1), dtype=table.dtype)
+    if member_masks is not None:
+        index = np.arange(diff.size, dtype=np.int64)
     for i in wanted:
         rows = table.reshape(-1, 2, 1 << i)
         np.subtract(rows[:, 1, :], rows[:, 0, :], out=diff.reshape(-1, 1 << i))
@@ -763,7 +764,7 @@ def shapley_exact(
     only after the rational is formed. ``threads`` has no effect.
     """
     table, denom = _table(v, limit, stats)
-    return Allocation(_reduce(table, denom, v.n, None, stats, v.exact), v.exact)
+    return Allocation(_reduce(table, denom, v.n, v.exact, stats=stats), v.exact)
 
 
 def shapley_dividends(v: NodeCharacteristic) -> Allocation:
@@ -1017,7 +1018,7 @@ def myerson(
             rest = rest[left]
     # free the fold's buffers before the reduction allocates its own
     del table, comp
-    return Allocation(_reduce(restricted, denom, g.n, None, None, v.exact), v.exact, g.nodes)
+    return Allocation(_reduce(restricted, denom, g.n, v.exact), v.exact, g.nodes)
 
 
 # ---------------------------------------------------------------------------

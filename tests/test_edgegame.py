@@ -344,7 +344,7 @@ def test_power_games_build_no_edge_masks(h_game, monkeypatch, capsys, tmp_path):
             pruned = full
         else:
             table, denom = games._table(scalar, None)
-            pruned = games._reduce(table, denom, g.n, members, None, False)
+            pruned = games._reduce(table, denom, g.n, False, member_masks=members)
         assert edge_shapley_pruned(eg).values == pruned
         assert myerson(GraphGame(g, v)) == myerson(GraphGame(g, scalar))
         assert shapley_sampled(v, 100, 1).values == shapley_sampled(scalar, 100, 1).values
@@ -773,7 +773,7 @@ def test_myerson_and_component_check_refused_before_allocating(monkeypatch):
     for module in (games, edgegame):
         monkeypatch.setattr(module, "_component_table", no_table)
     # the audit and fairness deltas build no per-n reduction tables either
-    monkeypatch.setattr(edgegame, "_ReduceTables", no_table)
+    monkeypatch.setattr(games, "_reduce_tables", no_table)
     labels = [f"v{i}" for i in range(30)]
     g = build_graph(labels, list(zip(labels, labels[1:])))
     eg = EdgeGame(g, power_weight_fn(g, 2))

@@ -403,9 +403,57 @@ def test_float_reduction_equals_per_player_formula():
         table[0] = 0.0
         member_masks = [int(m) for m in rng.integers(0, 1 << n, size=n)]
         for members in (None, member_masks):
-            got = games._reduce(table, 1, n, members, None, False)
+            got = games._reduce(table, 1, n, False, member_masks=members)
             want = per_player_float_reduction(table, n, members)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (n, members)
+
+
+def cached_arrays(tables):
+    """Every array the cached per-n reduction tables hold."""
+    for value in (getattr(tables, slot) for slot in games._ReduceTables.__slots__):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, games._Half):
+            yield value.shift
+            yield value.bits
+            yield from value.groups
+
+
+def test_reduction_tables_cache_is_invisible():
+    # a reduction gives the same values on a cold cache, a warm one and one
+    # that reduced another n and the other domain in between
+    rng = np.random.default_rng(27)
+    for n in range(1, 15):
+        tables = {False: rng.normal(size=1 << n) * 100, True: rng.integers(-1000, 1000, 1 << n)}
+        tables[False][0] = tables[True][0] = 0
+        members = [int(m) for m in rng.integers(0, 1 << n, size=n)]
+        other = n % 14 + 1
+        for is_exact, denom, kwargs in (
+            (False, 1, {}),
+            (False, 1, {"players": [n - 1, 0]}),
+            (False, 1, {"member_masks": members}),
+            (True, 3, {}),
+            (True, 3, {"players": [n - 1, 0]}),
+        ):
+            table = tables[is_exact]
+            games._reduce_tables.cache_clear()
+            cold = games._reduce(table, denom, n, is_exact, **kwargs)
+            warm = games._reduce(table, denom, n, is_exact, **kwargs)
+            games._reduce(np.zeros(1 << other, dtype=table.dtype), 1, other, is_exact)
+            games._reduce(tables[not is_exact], 1, n, not is_exact)
+            again = games._reduce(table, denom, n, is_exact, **kwargs)
+            if is_exact:
+                assert cold == warm == again, (n, kwargs)
+            else:
+                bits = np.array(cold).tobytes()
+                assert np.array(warm).tobytes() == np.array(again).tobytes() == bits, (n, kwargs)
+        for is_exact in (False, True):
+            cached = games._reduce_tables(n, is_exact)
+            if is_exact:
+                assert type(cached.coef) is type(cached.hold_coef) is tuple
+            for array in cached_arrays(cached):
+                with pytest.raises(ValueError, match="read-only"):
+                    array += 0
 
 
 def exact_reduction_table(rng, n, form):
@@ -443,11 +491,11 @@ def test_exact_restricted_reduction_equals_per_player_loop(form):
         assert (denom > 1) == (form == "fraction")
         want = per_player_fraction_reduction(table, denom, n, range(n))
         stats = EngineStats()
-        assert games._reduce(table, denom, n, None, stats, True) == want, n
+        assert games._reduce(table, denom, n, True, stats=stats) == want, n
         assert stats.marginals == n << (n - 1)
         if form == "beyond":
             # int64 numerators past the bound, which _reduce sums as Python ints
-            assert games._reduce(raw, 1, n, None, None, True) == want
+            assert games._reduce(raw, 1, n, True) == want
         stats = EngineStats()
         alloc = shapley_exact(v, stats=stats)
         assert alloc.values == want and stats.marginals == n << (n - 1)
@@ -461,7 +509,7 @@ def test_exact_reduction_refuses_member_masks(monkeypatch, per_player_terms):
     monkeypatch.setattr(games, "_PER_PLAYER_TERMS", per_player_terms)
     table = np.arange(16, dtype=np.int64)
     with pytest.raises(ValueError, match="member masks prune float reductions only"):
-        games._reduce(table, 1, 4, [0b0010, 0b0001, 0b1000, 0b0100], None, True)
+        games._reduce(table, 1, 4, True, member_masks=[0b0010, 0b0001, 0b1000, 0b0100])
 
 
 def test_threads_bit_identical():

@@ -39,7 +39,7 @@ from edgeshapley import (
     values_close,
 )
 from edgeshapley import games
-from edgeshapley.games import _dividend_worths, _reduce, _ReduceTables, _table
+from edgeshapley.games import _dividend_worths, _reduce, _reduce_tables, _table
 from edgeshapley.masks import all_masks, superset_view
 
 from conftest import per_player_fraction_reduction, permutation_shapley
@@ -153,14 +153,15 @@ def same_values(got, want):
 @given(reduction_inputs())
 def test_player_subset_reduction_equals_full_reduction(inputs):
     table, denom, n, exact, members, players = inputs
-    full = _reduce(table, denom, n, members, None, exact)
+    _reduce_tables.cache_clear()
+    full = _reduce(table, denom, n, exact, member_masks=members)
     want = [full[i] for i in players]
-    assert same_values(_reduce(table, denom, n, members, None, exact, players=players), want)
-    # per-n tables shared between a full and a subset reduction
-    tables = _ReduceTables(n, exact)
-    assert same_values(_reduce(table, denom, n, members, None, exact, tables=tables), full)
-    got = _reduce(table, denom, n, members, None, exact, players=players, tables=tables)
-    assert same_values(got, want)
+    assert same_values(_reduce(table, denom, n, exact, players=players, member_masks=members), want)
+    # the subset first, on a cold cache, then the full reduction on the
+    # per-n tables it cached
+    _reduce_tables.cache_clear()
+    assert same_values(_reduce(table, denom, n, exact, players=players, member_masks=members), want)
+    assert same_values(_reduce(table, denom, n, exact, member_masks=members), full)
 
 
 @st.composite
@@ -205,11 +206,11 @@ def exact_tables(draw):
 def test_exact_reduction_equals_per_player_fraction_formula(inputs):
     table, denom, n, players = inputs
     want = per_player_fraction_reduction(table, denom, n, range(n) if players is None else players)
-    assert same_values(_reduce(table, denom, n, None, None, True, players=players), want)
+    assert same_values(_reduce(table, denom, n, True, players=players), want)
     # small reductions take one pass per player; with no such reduction
     # allowed every one takes the constant-pass path
     with mock.patch.object(games, "_PER_PLAYER_TERMS", -1):
-        assert same_values(_reduce(table, denom, n, None, None, True, players=players), want)
+        assert same_values(_reduce(table, denom, n, True, players=players), want)
 
 
 @pytest.mark.parametrize("per_player_terms", [-1, 1 << 62], ids=["constant-pass", "per-player"])
@@ -222,20 +223,23 @@ def test_exact_reduction_counts_every_marginal_term(n, per_player_terms):
         assert (stats.evaluations, stats.marginals) == (1 << n, n << (n - 1))
         stats = EngineStats()
         table, denom = _table(v, None)
-        _reduce(table, denom, n, None, stats, True, players=[n - 1, 0])
+        _reduce(table, denom, n, True, players=[n - 1, 0], stats=stats)
         assert stats.marginals == 2 << (n - 1)
 
 
 def test_constant_pass_reduction_builds_no_coalition_index():
-    # only the per-player loop reads the half-size index and its sizes
+    # the exact tables hold the half-size coalitions' sizes as uint8 and
+    # no int64 array of 2^(n-1) entries, through both exact paths
     n = 14
     table = np.arange(1 << n, dtype=np.int64)
-    tables = _ReduceTables(n, True)
-    full = _reduce(table, 1, n, None, None, True, tables=tables)
-    assert tables.index is None and tables.sizes is None
-    assert _reduce(table, 1, n, None, None, True, players=[3], tables=tables) == (full[3],)
-    index, sizes = tables.per_player()
-    assert index.size == sizes.size == 1 << (n - 1)
+    _reduce_tables.cache_clear()
+    full = _reduce(table, 1, n, True)
+    assert _reduce(table, 1, n, True, players=[3]) == (full[3],)
+    tables = _reduce_tables(n, True)
+    assert tables.sizes.dtype == np.uint8
+    assert tables.sizes.tolist() == np.bitwise_count(np.arange(1 << (n - 1))).tolist()
+    for half in (tables.low, tables.high):
+        assert all(a.size < 1 << (n - 1) for a in (half.shift, half.bits, *half.groups))
 
 
 @PROPERTY_SETTINGS
