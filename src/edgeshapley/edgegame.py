@@ -341,8 +341,9 @@ def edge_shapley_pruned(
     The coalition table is still full, so this saves marginal terms, not
     evaluations, and it does not save time. On the float path each node's
     neighbourhood filter drops its terms from the sum, and costs more than
-    the terms it drops: a 20-player smartphone run takes about 0.06 s
-    against 0.04 s for :func:`edge_shapley` (in-process medians, 2 vCPUs).
+    the terms it drops: a 20-player smartphone run takes about 0.04 s
+    against 0.02-0.03 s for :func:`edge_shapley` (in-process medians,
+    2 vCPUs).
     Integer sums are exact in any order, so on the exact path the zeros
     stay in: the values are :func:`edge_shapley`'s, from the same table
     and passes, and ``stats`` counts only the 2^(n-1) - 2^(n-1-deg i) kept

@@ -43,8 +43,9 @@ helper, :func:`_numerators`, turns exact worths into integer numerators
 over one denominator, for the table, for the reduction's Python-int
 fallback and for the sampler; an int64 array is its own numerators over 1. The domain is
 the game's ``exact`` flag, never the table's dtype. The float reduction
-weights each player's marginals from one half-size table of size weights.
-The exact reduction sums the numerators by coalition size (as Python ints
+reads the table once, in cache-sized blocks, and weights each player's
+marginals from one half-size table of size weights. The exact reduction
+sums the numerators by coalition size (as Python ints
 where the int64 bound does not cover them), for every player at once in a
 constant number of passes over the table, and forms one `Fraction` per
 player at the end. Member masks, which leave terms out of the sums, prune
@@ -55,7 +56,9 @@ from its declared rows in either domain, and sums an exact game's as
 integer numerators over one denominator (see :func:`shapley_sampled`).
 
 Determinism contract: the table is built in ascending mask order in one
-pass, and every float sum runs over a contiguous array in that order, so
+pass, and each float sum of a reduction is numpy's pairwise tree over its
+terms in that order, the sum ``np.sum`` gives of them as one contiguous
+array, reproduced over the blocks (see :mod:`edgeshapley.pairwise`), so
 identical inputs give bit-identical results. There is no thread count for
 the result to depend on: ``threads=`` is accepted and ignored.
 """
@@ -75,9 +78,10 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
+from . import pairwise
 from .errors import CapacityError, CharacteristicContractError
 from .graph import Graph
-from .masks import MAX_ENUMERATION_PLAYERS, all_masks, indices_of, squeeze, superset_view
+from .masks import MAX_ENUMERATION_PLAYERS, all_masks, indices_of, superset_view
 
 Coalition = int
 Value = Union[Fraction, int, float]
@@ -96,14 +100,16 @@ CHECK_TOL = 1e-9
 #: the temporaries of the table build and the reduction, and the size
 #: tables the reduction caches (see _reduce_tables). The cache keeps them
 #: after a call returns: 8 B per half-size entry on approx games (the
-#: float weights, 4 B per coalition) and 1.7-3.4 B on exact ones (the
-#: uint8 sizes and the two halves, n = 20 down to 16), by tracemalloc at
-#: n = 16-20. On a cleared cache, edge_shapley / edge_shapley_pruned /
-#: myerson / component_efficiency_check read 16-18 / 25 / 41 / 53 on
-#: approx supply games, and a call of the same n on a warm cache holds up
-#: to the 4 B kept more. The figures that follow were read before the
-#: cache, and each may be that much higher: 15-16 / 15-16 / 41 / 41 on
-#: exact contract games (counts above 256, an int64 dividend table).
+#: float weights, 4 B per coalition) and 0.7-2.5 B on exact ones (the two
+#: halves, n = 20 down to 16), by tracemalloc at n = 16-20. On a cleared
+#: cache, edge_shapley / edge_shapley_pruned / myerson /
+#: component_efficiency_check read 13-16 / 13-22 / 41 / 53 on approx
+#: supply games (n = 20 down to 16: the float reduction's buffers are a
+#: few chunks whatever n is), and a call of the same n on a warm cache
+#: holds up to the 4 B kept more. The figures that follow were read
+#: before the cache, and each may be that much higher: 15-16 / 15-16 /
+#: 41 / 41 on exact contract games (counts above 256, an int64 dividend
+#: table).
 #: Games on the count-row path, whose table takes its counts from the
 #: doubling fill and adds each row on one view, read 16 / 16 / 41 / 41 on
 #: |F|^2 power games, 16-17 / 16-17 / 41 / 41 on 24-entry exact explicit
@@ -577,19 +583,14 @@ class _ReduceTables:
     ``coef[s]`` = s!(n-s-1)!, n!, the weights ``hold_coef[t] = coef[t-1] +
     coef[t]`` of a player's size-t sums, the low and high halves of the
     players (see :class:`_Half` and :func:`_exact_size_sums`) and the
-    half-size coalitions' sizes (see :func:`_reduce`). Reductions take
-    them from :func:`_reduce_tables`, which builds them once per player
-    count and domain and keeps them across calls."""
+    half-size coalitions' sizes, which only the exact per-player loop reads
+    (see :meth:`per_player_sizes`). Reductions take them from
+    :func:`_reduce_tables`, which builds them once per player count and
+    domain and keeps them across calls."""
 
     __slots__ = ("weights", "coef", "scale", "hold_coef", "low", "high", "sizes")
 
     def __init__(self, n: int, exact: bool):
-        # popcount(k) for k < 2^(n-1) as uint8, by doubling (k + 2^b holds
-        # one more player than k), with no int64 index of the coalitions
-        sizes = np.zeros(1 << (n - 1), dtype=np.uint8)
-        for b in range(n - 1):
-            np.add(sizes[: 1 << b], 1, out=sizes[1 << b : 2 << b])
-        sizes.flags.writeable = False
         self.weights = self.coef = self.hold_coef = self.low = self.high = self.sizes = None
         self.scale = 1
         if exact:
@@ -599,10 +600,28 @@ class _ReduceTables:
             self.scale = fact[n]
             h = n // 2
             self.low, self.high = _Half(0, h, n), _Half(h, n - h, n)
-            self.sizes = sizes
         else:
-            self.weights = np.array([float(w) for w in shapley_weights(n)])[sizes]
+            self.weights = np.array([float(w) for w in shapley_weights(n)])[_half_sizes(n)]
             self.weights.flags.writeable = False
+
+    def per_player_sizes(self, n: int) -> np.ndarray:
+        """The sizes of the n-player half-size coalitions, built on the
+        first call and kept. Only the exact per-player loop reads them, for
+        reductions of at most ``_PER_PLAYER_TERMS`` terms, so they are not
+        built from n = 16 (2^(n-1) terms for one player) on."""
+        if self.sizes is None:
+            self.sizes = _half_sizes(n)
+            self.sizes.flags.writeable = False
+        return self.sizes
+
+
+def _half_sizes(n: int) -> np.ndarray:
+    """popcount(k) for k < 2^(n-1) as uint8, by doubling (k + 2^b holds one
+    more player than k), with no int64 index of the coalitions."""
+    sizes = np.zeros(1 << (n - 1), dtype=np.uint8)
+    for b in range(n - 1):
+        np.add(sizes[: 1 << b], 1, out=sizes[1 << b : 2 << b])
+    return sizes
 
 
 #: The per-n tables of the last two (n, exact) reduced: enough for every
@@ -676,75 +695,63 @@ def _reduce(
     ``member_masks[i]``, when given, keeps only the coalitions that meet
     it (bit i ignored); only float tables take member masks.
 
-    An exact table (``exact``, the game's domain) holds integer numerators
-    over ``denom`` (see :func:`_table`); int64 numerators that the
-    2^(61-n) bound does not cover (a Myerson fold, a dividend fill near
-    2^62) are summed as Python ints. Player i gets the single rational
-    ``sum_s coef[s] * (A[s+1] + A[s] - tot[s]) / (n! * denom)``, coef[s] =
-    s!(n-s-1)!, where A[t] sums the size-t coalitions that hold i and
-    tot[t] all size-t coalitions: the A rows of all the players and tot
-    come from at most two passes over the table (see
-    :func:`_exact_size_sums`). Reductions of at most ``_PER_PLAYER_TERMS``
-    marginal terms in all take the per-player loop below instead.
+    Both domains read player i's marginals in squeezed order: position k
+    is the coalition avoiding i whose mask with bit i squeezed out (see
+    :func:`masks.squeeze`) is k, so it has popcount(k) members and one
+    half-size table of sizes (or of float weights) serves every player.
+    The size tables are the cached ones of n players in the domain (see
+    :class:`_ReduceTables`), which hold the same numbers whichever call
+    built them. A player's value reads only the table and that player's
+    marginals, so it does not depend on which other players are reduced.
 
-    Float tables, and those small exact reductions, read each player's
-    marginals from the table reshaped to (2^(n-1-i), 2, 2^i): its
-    ``[:, 0, :]`` rows are the coalitions avoiding i and its ``[:, 1, :]``
-    rows the same coalitions with i added, both in ascending mask order.
-    Position k of that order is the coalition whose mask with bit i
-    squeezed out (see :func:`masks.squeeze`) is k, so it has popcount(k)
-    members: one half-size table of sizes (and of float weights) serves
-    every player. Each player's marginals are subtracted into one reused
-    half-size buffer. Exact marginals are summed per coalition size. Float
-    marginals are weighted in place, filtered by member masks as ``k &
-    squeeze(member_masks[i]) != 0`` (k from an index built per call) and
-    summed as one contiguous array. The size tables are the cached ones of
-    n players in the domain (see :class:`_ReduceTables`), which hold the
-    same numbers whichever call built them. A player's value reads only
-    the table and that player's view of it, so it does not depend on
-    which other players are reduced.
+    A float table (``exact`` false, the game's domain) is read once, in
+    blocks of 2^15 coalitions, and each player's kept marginals, weighted,
+    are summed as ``np.sum`` sums them as one contiguous array, with no
+    array of 2^(n-1) entries (see :func:`pairwise.marginal_sums`).
+
+    An exact table holds integer numerators over ``denom`` (see
+    :func:`_table`); int64 numerators that the 2^(61-n) bound does not
+    cover (a Myerson fold, a dividend fill near 2^62) are summed as Python
+    ints. Player i gets the single rational ``sum_s coef[s] * (A[s+1] +
+    A[s] - tot[s]) / (n! * denom)``, coef[s] = s!(n-s-1)!, where A[t] sums
+    the size-t coalitions that hold i and tot[t] all size-t coalitions:
+    the A rows of all the players and tot come from at most two passes
+    over the table (see :func:`_exact_size_sums`). Reductions of at most
+    ``_PER_PLAYER_TERMS`` marginal terms in all take one pass per player
+    instead: its marginals, read from the table reshaped to (2^(n-1-i), 2,
+    2^i), whose ``[:, 0, :]`` rows are the coalitions avoiding i and
+    ``[:, 1, :]`` rows the same coalitions with i added, are subtracted
+    into one half-size buffer and summed per coalition size.
     """
     if exact and member_masks is not None:
         raise ValueError("member masks prune float reductions only")
-    tables = _reduce_tables(n, exact)
     wanted = list(range(n) if players is None else players)
-    out: list[Value] = []
-    if exact:
-        if table.dtype == np.int64 and not _int64_reducible(table, n):
-            table = _numerators(table, 1, object)[0]
-        denom *= tables.scale
-        if len(wanted) << (n - 1) > _PER_PLAYER_TERMS:
-            held, tot = _exact_size_sums(table, n, wanted, tables)
-            base = sum(map(operator.mul, tables.coef, tot))
-            if stats is not None:
-                stats.marginals += len(wanted) << (n - 1)
-            return tuple(
-                Fraction(sum(map(operator.mul, tables.hold_coef, row)) - base, denom)
-                for row in held
-            )
-    weights, coef, sizes = tables.weights, tables.coef, tables.sizes
+    if not wanted:
+        return ()
+    tables = _reduce_tables(n, exact)
+    if not exact:
+        return pairwise.marginal_sums(table, n, wanted, member_masks, tables.weights, stats)
+    if table.dtype == np.int64 and not _int64_reducible(table, n):
+        table = _numerators(table, 1, object)[0]
+    denom *= tables.scale
+    if stats is not None:
+        stats.marginals += len(wanted) << (n - 1)
+    if len(wanted) << (n - 1) > _PER_PLAYER_TERMS:
+        held, tot = _exact_size_sums(table, n, wanted, tables)
+        base = sum(map(operator.mul, tables.coef, tot))
+        return tuple(
+            Fraction(sum(map(operator.mul, tables.hold_coef, row)) - base, denom)
+            for row in held
+        )
+    sizes = tables.per_player_sizes(n)
     diff = np.empty(1 << (n - 1), dtype=table.dtype)
-    if member_masks is not None:
-        index = np.arange(diff.size, dtype=np.int64)
+    out = []
     for i in wanted:
         rows = table.reshape(-1, 2, 1 << i)
         np.subtract(rows[:, 1, :], rows[:, 0, :], out=diff.reshape(-1, 1 << i))
-        terms = diff
-        if not exact:
-            diff *= weights
-            if member_masks is not None:
-                terms = diff[(index & squeeze(member_masks[i], 1 << i)) != 0]
-        if stats is not None:
-            stats.marginals += int(terms.size)
-        if exact:
-            by_size = np.zeros(n, dtype=table.dtype)
-            np.add.at(by_size, sizes, terms)
-            out.append(Fraction(sum(c * int(t) for c, t in zip(coef, by_size)), denom))
-        else:
-            out.append(float(terms.sum()))
-        # a filtered copy would stay alive through the next player's
-        # subtraction into the buffer
-        del terms
+        by_size = np.zeros(n, dtype=table.dtype)
+        np.add.at(by_size, sizes, diff)
+        out.append(Fraction(sum(c * int(t) for c, t in zip(tables.coef, by_size)), denom))
     return tuple(out)
 
 

@@ -17,6 +17,7 @@ from edgeshapley import (
     Route,
     build_graph,
     power_weight_fn,
+    shapley_weights,
 )
 
 
@@ -73,6 +74,49 @@ def per_player_fraction_reduction(table, denom, n, players):
         total = sum(coef[s] * (with_i - without) for s, with_i, without in terms)
         out.append(Fraction(total, math.factorial(n) * denom))
     return tuple(out)
+
+
+def per_player_float_reduction(table, n, member_masks, players=None):
+    """The float reduction written player by player, each gathering its own
+    coalition sizes and weights: ``(weights[size] * diff).sum()`` over the
+    flattened marginals, keeping those of the coalitions that meet
+    ``member_masks[i]`` when given. Returns the values of ``players``
+    (default every player, in index order) and the number of marginal
+    terms each keeps."""
+    weights = np.array([float(w) for w in shapley_weights(n)])
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = np.bitwise_count(masks)
+    out, kept = [], []
+    for i in range(n) if players is None else players:
+        shape = (-1, 2, 1 << i)
+        rows = table.reshape(shape)
+        diff = (rows[:, 1, :] - rows[:, 0, :]).ravel()
+        size = sizes.reshape(shape)[:, 0, :].ravel()
+        if member_masks is not None:
+            keep = (masks.reshape(shape)[:, 0, :].ravel() & member_masks[i]) != 0
+            diff, size = diff[keep], size[keep]
+        out.append(float((weights[size] * diff).sum()))
+        kept.append(diff.size)
+    return tuple(out), kept
+
+
+def neighbourhood_masks(rng, n):
+    """Member masks of n players as sparse graphs give them, each holding
+    the player's own bit, by player index mod 4: the own bit only (no
+    coalition meets the mask, so the sum is empty), one neighbour, one to
+    three neighbours as in supply chains, and a hub that holds every bit."""
+    masks = []
+    for i in range(n):
+        if i % 4 == 3:
+            masks.append((1 << n) - 1)
+            continue
+        degree = min(i % 4 if i % 4 < 2 else int(rng.integers(1, 4)), n - 1)
+        others = [j for j in range(n) if j != i]
+        mask = 1 << i
+        for j in rng.permutation(others)[:degree].tolist():
+            mask |= 1 << j
+        masks.append(mask)
+    return masks
 
 
 # ---------------------------------------------------------------------------

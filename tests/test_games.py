@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from edgeshapley import games
+from edgeshapley import games, pairwise
 from edgeshapley import (
     Allocation,
     CapacityError,
@@ -39,6 +39,8 @@ from edgeshapley import (
 from edgeshapley.masks import all_masks
 
 from conftest import (
+    neighbourhood_masks,
+    per_player_float_reduction,
     per_player_fraction_reduction,
     per_sample_shapley,
     permutation_shapley,
@@ -376,36 +378,70 @@ def test_exact_reduction_around_the_int64_bound(n):
         assert alloc.total() == v((1 << n) - 1)
 
 
-def per_player_float_reduction(table, n, member_masks):
-    """The float reduction written player by player, each gathering its own
-    coalition sizes and weights: ``(weights[size] * diff).sum()`` over the
-    flattened marginals."""
-    weights = np.array([float(w) for w in shapley_weights(n)])
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = np.bitwise_count(masks)
-    out = []
-    for i in range(n):
-        shape = (-1, 2, 1 << i)
-        rows = table.reshape(shape)
-        diff = (rows[:, 1, :] - rows[:, 0, :]).ravel()
-        size = sizes.reshape(shape)[:, 0, :].ravel()
-        if member_masks is not None:
-            keep = (masks.reshape(shape)[:, 0, :].ravel() & member_masks[i]) != 0
-            diff, size = diff[keep], size[keep]
-        out.append(float((weights[size] * diff).sum()))
-    return tuple(out)
+def float_bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
 
 
 def test_float_reduction_equals_per_player_formula():
+    # mixed magnitudes make every sum depend on its order of addition; from
+    # n = 16 players sit above the block's bits, and the 21-player table
+    # has 64 blocks. Neighbourhood masks drop whole chunks, keep whole
+    # chunks and keep none at all
     rng = np.random.default_rng(2024)
-    for n in range(1, 19):
-        table = rng.normal(size=1 << n) * rng.uniform(0.1, 1e3)
+    for n in range(1, 22):
+        table = rng.normal(size=1 << n) * 10.0 ** rng.integers(-3, 4, size=1 << n)
         table[0] = 0.0
-        member_masks = [int(m) for m in rng.integers(0, 1 << n, size=n)]
-        for members in (None, member_masks):
-            got = games._reduce(table, 1, n, False, member_masks=members)
-            want = per_player_float_reduction(table, n, members)
-            assert np.array(got).tobytes() == np.array(want).tobytes(), (n, members)
+        dense = [int(m) for m in rng.integers(0, 1 << n, size=n)]
+        sparse = neighbourhood_masks(rng, n)
+        for members in (None, dense, sparse) if n <= 20 else (sparse,):
+            want, kept = per_player_float_reduction(table, n, members)
+            stats = EngineStats()
+            got = games._reduce(table, 1, n, False, member_masks=members, stats=stats)
+            assert float_bits(got) == float_bits(want), (n, members)
+            assert stats.marginals == sum(kept)
+            # a subset of the players, in shuffled order
+            players = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
+            stats = EngineStats()
+            got = games._reduce(table, 1, n, False, players=players, member_masks=members,
+                                stats=stats)
+            assert float_bits(got) == float_bits([want[i] for i in players]), (n, players)
+            assert stats.marginals == sum(kept[i] for i in players)
+
+
+@pytest.mark.parametrize("values", ["mixed", "zeros", "negative-zeros", "signed-zeros"])
+def test_pairwise_leaves_reproduce_numpys_sum(values):
+    # the float reduction sums each player's terms as numpy's pairwise tree,
+    # from np.sum of its leaves (pairwise.leaves) added in postfix order
+    # (pairwise.combine): a numpy that sums in another order fails here
+    # first, not in the goldens
+    rng = np.random.default_rng(28)
+    lengths = [*range(10), 127, 128, 129]
+    for k in range(3, 18):
+        lengths += [(1 << k) - 8, 1 << k, (1 << k) + 8]
+    lengths += rng.integers(0, 3 << 15, size=24).tolist()
+    for length in lengths:
+        if values == "mixed":
+            x = rng.normal(size=length) * 10.0 ** rng.integers(-8, 9, size=length)
+        elif values == "zeros":
+            x = np.zeros(length)
+        elif values == "negative-zeros":
+            x = np.full(length, -0.0)
+        else:
+            x = np.where(rng.random(length) < 0.5, -0.0, 0.0)
+        want = float_bits(np.sum(x))
+        leaves = pairwise.leaves(length)
+        assert sum(leaves) == length and max(leaves) <= pairwise.LEAF
+        starts = np.cumsum((0, *leaves)).tolist()
+        sums = [np.sum(x[a : a + size]) for a, size in zip(starts, leaves)]
+        assert float_bits(pairwise.combine(length, iter(sums))) == want, length
+        # streamed in pieces of up to one leaf, through a carry of two
+        stream = pairwise.Stream(length, np.empty(2 * pairwise.LEAF))
+        pos = 0
+        while pos < length:
+            size = min(int(rng.integers(1, pairwise.LEAF + 1)), length - pos)
+            stream.feed(x[pos : pos + size])
+            pos += size
+        assert float_bits(stream.total()) == want, length
 
 
 def cached_arrays(tables):

@@ -42,7 +42,12 @@ from edgeshapley import games
 from edgeshapley.games import _dividend_worths, _reduce, _reduce_tables, _table
 from edgeshapley.masks import all_masks, superset_view
 
-from conftest import per_player_fraction_reduction, permutation_shapley
+from conftest import (
+    neighbourhood_masks,
+    per_player_float_reduction,
+    per_player_fraction_reduction,
+    permutation_shapley,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -162,6 +167,36 @@ def test_player_subset_reduction_equals_full_reduction(inputs):
     _reduce_tables.cache_clear()
     assert same_values(_reduce(table, denom, n, exact, players=players, member_masks=members), want)
     assert same_values(_reduce(table, denom, n, exact, member_masks=members), full)
+
+
+@st.composite
+def float_reductions(draw):
+    """An n-player float table of mixed magnitudes for n = 12 to 20, drawn
+    from a seed, with member masks (none, random ones, or neighbourhoods,
+    see :func:`conftest.neighbourhood_masks`) and the players asked for,
+    a subset in a drawn order."""
+    n = draw(st.integers(12, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.normal(size=1 << n) * 10.0 ** rng.integers(-6, 7, size=1 << n)
+    table[0] = 0.0
+    members = draw(st.sampled_from([
+        lambda: None,
+        lambda: [int(m) for m in rng.integers(0, 1 << n, size=n)],
+        lambda: neighbourhood_masks(rng, n),
+    ]))()
+    players = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    return table, n, members, players
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(float_reductions())
+def test_float_reduction_equals_per_player_formula(inputs):
+    table, n, members, players = inputs
+    want, kept = per_player_float_reduction(table, n, members, players)
+    stats = EngineStats()
+    assert same_values(_reduce(table, 1, n, False, players=players, member_masks=members,
+                               stats=stats), want)
+    assert stats.marginals == sum(kept)
 
 
 @st.composite
