@@ -354,9 +354,9 @@ def edge_shapley_pruned(
     members = [g.adjacency_mask(i) for i in range(g.n)]
     table, denom = _table(v, limit, stats)
     if not v.exact:
-        values = _reduce(table, denom, g.n, False, member_masks=members, stats=stats)
+        values = _reduce(table, denom, member_masks=members, stats=stats)
     else:
-        values = _reduce(table, denom, g.n, True)
+        values = _reduce(table, denom)
         if stats is not None:
             half = 1 << (g.n - 1)
             stats.marginals += sum(half - (half >> m.bit_count()) for m in members)
@@ -536,7 +536,7 @@ def _endpoint_values(eg: EdgeGame, edge: Edge, limit: int | None) -> tuple[Value
     v = lift(eg)
     table, denom = _table(v, limit)
     ends = (g.index(edge.src), g.index(edge.dst))
-    return _reduce(table, denom, v.n, v.exact, players=ends)
+    return _reduce(table, denom, players=ends)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +592,8 @@ def component_efficiency_check(
     g = eg.graph
     v = lift(eg)
     table, denom = _table(v, limit)
-    _check_object_capacity(table, g.n)
-    alloc = Allocation(_reduce(table, denom, g.n, v.exact), v.exact, g.nodes)
+    _check_object_capacity(table)
+    alloc = Allocation(_reduce(table, denom), v.exact, g.nodes)
     return _component_report(eg, v, table, alloc)
 
 
@@ -665,8 +665,8 @@ def audit(eg: EdgeGame, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Axi
     g = eg.graph
     v = lift(eg)
     table, denom = _table(v, limit)
-    _check_object_capacity(table, g.n)
-    alloc = Allocation(_reduce(table, denom, v.n, v.exact), v.exact, g.nodes)
+    _check_object_capacity(table)
+    alloc = Allocation(_reduce(table, denom), v.exact, g.nodes)
     checks = list(_axiom_check(v, alloc, "all", (), limit, table))
 
     witness = ""

@@ -41,8 +41,9 @@ routes) evaluate them on node masks, and other lifted edge games evaluate
 their worth on induced edge masks (see :func:`edgeshapley.edgegame.lift`). One
 helper, :func:`_numerators`, turns exact worths into integer numerators
 over one denominator, for the table, for the reduction's Python-int
-fallback and for the sampler; an int64 array is its own numerators over 1. The domain is
-the game's ``exact`` flag, never the table's dtype. The float reduction
+fallback and for the sampler; an int64 array is its own numerators over 1.
+Every table an engine reads has 2^n entries, float64 exactly when the game
+is approx, so the engines read n and the domain off it. The float reduction
 reads the table once, in cache-sized blocks, and weights each player's
 marginals from one half-size table of size weights. The exact reduction
 sums the numerators by coalition size (as Python ints
@@ -140,13 +141,16 @@ class NodeCharacteristic:
 
     ``fn`` must be deterministic and effect-free with ``fn(0) == 0``. Either
     domain may supply ``fn_many``, which maps an int64 mask array to a worth
-    array: float64 for approx characteristics; for exact ones an object
-    array of ints and Fractions, or int64, read as numerators over 1. It
-    must agree with ``fn``. The engines add declared ``dividends`` onto the
-    table's superset views (:func:`_table`), and the sampler reads the
-    steps at which rows complete; other games both evaluate through
-    :meth:`evaluate_many`: ``fn_many`` when given, else ``fn`` once per mask
-    (it sums the rows of a dividend game without ``fn_many``);
+    array: for approx characteristics any real array, read as float64; for
+    exact ones an object array of ints and Fractions, or int64, read as
+    numerators over 1. It must agree with ``fn``. An approx worth that does
+    not read as a finite float, a non-number or inf or NaN, breaks the
+    contract, named by its coalition (see :func:`_floats`). The engines add
+    declared ``dividends`` onto the table's superset views (:func:`_table`),
+    and the sampler reads the steps at which rows complete; other games
+    both evaluate through :meth:`evaluate_many`: ``fn_many`` when given,
+    else ``fn`` once per mask (it sums the rows of a dividend game without
+    ``fn_many``);
     :func:`edgeshapley.edgegame.lift` gives an edge game whose worth
     declares count rows of one value each these rows' ``dividends``, one
     whose worth declares other count rows a ``fn_many`` on node masks (and
@@ -203,11 +207,13 @@ class NodeCharacteristic:
 
     def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
         if self._fn_many is not None:
-            return self._fn_many(masks)
-        if self.dividends is not None:
+            worths = self._fn_many(masks)
+        elif self.dividends is not None:
             return _dividend_worths(self.dividends, self.exact, masks)
-        dtype = object if self.exact else np.float64
-        return np.fromiter(map(self._fn, masks.tolist()), dtype=dtype, count=masks.size)
+        else:
+            dtype = object if self.exact else np.float64
+            worths = np.fromiter(map(self._fn, masks.tolist()), dtype=dtype, count=masks.size)
+        return worths if self.exact else _floats(worths, masks)
 
     @classmethod
     def from_table(
@@ -277,6 +283,8 @@ class Allocation:
         if isinstance(key, str):
             if self.nodes is None:
                 raise KeyError("allocation carries no node labels")
+            if key not in self.nodes:
+                raise KeyError(key)
             return self.values[self.nodes.index(key)]
         return self.values[key]
 
@@ -353,7 +361,7 @@ def _check_memory(need: int, what: str):
         )
 
 
-def _check_object_capacity(table: np.ndarray, n: int):
+def _check_object_capacity(table: np.ndarray):
     """Refuse to fold (:func:`myerson`) or split (the component check) an
     exact table of Python ints, the numerators beyond int64, when two ints
     per coalition as large as the table's largest, on top of
@@ -364,8 +372,9 @@ def _check_object_capacity(table: np.ndarray, n: int):
         return
     largest = sys.getsizeof(max(int(table.max()), -int(table.min())))
     _check_memory(
-        (_COALITION_BYTES + 2 * largest) << n,
-        f"folding or splitting the {n}-player table of Python ints ({largest} B each)",
+        (_COALITION_BYTES + 2 * largest) * table.size,
+        f"folding or splitting the {table.size.bit_length() - 1}-player table of Python "
+        f"ints ({largest} B each)",
     )
 
 
@@ -492,7 +501,7 @@ def _table(
         small, denom = _numerators(table, 1, np.int64)
     except OverflowError:
         small = None
-    if small is not None and _int64_reducible(small, v.n):
+    if small is not None and _int64_reducible(small):
         return small, denom
     return _numerators(table, 1, object)
 
@@ -544,10 +553,46 @@ def _numerators(
     return worths.astype(dtype, copy=False), denom
 
 
-def _int64_reducible(table: np.ndarray, n: int) -> bool:
+def _floats(worths, masks: np.ndarray) -> np.ndarray:
+    """An approx batch of worths as float64, which any real array is read
+    as (a float64 one as it is). A worth that does not read as a finite
+    float (not a real number, beyond the float range, inf or NaN) breaks
+    the approx contract; the error names its coalition, ``masks`` at its
+    position."""
+    worths = np.asarray(worths)
+    if worths.dtype.kind in "biuf":
+        with np.errstate(over="ignore"):
+            floats = worths.astype(np.float64, copy=False)
+    else:
+        floats = np.fromiter(map(_real_float, worths.flat), np.float64, count=worths.size)
+        floats = floats.reshape(worths.shape)
+    # min and max are NaN or infinite when any worth is, with no temporary
+    if floats.size and not np.isfinite([floats.min(), floats.max()]).all():
+        k = int(np.argmin(np.isfinite(floats)))
+        bad = worths.flat[k]
+        bad = bad.item() if isinstance(bad, np.generic) else bad
+        # value_str: an int past the float range may be too long for repr
+        raise CharacteristicContractError(
+            f"approx characteristic returned "
+            f"{value_str(bad) if isinstance(bad, numbers.Rational) else repr(bad)} for "
+            f"coalition {int(masks.flat[k]):#b}, which does not read as a finite float"
+        )
+    return floats
+
+
+def _real_float(x) -> float:
+    """``float(x)`` of a real number; NaN, which :func:`_floats` refuses,
+    for anything else or a number beyond the float range."""
+    try:
+        return float(x) if isinstance(x, numbers.Real) else math.nan
+    except OverflowError:
+        return math.nan
+
+
+def _int64_reducible(table: np.ndarray) -> bool:
     """Whether the int64 numerators of an n-player table lie below
     2^(61-n) in magnitude, so every per-size marginal sum fits in int64."""
-    bound = 1 << max(61 - n, 0)
+    bound = 1 << max(62 - table.size.bit_length(), 0)
     return -bound < int(table.min()) and int(table.max()) < bound
 
 
@@ -629,19 +674,19 @@ def _half_sizes(n: int) -> np.ndarray:
 _reduce_tables = functools.lru_cache(maxsize=2)(_ReduceTables)
 
 
-def _half_size_sums(grid: np.ndarray, axis: int, half: _Half, other: _Half, n: int):
+def _half_size_sums(grid: np.ndarray, axis: int, half: _Half, other: _Half):
     """``out[x, t]``: the sum of the table over the coalitions of size t
     whose bits in ``half`` are x. ``grid`` is the table reshaped to
     (2^(n-h), 2^h) and ``axis`` the axis of ``other``'s bits: each of its
     popcount groups p is gathered and summed along it and lands on row x at
     column p + popcount(x)."""
     by_count = np.stack([np.take(grid, g, axis=axis).sum(axis=axis) for g in other.groups])
-    out = np.zeros((by_count.shape[1], n + 1), dtype=grid.dtype)
+    out = np.zeros((by_count.shape[1], grid.size.bit_length()), dtype=grid.dtype)
     np.put(out, half.shift, by_count)
     return out
 
 
-def _exact_size_sums(table: np.ndarray, n: int, players: list[int], tables: _ReduceTables):
+def _exact_size_sums(table: np.ndarray, players: list[int], tables: _ReduceTables):
     """``(held, tot)``: ``held[k][t]`` the sum of the table over the size-t
     coalitions that hold ``players[k]``, and ``tot[t]`` over all size-t
     coalitions, as Python ints, in at most two passes over the table
@@ -660,14 +705,14 @@ def _exact_size_sums(table: np.ndarray, n: int, players: list[int], tables: _Red
     """
     low, high = tables.low, tables.high
     grid = table.reshape(-1, 1 << high.first)
-    low_sums = _half_size_sums(grid, 0, low, high, n)
+    low_sums = _half_size_sums(grid, 0, low, high)
     held: dict[int, list] = {}
     lows = [i for i in players if i < high.first]
     if lows:
         held.update(zip(lows, (low.bits[lows] @ low_sums).tolist()))
     highs = [i - high.first for i in players if i >= high.first]
     if highs:
-        rows = high.bits[highs] @ _half_size_sums(grid, 1, high, low, n)
+        rows = high.bits[highs] @ _half_size_sums(grid, 1, high, low)
         held.update(zip((high.first + j for j in highs), rows.tolist()))
     return [held[i] for i in players], low_sums.sum(axis=0).tolist()
 
@@ -682,8 +727,6 @@ _PER_PLAYER_TERMS = 1 << 14
 def _reduce(
     table: np.ndarray,
     denom: int,
-    n: int,
-    exact: bool,
     *,
     players: Iterable[int] | None = None,
     member_masks: Sequence[int] | None = None,
@@ -691,7 +734,8 @@ def _reduce(
 ) -> tuple[Value, ...]:
     """Shapley value of player i = sum over coalitions S avoiding i of
     ``weight(|S|) * (table[S + i] - table[S])``, for each of ``players``
-    (default every player, in index order), in that order.
+    (default every player, in index order), in that order, with n and the
+    domain read off the table: 2^n entries, float64 when approx.
     ``member_masks[i]``, when given, keeps only the coalitions that meet
     it (bit i ignored); only float tables take member masks.
 
@@ -704,10 +748,10 @@ def _reduce(
     built them. A player's value reads only the table and that player's
     marginals, so it does not depend on which other players are reduced.
 
-    A float table (``exact`` false, the game's domain) is read once, in
-    blocks of 2^15 coalitions, and each player's kept marginals, weighted,
-    are summed as ``np.sum`` sums them as one contiguous array, with no
-    array of 2^(n-1) entries (see :func:`pairwise.marginal_sums`).
+    A float table is read once, in blocks of 2^15 coalitions, and each
+    player's kept marginals, weighted, are summed as ``np.sum`` sums them
+    as one contiguous array, with no array of 2^(n-1) entries (see
+    :func:`pairwise.marginal_sums`).
 
     An exact table holds integer numerators over ``denom`` (see
     :func:`_table`); int64 numerators that the 2^(61-n) bound does not
@@ -723,6 +767,8 @@ def _reduce(
     ``[:, 1, :]`` rows the same coalitions with i added, are subtracted
     into one half-size buffer and summed per coalition size.
     """
+    n = table.size.bit_length() - 1
+    exact = table.dtype != np.float64
     if exact and member_masks is not None:
         raise ValueError("member masks prune float reductions only")
     wanted = list(range(n) if players is None else players)
@@ -730,14 +776,14 @@ def _reduce(
         return ()
     tables = _reduce_tables(n, exact)
     if not exact:
-        return pairwise.marginal_sums(table, n, wanted, member_masks, tables.weights, stats)
-    if table.dtype == np.int64 and not _int64_reducible(table, n):
+        return pairwise.marginal_sums(table, wanted, member_masks, tables.weights, stats)
+    if table.dtype == np.int64 and not _int64_reducible(table):
         table = _numerators(table, 1, object)[0]
     denom *= tables.scale
     if stats is not None:
         stats.marginals += len(wanted) << (n - 1)
     if len(wanted) << (n - 1) > _PER_PLAYER_TERMS:
-        held, tot = _exact_size_sums(table, n, wanted, tables)
+        held, tot = _exact_size_sums(table, wanted, tables)
         base = sum(map(operator.mul, tables.coef, tot))
         return tuple(
             Fraction(sum(map(operator.mul, tables.hold_coef, row)) - base, denom)
@@ -771,7 +817,7 @@ def shapley_exact(
     only after the rational is formed. ``threads`` has no effect.
     """
     table, denom = _table(v, limit, stats)
-    return Allocation(_reduce(table, denom, v.n, v.exact, stats=stats), v.exact)
+    return Allocation(_reduce(table, denom, stats=stats), v.exact)
 
 
 def shapley_dividends(v: NodeCharacteristic) -> Allocation:
@@ -1002,7 +1048,7 @@ def myerson(
     """
     g, v = gg.graph, gg.v
     table, denom = _table(v, limit)
-    _check_object_capacity(table, g.n)
+    _check_object_capacity(table)
     comp = _component_table(g)
     # every index is a mask below 2^n; "clip" skips the buffered copy
     # that the bounds-checking default mode makes
@@ -1025,7 +1071,7 @@ def myerson(
             rest = rest[left]
     # free the fold's buffers before the reduction allocates its own
     del table, comp
-    return Allocation(_reduce(restricted, denom, g.n, v.exact), v.exact, g.nodes)
+    return Allocation(_reduce(restricted, denom), v.exact, g.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +1097,7 @@ class AxiomReport:
         return iter(self.checks)
 
 
-def interchangeable_pairs(table: np.ndarray, n: int) -> list[tuple[int, int]]:
+def interchangeable_pairs(table: np.ndarray) -> list[tuple[int, int]]:
     """Player pairs i < j with v(S + i) = v(S + j) for every coalition S
     avoiding both.
 
@@ -1059,24 +1105,17 @@ def interchangeable_pairs(table: np.ndarray, n: int) -> list[tuple[int, int]]:
     ``[:, 1, :, 0, :]`` slice holds the coalitions S + j and its
     ``[:, 0, :, 1, :]`` slice the same coalitions S + i, in ascending order.
     """
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            view = table.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
-            if np.array_equal(view[:, 0, :, 1, :], view[:, 1, :, 0, :]):
-                pairs.append((i, j))
-    return pairs
+    n = table.size.bit_length() - 1
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    views = (table.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i) for i, j in pairs)
+    return [p for p, v in zip(pairs, views) if np.array_equal(v[:, 0, :, 1, :], v[:, 1, :, 0, :])]
 
 
-def null_players(table: np.ndarray, n: int) -> list[int]:
+def null_players(table: np.ndarray) -> list[int]:
     """Players i with v(S + i) = v(S) for every coalition S avoiding i: the
     ``[:, 1, :]`` and ``[:, 0, :]`` rows of the (2^(n-1-i), 2, 2^i) view."""
-    out = []
-    for i in range(n):
-        rows = table.reshape(-1, 2, 1 << i)
-        if np.array_equal(rows[:, 1, :], rows[:, 0, :]):
-            out.append(i)
-    return out
+    views = (table.reshape(-1, 2, 1 << i) for i in range(table.size.bit_length() - 1))
+    return [i for i, rows in enumerate(views) if np.array_equal(rows[:, 1, :], rows[:, 0, :])]
 
 
 def value_str(x: Value) -> str:
@@ -1165,7 +1204,7 @@ def _axiom_check(
                 )
             )
         elif name == "symmetry":
-            pairs = interchangeable_pairs(table, v.n)
+            pairs = interchangeable_pairs(table)
             bad = [
                 (i, j)
                 for i, j in pairs
@@ -1180,7 +1219,7 @@ def _axiom_check(
                 )
             checks.append(CheckResult("symmetry", not bad, detail))
         elif name == "null-player":
-            nulls = null_players(table, v.n)
+            nulls = null_players(table)
             bad = [i for i in nulls if allocation[i] != 0]
             detail = f"null players {nulls}"
             if bad:

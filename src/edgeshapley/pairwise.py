@@ -104,17 +104,16 @@ class Stream:
 
 def marginal_sums(
     table: np.ndarray,
-    n: int,
     players: list[int],
     member_masks: Sequence[int] | None,
     weights: np.ndarray,
     stats=None,
 ) -> tuple[float, ...]:
     """Each player's sum of ``weights[k] * (table[S + i] - table[S])`` over
-    the coalitions S avoiding i, in squeezed order (k the mask of S with
-    bit i squeezed out), as ``np.sum`` sums them; with ``member_masks``,
-    only over the S that meet ``member_masks[i]``. ``stats.marginals``
-    counts the terms kept.
+    the coalitions S avoiding i of a float64 table of 2^n coalitions, in
+    squeezed order (k the mask of S with bit i squeezed out), as ``np.sum``
+    sums them; with ``member_masks``, only over the S that meet
+    ``member_masks[i]``. ``stats.marginals`` counts the terms kept.
 
     Block b of ``BLOCK`` coalitions holds positions ``b * c`` to ``(b + 1)
     * c`` (c = half a block) of every player's marginals. A player i with
@@ -134,7 +133,7 @@ def marginal_sums(
     two chunks, so each pruned player takes its own pass over the blocks
     and they all share one carry.
     """
-    half = 1 << (n - 1)
+    half = table.size >> 1
     chunk = min(half, LEAF)
     scratch = np.empty(chunk)
     carry = None if member_masks is None else np.empty(2 * chunk)

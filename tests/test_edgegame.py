@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 
@@ -120,6 +121,120 @@ def test_edge_game_validation(h_graph):
     bad = EdgeCharacteristic(h_graph.edges, lambda m: 1)
     with pytest.raises(CharacteristicContractError):
         EdgeGame(h_graph, bad)
+
+
+# ---------------------------------------------------------------------------
+# Approx batch worths: any real array, read as float64
+# ---------------------------------------------------------------------------
+
+def _batch(worth, dtype):
+    """A batch evaluator of ``worth`` (small non-negative ints) on a mask
+    array, in ``dtype``; an object batch holds Python ints."""
+    def fn_many(masks):
+        out = np.array([worth(m) for m in masks.ravel().tolist()], dtype=object)
+        return out.reshape(masks.shape).astype(dtype)
+    return fn_many
+
+
+def _batch_games(dtype):
+    """``(edge game, node game on its graph)`` pairs whose approx batch worths
+    come in ``dtype``: the path A-B-C worth |F|(2 - |F|) on edge set F,
+    whose marginals are negative, and a four-node graph worth (3 F) mod 7
+    with a node game worth (5 S) mod 11."""
+    path = build_graph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    kite = build_graph(["A", "B", "C", "D"], [("A", "B"), ("B", "C"), ("A", "C"), ("C", "D")])
+    out = []
+    for g, edge_worth, node_worth in (
+        (path, lambda f: f.bit_count() * (2 - f.bit_count()), lambda s: s.bit_count() % 2),
+        (kite, lambda f: 3 * f % 7, lambda s: 5 * s % 11),
+    ):
+        w = EdgeCharacteristic(g.edges, edge_worth, exact=False,
+                               fn_many=_batch(edge_worth, dtype))
+        v = NodeCharacteristic(g.n, node_worth, exact=False, fn_many=_batch(node_worth, dtype))
+        out.append((EdgeGame(g, w), v))
+    return out
+
+
+def _float_bits(alloc):
+    return np.array(alloc.values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32, object])
+def test_approx_batches_of_any_real_dtype_read_as_float64(monkeypatch, dtype):
+    # a uint8 batch must not wrap its negative marginals, nor an int64 or
+    # object batch break the Myerson fold: every engine reads the float64
+    # table of the game's float64 twin, bit for bit
+    seen = []
+
+    def spy(module, name, pick):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(pick(args, out).dtype)
+            return out
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module in (games, edgegame):
+        spy(module, "_table", lambda args, out: out[0])  # what myerson folds
+        spy(module, "_reduce", lambda args, out: args[0])
+    spy(edgegame, "_component_report", lambda args, out: args[2])
+    for (eg, v), (eg64, v64) in zip(_batch_games(dtype), _batch_games(np.float64)):
+        g = eg.graph
+        for run in (
+            lambda eg, v: shapley_exact(lift(eg)),
+            lambda eg, v: shapley_exact(v),
+            lambda eg, v: edge_shapley(eg),
+            lambda eg, v: edge_shapley_pruned(eg),
+            lambda eg, v: myerson(GraphGame(g, lift(eg))),
+            lambda eg, v: myerson(GraphGame(g, v)),
+            lambda eg, v: shapley_sampled(lift(eg), 300, 5),
+            lambda eg, v: shapley_sampled(v, 300, 5),
+        ):
+            assert _float_bits(run(eg, v)) == _float_bits(run(eg64, v64)), (g.nodes, dtype)
+        assert component_efficiency_check(eg) == component_efficiency_check(eg64)
+        assert audit(eg) == audit(eg64)
+    assert seen and set(seen) == {np.dtype(np.float64)}
+    # the path's values sum to w(E) = 0: a wrapped uint8 subtract gives (85.17, 0.33, 85.17)
+    eg = _batch_games(dtype)[0][0]
+    assert edge_shapley(eg).values == pytest.approx((-1 / 6, 1 / 3, -1 / 6), abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", ["x", None, 1j, 10**400])
+def test_approx_batch_worth_that_is_no_float_breaks_the_contract(bad):
+    # named by its coalition, as an exact worth that is not a rational is
+    def fn_many(masks):
+        return np.array([bad if m == 0b101 else 0 for m in masks.tolist()], dtype=object)
+    v = NodeCharacteristic(3, lambda m: 0.0, exact=False, fn_many=fn_many)
+    match = "for coalition 0b101, which does not read as a finite float"
+    for run in (lambda: shapley_exact(v), lambda: shapley_sampled(v, 50, 1)):
+        with pytest.raises(CharacteristicContractError, match=match):
+            run()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("batch", [False, True], ids=["fn", "fn_many"])
+def test_non_finite_approx_worth_breaks_the_contract(bad, batch):
+    # not values of inf, nor a float warning and an additivity witness
+    # with an empty side from the audit
+    def worth(m):
+        return bad if m == 0b111 else float(m.bit_count())
+
+    fn_many = (lambda masks: np.array([worth(m) for m in masks.tolist()])) if batch else None
+    v = NodeCharacteristic(3, worth, exact=False, fn_many=fn_many)
+    g = build_graph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    edge_worth = lambda f: bad if f == 0b11 else float(f.bit_count())
+    fn_many = (lambda masks: np.array([edge_worth(m) for m in masks.tolist()])) if batch else None
+    eg = EdgeGame(g, EdgeCharacteristic(g.edges, edge_worth, exact=False, fn_many=fn_many))
+    match = f"returned {bad!r} for coalition 0b111, which does not read as a finite float"
+    for run in (
+        lambda: shapley_exact(v),
+        lambda: shapley_sampled(v, 50, 1),
+        lambda: audit(eg),
+        lambda: shapley_sampled(lift(eg), 50, 1),
+    ):
+        with pytest.raises(CharacteristicContractError, match=match):
+            run()
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +459,7 @@ def test_power_games_build_no_edge_masks(h_game, monkeypatch, capsys, tmp_path):
             pruned = full
         else:
             table, denom = games._table(scalar, None)
-            pruned = games._reduce(table, denom, g.n, False, member_masks=members)
+            pruned = games._reduce(table, denom, member_masks=members)
         assert edge_shapley_pruned(eg).values == pruned
         assert myerson(GraphGame(g, v)) == myerson(GraphGame(g, scalar))
         assert shapley_sampled(v, 100, 1).values == shapley_sampled(scalar, 100, 1).values

@@ -197,8 +197,8 @@ def test_symmetry_and_null_player_detection(v, pairs, nulls):
     if pairs is None:
         pairs, nulls = scalar_pairs(v), scalar_nulls(v)
     table = games._table(v, None)[0]
-    assert games.interchangeable_pairs(table, v.n) == pairs
-    assert games.null_players(table, v.n) == nulls
+    assert games.interchangeable_pairs(table) == pairs
+    assert games.null_players(table) == nulls
     alloc = shapley_exact(v)
     report = axiom_check(v, alloc)
     assert report.all_passed
@@ -275,6 +275,8 @@ def add_other(n, exact, other):
                  "characteristic has 2 players but graph has 3 nodes", id="graph-game-size"),
     pytest.param(lambda: Allocation((1, 2), True)["a"], KeyError,
                  "allocation carries no node labels", id="label-lookup-without-labels"),
+    pytest.param(lambda: Allocation((1, 2), True, ("a", "b"))["c"], KeyError, "c",
+                 id="label-lookup-of-missing-label"),
     pytest.param(lambda: Allocation((1, 2), True).as_dict(), KeyError,
                  "allocation carries no node labels", id="as-dict-without-labels"),
     pytest.param(lambda: shapley_dividends(additive(2)), ValueError,
@@ -396,14 +398,13 @@ def test_float_reduction_equals_per_player_formula():
         for members in (None, dense, sparse) if n <= 20 else (sparse,):
             want, kept = per_player_float_reduction(table, n, members)
             stats = EngineStats()
-            got = games._reduce(table, 1, n, False, member_masks=members, stats=stats)
+            got = games._reduce(table, 1, member_masks=members, stats=stats)
             assert float_bits(got) == float_bits(want), (n, members)
             assert stats.marginals == sum(kept)
             # a subset of the players, in shuffled order
             players = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
             stats = EngineStats()
-            got = games._reduce(table, 1, n, False, players=players, member_masks=members,
-                                stats=stats)
+            got = games._reduce(table, 1, players=players, member_masks=members, stats=stats)
             assert float_bits(got) == float_bits([want[i] for i in players]), (n, players)
             assert stats.marginals == sum(kept[i] for i in players)
 
@@ -473,11 +474,11 @@ def test_reduction_tables_cache_is_invisible():
         ):
             table = tables[is_exact]
             games._reduce_tables.cache_clear()
-            cold = games._reduce(table, denom, n, is_exact, **kwargs)
-            warm = games._reduce(table, denom, n, is_exact, **kwargs)
-            games._reduce(np.zeros(1 << other, dtype=table.dtype), 1, other, is_exact)
-            games._reduce(tables[not is_exact], 1, n, not is_exact)
-            again = games._reduce(table, denom, n, is_exact, **kwargs)
+            cold = games._reduce(table, denom, **kwargs)
+            warm = games._reduce(table, denom, **kwargs)
+            games._reduce(np.zeros(1 << other, dtype=table.dtype), 1)
+            games._reduce(tables[not is_exact], 1)
+            again = games._reduce(table, denom, **kwargs)
             if is_exact:
                 assert cold == warm == again, (n, kwargs)
             else:
@@ -527,11 +528,11 @@ def test_exact_restricted_reduction_equals_per_player_loop(form):
         assert (denom > 1) == (form == "fraction")
         want = per_player_fraction_reduction(table, denom, n, range(n))
         stats = EngineStats()
-        assert games._reduce(table, denom, n, True, stats=stats) == want, n
+        assert games._reduce(table, denom, stats=stats) == want, n
         assert stats.marginals == n << (n - 1)
         if form == "beyond":
             # int64 numerators past the bound, which _reduce sums as Python ints
-            assert games._reduce(raw, 1, n, True) == want
+            assert games._reduce(raw, 1) == want
         stats = EngineStats()
         alloc = shapley_exact(v, stats=stats)
         assert alloc.values == want and stats.marginals == n << (n - 1)
@@ -545,7 +546,7 @@ def test_exact_reduction_refuses_member_masks(monkeypatch, per_player_terms):
     monkeypatch.setattr(games, "_PER_PLAYER_TERMS", per_player_terms)
     table = np.arange(16, dtype=np.int64)
     with pytest.raises(ValueError, match="member masks prune float reductions only"):
-        games._reduce(table, 1, 4, True, member_masks=[0b0010, 0b0001, 0b1000, 0b0100])
+        games._reduce(table, 1, member_masks=[0b0010, 0b0001, 0b1000, 0b0100])
 
 
 def test_threads_bit_identical():

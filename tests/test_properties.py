@@ -120,8 +120,8 @@ def reduction_inputs(draw):
     """An n-player coalition table with v(empty) = 0 in one of the forms
     ``_table`` hands out (float64; int64 numerators below the 2^(61-n)
     bound; int64 numerators beyond it, which the reduction sums as Python
-    ints; Python-int numerators beyond int64), its denominator, the domain,
-    optional member masks and an ordered subset of the players."""
+    ints; Python-int numerators beyond int64), its denominator, optional
+    member masks and an ordered subset of the players."""
     n = draw(st.integers(1, 7))
     form = draw(st.sampled_from(["float64", "int64", "int64-beyond", "object"]))
     if form == "float64":
@@ -144,7 +144,7 @@ def reduction_inputs(draw):
         members = draw(st.one_of(st.none(), st.lists(st.integers(0, (1 << n) - 1),
                                                      min_size=n, max_size=n)))
     players = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-    return table, denom, n, form != "float64", members, players
+    return table, denom, members, players
 
 
 def same_values(got, want):
@@ -157,16 +157,16 @@ def same_values(got, want):
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(reduction_inputs())
 def test_player_subset_reduction_equals_full_reduction(inputs):
-    table, denom, n, exact, members, players = inputs
+    table, denom, members, players = inputs
     _reduce_tables.cache_clear()
-    full = _reduce(table, denom, n, exact, member_masks=members)
+    full = _reduce(table, denom, member_masks=members)
     want = [full[i] for i in players]
-    assert same_values(_reduce(table, denom, n, exact, players=players, member_masks=members), want)
+    assert same_values(_reduce(table, denom, players=players, member_masks=members), want)
     # the subset first, on a cold cache, then the full reduction on the
     # per-n tables it cached
     _reduce_tables.cache_clear()
-    assert same_values(_reduce(table, denom, n, exact, players=players, member_masks=members), want)
-    assert same_values(_reduce(table, denom, n, exact, member_masks=members), full)
+    assert same_values(_reduce(table, denom, players=players, member_masks=members), want)
+    assert same_values(_reduce(table, denom, member_masks=members), full)
 
 
 @st.composite
@@ -194,8 +194,7 @@ def test_float_reduction_equals_per_player_formula(inputs):
     table, n, members, players = inputs
     want, kept = per_player_float_reduction(table, n, members, players)
     stats = EngineStats()
-    assert same_values(_reduce(table, 1, n, False, players=players, member_masks=members,
-                               stats=stats), want)
+    assert same_values(_reduce(table, 1, players=players, member_masks=members, stats=stats), want)
     assert stats.marginals == sum(kept)
 
 
@@ -241,11 +240,11 @@ def exact_tables(draw):
 def test_exact_reduction_equals_per_player_fraction_formula(inputs):
     table, denom, n, players = inputs
     want = per_player_fraction_reduction(table, denom, n, range(n) if players is None else players)
-    assert same_values(_reduce(table, denom, n, True, players=players), want)
+    assert same_values(_reduce(table, denom, players=players), want)
     # small reductions take one pass per player; with no such reduction
     # allowed every one takes the constant-pass path
     with mock.patch.object(games, "_PER_PLAYER_TERMS", -1):
-        assert same_values(_reduce(table, denom, n, True, players=players), want)
+        assert same_values(_reduce(table, denom, players=players), want)
 
 
 @pytest.mark.parametrize("per_player_terms", [-1, 1 << 62], ids=["constant-pass", "per-player"])
@@ -258,7 +257,7 @@ def test_exact_reduction_counts_every_marginal_term(n, per_player_terms):
         assert (stats.evaluations, stats.marginals) == (1 << n, n << (n - 1))
         stats = EngineStats()
         table, denom = _table(v, None)
-        _reduce(table, denom, n, True, players=[n - 1, 0], stats=stats)
+        _reduce(table, denom, players=[n - 1, 0], stats=stats)
         assert stats.marginals == 2 << (n - 1)
 
 
@@ -268,8 +267,8 @@ def test_constant_pass_reduction_builds_no_coalition_index():
     n = 14
     table = np.arange(1 << n, dtype=np.int64)
     _reduce_tables.cache_clear()
-    full = _reduce(table, 1, n, True)
-    assert _reduce(table, 1, n, True, players=[3]) == (full[3],)
+    full = _reduce(table, 1)
+    assert _reduce(table, 1, players=[3]) == (full[3],)
     tables = _reduce_tables(n, True)
     assert tables.sizes.dtype == np.uint8
     assert tables.sizes.tolist() == np.bitwise_count(np.arange(1 << (n - 1))).tolist()
